@@ -96,14 +96,15 @@ def run_pass(ops, tracer, pass_no):
         rec = {"op": k, "label": op.label, "s": t1 - t0, "cpu": c1 - c0}
         if exc is not None:
             rec["failed"] = type(exc).__name__
-            rec["known"] = isinstance(exc, op.known)
+            rec["known"] = op.known(exc)
             rec["counts"] = {"raised": type(exc).__name__}
         else:
             problem = op.check(result)
             rec["counts"] = op.counts(result)
             if problem is not None:
-                rec["failed"] = "check"
-                rec["known"] = False
+                name = op.known_result(result)
+                rec["failed"] = name or "check"
+                rec["known"] = name is not None
                 rec["problem"] = problem
         records.append(rec)
     return {"elapsed": time.perf_counter() - t_pass,
@@ -219,7 +220,9 @@ def per_op_best(passes, key):
 
 def end_to_end(passes, setup_samples):
     first = passes[0]["records"]
-    ok = ["failed" not in r for r in first]  # failures repeat in every batch
+    # an op counts as successful only if it succeeded in every batch; a
+    # failure that comes and goes makes the run incorrect (see determinism)
+    ok = [all("failed" not in p["records"][k] for p in passes) for k in range(len(first))]
     op_s = per_op_best(passes, "s")
     ok_times = [t for t, good in zip(op_s, ok) if good]
     pct = tail_percentile(len(ok_times))
@@ -235,7 +238,8 @@ def end_to_end(passes, setup_samples):
     }
     batch = f"{len(first)} ops, each at its best of {len(passes)} batches"
     notes = {
-        "setup_s": f"median of {len(setup_samples)} set-ups",
+        "setup_s": f"median of {len(setup_samples)} set-ups; "
+                   f"this process's own {setup_samples[0]['setup_s']:.4f} s",
         "wall_s": batch,
         "op_s.p50": f"{len(ok_times)} successful ops",
         "op_s.tail": f"p{pct}, {len(ok_times)} successful ops, "
@@ -272,7 +276,11 @@ def failure_counts(passes):
 
 
 def determinism(passes):
-    """Digest of the first batch's per-op counts, and whether all batches match."""
+    """Digest of the first batch's per-op counts, and whether all batches match.
+
+    The counts include each op's failure class, so a failure that comes and
+    goes between batches shows as a mismatch.
+    """
     first = [r["counts"] for r in passes[0]["records"]]
     same = all([r["counts"] for r in p["records"]] == first for p in passes[1:])
     digest = hashlib.sha256(json.dumps(first, sort_keys=True).encode()).hexdigest()
@@ -317,12 +325,13 @@ def main(argv=None):
 
     records = [r for p in passes for r in p["records"]]
     failures = failure_counts(passes)
-    correct = not any(r.get("failed") and not r["known"] for r in records)
     digest, repeatable = determinism(passes)
+    correct = repeatable and not any(r.get("failed") and not r["known"] for r in records)
     with open(os.path.join(OUT, f"ops-{tag}-trace{args.trace}.jsonl"), "w",
               encoding="utf-8") as fh:
         fh.write(json.dumps({"env": env, "workload": args.workload, "seed": args.seed,
-                             "trace": args.trace}) + "\n")
+                             "trace": args.trace, "counts_digest": digest,
+                             "repeatable": repeatable}) + "\n")
         for p_no, p in enumerate(passes):
             for r in p["records"]:
                 fh.write(json.dumps({"pass": p_no, **r}) + "\n")

@@ -26,6 +26,7 @@ import calabiflow as cf  # noqa: E402
 import run  # noqa: E402
 import workloads as wl  # noqa: E402
 from calabiflow import thurston  # noqa: E402
+from calabiflow.errors import EnumerationSizeError, StepCollapseError  # noqa: E402
 
 
 def corrupt_last_sample(trace, **changes):
@@ -100,15 +101,65 @@ def cases():
 
 
 def run_pass_flags_failures():
-    """An op failing its check, or raising an unknown class, is not known."""
+    """An op failing its check, or raising an unknown failure, is not known.
+
+    Known failures are matched exactly: a ``RuntimeError`` subclass of the
+    library, or a ``RuntimeError`` with another message, is unknown.
+    """
+    singular = "Factor is exactly singular"
     ops = [
         wl.Op("check fails", lambda: 1, lambda r: "wrong", lambda r: {}),
         wl.Op("unknown raise", lambda: 1 / 0, lambda r: None, lambda r: {}),
-        wl.Op("known raise", lambda: 1 / 0, lambda r: None, lambda r: {},
-              known=(ZeroDivisionError,)),
+        wl.Op("singular factor", raiser(RuntimeError(singular)), lambda r: None,
+              lambda r: {}, known=wl.singular_factor),
+        wl.Op("other RuntimeError", raiser(RuntimeError("other")), lambda r: None,
+              lambda r: {}, known=wl.singular_factor),
+        wl.Op("library subclass", raiser(StepCollapseError(singular)), lambda r: None,
+              lambda r: {}, known=wl.singular_factor),
+        wl.Op("size guard", raiser(EnumerationSizeError("N=66")), lambda r: None,
+              lambda r: {}, known=wl.size_guard),
     ]
     records = run.run_pass(ops, None, 0)["records"]
-    return [r["known"] for r in records] == [False, False, True]
+    return [r["known"] for r in records] == [False, False, True, False, False, True]
+
+
+def raiser(exc):
+    def call():
+        raise exc
+
+    return call
+
+
+def determinism_flags_changes():
+    """A failure that comes and goes between batches makes the counts differ."""
+    flaky = iter([None, RuntimeError("Factor is exactly singular")])
+
+    def call():
+        exc = next(flaky)
+        if exc is not None:
+            raise exc
+        return 1
+
+    op = wl.Op("flaky", call, lambda r: None, lambda r: {"value": r},
+               known=wl.singular_factor)
+    passes = [run.run_pass([op], None, k) for k in range(2)]
+    return run.determinism(passes)[1] is False and run.determinism(passes[:1])[1] is True
+
+
+def path_residual_is_exact():
+    """Only a probe that failed its path-independence test alone is known."""
+    _, payload = wl.run_cli(["potential-probe", "--mesh", "tetrahedron", "--seed", "1"])
+    residual = {**payload, "ok": False, "path_independence_residual": 4e-7}
+    rows = [dict(r) for r in payload["rows"]]
+    rows[1]["f"] = rows[0]["f"] - 1.0  # a ray where the potential falls
+    expected = [
+        ((3, residual), "PathResidual"),
+        ((3, {**residual, "lambda1_at_base": -1.0}), None),
+        ((3, {**residual, "rows": rows}), None),
+        ((3, {**payload, "ok": False}), None),
+        ((0, residual), None),
+    ]
+    return all(wl.path_residual(result) == want for result, want in expected)
 
 
 def main():
@@ -123,6 +174,10 @@ def main():
                 problems.append(f"{name}: accepted a corrupted result ({what})")
     if not run_pass_flags_failures():
         problems.append("run_pass does not flag failed checks and unknown exceptions")
+    if not path_residual_is_exact():
+        problems.append("path_residual accepts a probe that failed another test")
+    if not determinism_flags_changes():
+        problems.append("determinism does not flag per-op counts that change")
     for p in problems:
         print("FAIL " + p)
     print("selftest " + ("failed" if problems else "passed"))

@@ -29,15 +29,19 @@ from calabiflow import cli, flows, thurston
 from calabiflow.errors import EnumerationSizeError
 from calabiflow.mesh import VertexSubset
 
-try:  # the package may come to own the refinement helper
-    from calabiflow.meshes import subdivide
-except ImportError:
-    from bench_kernels import subdivide
+from bench_kernels import subdivide
 
 # largest |sum u - sum u(0)| a Calabi flow may drift (as in the acceptance suite)
 SUM_U_TOL = 1e-9
 # margin by which a target built to be inadmissible violates its subset
 VIOLATION_MARGIN = 0.5
+# largest path-independence residual the CLI's potential-probe accepts
+PROBE_RESIDUAL_TOL = 1e-7
+
+
+def unknown(exc) -> bool:
+    """No failure is known: every exception makes the run incorrect."""
+    return False
 
 
 @dataclass
@@ -45,15 +49,56 @@ class Op:
     """One timed call, its independent check and its exact counts.
 
     ``check(result)`` returns None when the result is right, else a reason.
-    ``known`` names the exception classes the op is known to raise today;
-    any other exception makes the run incorrect.
+    ``known(exc)`` is true for the failures the op is known to raise today,
+    and ``known_result(result)`` names a known failure among the results
+    its check rejects; any other failure makes the run incorrect.
     """
 
     label: str
     call: Callable[[], object]
     check: Callable[[object], str | None]
     counts: Callable[[object], dict]
-    known: tuple[type, ...] = ()
+    known: Callable[[BaseException], bool] = unknown
+    known_result: Callable[[object], str | None] = lambda result: None  # none known
+
+
+def singular_factor(exc) -> bool:
+    """The sparse λ1 shift-invert's ``RuntimeError: Factor is exactly singular``.
+
+    Only a plain ``RuntimeError`` with that message counts: the library's
+    own ``RuntimeError`` subclasses (a failed λ1 validation, a collapsed
+    step) are unknown failures.
+    """
+    return type(exc) is RuntimeError and "Factor is exactly singular" in str(exc)
+
+
+def size_guard(exc) -> bool:
+    """``check_admissible`` refusing a mesh above ``SIZE_GUARD``."""
+    return type(exc) is EnumerationSizeError
+
+
+def path_residual(result) -> str | None:
+    """``PathResidual`` when a probe failed only its path-independence test.
+
+    That is: exit code 3 and ``"ok": false``, a positive λ1 at the base and
+    potential rows that are non-negative and non-decreasing along each ray
+    (the CLI's other two tests, redone here), and a residual above the
+    CLI's ``PROBE_RESIDUAL_TOL``.  Any other failed probe is unknown.
+    """
+    code, payload = result
+    if code != cli.EXIT_INTERNAL or payload.get("ok") is not False:
+        return None
+    if not payload.get("lambda1_at_base", 0.0) > 0.0:
+        return None
+    prev = {}
+    for row in payload.get("rows", []):
+        val = row["f"]
+        if val < -1e-9 or val < prev.get(row["direction"], 0.0) - 1e-9:
+            return None
+        prev[row["direction"]] = val
+    if not payload.get("path_independence_residual", 0.0) > PROBE_RESIDUAL_TOL:
+        return None
+    return "PathResidual"
 
 
 @dataclass
@@ -191,7 +236,7 @@ def probe_counts(result):
 # ---------------------------------------------------------------------------
 
 
-def flow_op(label, t, w, m0, kind, target, opts, budget=None, known=()):
+def flow_op(label, t, w, m0, kind, target, opts, budget=None, known=unknown):
     return Op(
         label=f"{kind.name} N={t.n_vertices} {label}",
         call=lambda: flows.integrate(kind, t, w, m0, opts),
@@ -226,18 +271,19 @@ RICCI_KINDS = ("ricci_normalized", "ricci_prescribed")
 def flow_small(rng, workdir):
     """Flows to convergence at N=18 and N=66 (default options).
 
-    N=18: the Ricci kinds from 8 starts and the Calabi kinds from 2;
-    N=66: ``calabi`` and the Ricci kinds from one start.  A
-    ``calabi_prescribed`` op at N=66 would cost as much as the batch's
-    largest op, and the batch must repeat within a run; it takes the same
-    path as ``calabi``.
+    N=18: all four kinds from 2 starts and the Ricci kinds from 3 more, so
+    the median op falls inside the 10 Ricci ops of like cost; N=66:
+    ``calabi`` and the Ricci kinds from one start.  A ``calabi_prescribed``
+    op at N=66 would cost as much as the batch's largest op; it takes the
+    same path as ``calabi``.  The batch is kept short so that it repeats
+    several times in a run.
     """
     start = time.perf_counter()
     _, t18, t66 = octahedra(2)
     build = time.perf_counter() - start
     opts = cf.IntegratorOptions()
     ops = []
-    for i in range(8):
+    for i in range(5):
         w, m0, tgt = flow_start(rng, t18)
         names = ALL_KINDS if i < 2 else RICCI_KINDS
         for kind in kinds_of(names, tgt):
@@ -274,7 +320,7 @@ def flow_large(rng, workdir):
         w, m0, tgt = flow_start(rng, t1026)
         for kind in kinds_of(("calabi", "ricci_normalized"), tgt):
             ops.append(flow_op(f"#{i}", t1026, w, m0, kind, None, opts,
-                               FLOW_LARGE_BUDGET, known=(RuntimeError,)))
+                               FLOW_LARGE_BUDGET, known=singular_factor))
     return Batch(ops, build)
 
 
@@ -296,7 +342,7 @@ def admissibility(rng, workdir):
     plan = [(t12, 18, 12), (t18, 0, 2), (t66, 2, 6)]
     ops = []
     for t, n_ok, n_bad in plan:
-        known = (EnumerationSizeError,) if t.n_vertices > thurston.SIZE_GUARD else ()
+        known = size_guard if t.n_vertices > thurston.SIZE_GUARD else unknown
         for i in range(n_ok + n_bad):
             w = random_weight(rng, t)
             expect = "admissible" if i < n_ok else "inadmissible"
@@ -315,16 +361,18 @@ def admissibility(rng, workdir):
 def potential_probe(rng, workdir):
     """The CLI ``potential-probe`` on builtin meshes and two mesh files.
 
-    Four runs on each builtin mesh and on the N=18 file, one on the N=66
-    file; each run draws its own uniform weight and CLI seed.  The CLI
-    reads ``--phi`` only as a scalar here: its file form fails today.
+    Two runs on each builtin mesh and on the N=18 file, which all cost
+    about the same, and one on the N=66 file; each run draws its own
+    uniform weight and CLI seed.  The batch is kept short so that it
+    repeats several times in a run.  The CLI reads ``--phi`` only as
+    a scalar here: its file form fails today.
     """
     start = time.perf_counter()
     _, t18, t66 = octahedra(2)
     build = time.perf_counter() - start
-    specs = [(name, 4) for name in ("tetrahedron", "octahedron", "icosahedron", "torus")]
+    specs = [(name, 2) for name in ("tetrahedron", "octahedron", "icosahedron", "torus")]
     os.makedirs(workdir, exist_ok=True)
-    for t, runs in ((t18, 4), (t66, 1)):
+    for t, runs in ((t18, 2), (t66, 1)):
         path = os.path.join(workdir, f"octahedron-{t.n_vertices}.mesh")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{t.n_vertices} {t.n_faces}\n")
@@ -341,6 +389,7 @@ def potential_probe(rng, workdir):
                 call=lambda argv=argv: run_cli(argv),
                 check=check_probe,
                 counts=probe_counts,
+                known_result=path_residual,
             ))
     return Batch(interleave(ops), build)
 
