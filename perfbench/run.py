@@ -13,9 +13,18 @@ and the tracing overhead.  The last line of standard output is one JSON
 object; the lines before it are a readable report.  Per-op counts, and
 with tracing the spans, are written under ``.perfbench/``.
 
+A speed probe, a fixed piece of work that calls nothing of the library,
+runs before each batch's first op and after every op.  A shared host runs
+at speeds up to 2x apart for seconds to minutes at a time; on workloads
+whose ops slow down with it as the probe does, each op time is scaled to
+the probe's nominal speed, so that a slow spell does not show as a slower
+library.  The report also prints the raw seconds and the probe's range.
+
 ``--setup-probe`` only sets up (import, meshes, inputs, one warm-up op) and
 prints the time taken; the main run starts three such probes so that
-``setup_s`` is a median of four cold set-ups.
+``setup_s`` is a median of four cold set-ups.  Each set-up is followed by
+two speed probes, so that on speed-adjusted workloads its time can be
+scaled like the ops'.
 """
 
 from __future__ import annotations
@@ -37,6 +46,11 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 OUT = os.path.join(ROOT, ".perfbench")
 SETUP_PROBES = 3
+# iterations of the speed probe's two loops, and the seconds they take
+# together on a 2-vCPU Xeon VM in its fast state
+SPEED_PROBE_NUMPY = 600
+SPEED_PROBE_PYTHON = 36000
+SPEED_PROBE_NOMINAL_S = 0.005
 
 
 def declared_metrics():
@@ -76,10 +90,48 @@ def probe_setup(workload, seed):
     return samples
 
 
+def speed_probe():
+    """Seconds that one fixed piece of work takes right now.
+
+    The work is a loop of small numpy calls and a loop of plain Python
+    arithmetic, of about equal time.  On a 2-vCPU Xeon VM whose host
+    alternates between a fast and a slow state, it slowed by 1.56x from
+    one state to the other, and so did the Python-bound ops: N=18 Ricci
+    flows by 1.62x, N=12 admissibility scans by 1.64x, octahedron
+    potential-probes by 1.55x.  Either loop alone matched them less well
+    (numpy 1.77x, Python 1.40x).  Ops that live in LAPACK on two BLAS
+    threads slowed less (10 N=258 Ricci steps by 1.08x, 10 N=1026 steps
+    by 1.35x), which is why not every workload is adjusted.  The probe
+    calls nothing of the library, so a change to the library does not
+    change it.
+    """
+    import numpy as np
+
+    y = np.linspace(0.0, 1.0, 50)
+    acc = 0
+    start = time.perf_counter()
+    for _ in range(SPEED_PROBE_NUMPY):
+        y = np.sqrt(np.abs(y) + 1.0) * 0.5
+        float(y.sum())
+    for i in range(SPEED_PROBE_PYTHON):
+        acc += i * i % 7
+    return time.perf_counter() - start
+
+
+def settled_probe():
+    """The mean of two speed probes: the host's speed just after a set-up."""
+    return 0.5 * (speed_probe() + speed_probe())
+
+
 def run_pass(ops, tracer, pass_no):
-    """Run every op once; time it, then check it outside the timing."""
+    """Run every op once; time it, then check it outside the timing.
+
+    The speed probe runs before the first op and after each op; an op's
+    ``ref`` is the mean of the probes on either side of it.
+    """
     records = []
     t_pass = time.perf_counter()
+    probe = speed_probe()
     for k, op in enumerate(ops):
         if tracer is not None:
             tracer.op_id = f"{pass_no}:{k}"
@@ -93,7 +145,10 @@ def run_pass(ops, tracer, pass_no):
         c1 = time.process_time()
         if tracer is not None:
             tracer.op_id = None
-        rec = {"op": k, "label": op.label, "s": t1 - t0, "cpu": c1 - c0}
+        after = speed_probe()
+        rec = {"op": k, "label": op.label, "s": t1 - t0, "cpu": c1 - c0,
+               "ref": 0.5 * (probe + after)}
+        probe = after
         if exc is not None:
             rec["failed"] = type(exc).__name__
             rec["known"] = op.known(exc)
@@ -207,10 +262,9 @@ def environment():
 def per_op_best(passes, key):
     """Each op's fastest time over the run's repeats of the batch, in order.
 
-    A shared machine can run at two speeds, up to 2x apart, for seconds at
-    a time (another tenant on the same core); a median flips between the
-    two from run to run, while the fastest of a few repeats settles on the
-    fast one.
+    For ops that are not speed-adjusted: a median would flip between the
+    host's two speeds from run to run, while the fastest of a few repeats
+    settles on the fast one.
     """
     return [
         min(p["records"][k][key] for p in passes)
@@ -218,33 +272,72 @@ def per_op_best(passes, key):
     ]
 
 
-def end_to_end(passes, setup_samples):
+def per_op_adjusted(passes, key):
+    """Each op's median ``key`` over the run's batches, at the probe's nominal speed.
+
+    Each time is scaled by ``SPEED_PROBE_NOMINAL_S`` over the probe timed
+    beside it, which takes out the host's speed state, so the median over
+    batches no longer flips between two speeds.
+    """
+    return [
+        statistics.median(
+            p["records"][k][key] * SPEED_PROBE_NOMINAL_S / p["records"][k]["ref"]
+            for p in passes
+        )
+        for k in range(len(passes[0]["records"]))
+    ]
+
+
+def setup_times(setup_samples, speed_adjusted):
+    """Each set-up's seconds, scaled like the ops' on speed-adjusted workloads.
+
+    Set-up is imports, mesh building and input generation, interpreted
+    Python that slows down with the host as the probe does.
+    """
+    if not speed_adjusted:
+        return [s["setup_s"] for s in setup_samples]
+    return [s["setup_s"] * SPEED_PROBE_NOMINAL_S / s["probe_s"] for s in setup_samples]
+
+
+def end_to_end(passes, setup_samples, speed_adjusted):
     first = passes[0]["records"]
     # an op counts as successful only if it succeeded in every batch; a
     # failure that comes and goes makes the run incorrect (see determinism)
     ok = [all("failed" not in p["records"][k] for p in passes) for k in range(len(first))]
-    op_s = per_op_best(passes, "s")
+    per_op = per_op_adjusted if speed_adjusted else per_op_best
+    op_s = per_op(passes, "s")
     ok_times = [t for t, good in zip(op_s, ok) if good]
     pct = tail_percentile(len(ok_times))
     tail = percentile(ok_times, pct) if ok_times else 0.0
     values = {
-        "setup_s": statistics.median(s["setup_s"] for s in setup_samples),
+        "setup_s": statistics.median(setup_times(setup_samples, speed_adjusted)),
         "wall_s": sum(op_s),
         "op_s.p50": statistics.median(ok_times) if ok_times else 0.0,
         "op_s.tail": tail,
-        "cpu_s": sum(per_op_best(passes, "cpu")),
+        "cpu_s": sum(per_op(passes, "cpu")),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "ok_frac": len(ok_times) / len(first),
     }
-    batch = f"{len(first)} ops, each at its best of {len(passes)} batches"
+    probes = [r["ref"] for p in passes for r in p["records"]]
+    if speed_adjusted:
+        batch = (f"{len(first)} ops, each at its median of {len(passes)} batches "
+                 f"at the probe's nominal speed")
+        raw = {key: f"; raw best {sum(per_op_best(passes, key)):.4f} s" for key in ("s", "cpu")}
+    else:
+        batch = f"{len(first)} ops, each at its best of {len(passes)} batches"
+        raw = {"s": "", "cpu": ""}
     notes = {
-        "setup_s": f"median of {len(setup_samples)} set-ups; "
-                   f"this process's own {setup_samples[0]['setup_s']:.4f} s",
-        "wall_s": batch,
+        "setup_s": f"median of {len(setup_samples)} set-ups"
+                   + (" at the probe's nominal speed; raw median "
+                      f"{statistics.median(s['setup_s'] for s in setup_samples):.4f} s"
+                      if speed_adjusted else "")
+                   + f"; this process's own {setup_samples[0]['setup_s']:.4f} s",
+        "wall_s": f"{batch}{raw['s']}; probe median {1e3 * statistics.median(probes):.3f} ms, "
+                  f"range {1e3 * min(probes):.3f}-{1e3 * max(probes):.3f} ms",
         "op_s.p50": f"{len(ok_times)} successful ops",
         "op_s.tail": f"p{pct}, {len(ok_times)} successful ops, "
                      f"{sum(t > tail for t in ok_times)} beyond",
-        "cpu_s": batch,
+        "cpu_s": f"{batch}{raw['cpu']}",
         "peak_rss_mb": "this process",
         "ok_frac": f"{len(ok_times)} of {len(first)} ops",
     }
@@ -305,11 +398,13 @@ def main(argv=None):
 
     if args.setup_probe:
         batch, setup_s = setup(args.workload, args.seed, os.path.join(OUT, tag + "-probe"))
-        print(json.dumps({"setup_s": setup_s, "mesh_build_s": batch.mesh_build_s}))
+        print(json.dumps({"setup_s": setup_s, "mesh_build_s": batch.mesh_build_s,
+                          "probe_s": settled_probe()}))
         return 0
 
     batch, own_setup = setup(args.workload, args.seed, os.path.join(OUT, tag))
-    setup_samples = [{"setup_s": own_setup, "mesh_build_s": batch.mesh_build_s}]
+    setup_samples = [{"setup_s": own_setup, "mesh_build_s": batch.mesh_build_s,
+                      "probe_s": settled_probe()}]
     setup_samples += probe_setup(args.workload, args.seed)
     env = environment()
 
@@ -318,7 +413,7 @@ def main(argv=None):
         values, notes = per_layer(passes, tracer, setup_samples)
         tracer.write(os.path.join(OUT, f"spans-{tag}.jsonl"))
     else:
-        values, notes = end_to_end(passes, setup_samples)
+        values, notes = end_to_end(passes, setup_samples, batch.speed_adjusted)
     units = units_by_mode[args.trace]
     if set(values) != set(units):
         raise RuntimeError(f"metrics differ from BENCHMARK.json: {set(values) ^ set(units)}")

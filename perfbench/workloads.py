@@ -103,8 +103,17 @@ def path_residual(result) -> str | None:
 
 @dataclass
 class Batch:
+    """A workload's ops, its mesh build time, and how its op times are read.
+
+    With ``speed_adjusted``, each op time is scaled to the speed probe's
+    nominal speed (see ``run.speed_probe``): right for ops that slow down
+    with the host as the probe does.  Without it, each op is read at its
+    fastest repeat in the run.
+    """
+
     ops: list[Op]
     mesh_build_s: float
+    speed_adjusted: bool
 
 
 def octahedra(levels: int) -> list[cf.Triangulation]:
@@ -276,7 +285,8 @@ def flow_small(rng, workdir):
     ``calabi`` and the Ricci kinds from one start.  A ``calabi_prescribed``
     op at N=66 would cost as much as the batch's largest op; it takes the
     same path as ``calabi``.  The batch is kept short so that it repeats
-    several times in a run.
+    several times in a run.  Op times are speed-adjusted: the N=18 ops,
+    which hold the median, slow down with the host as the probe does.
     """
     start = time.perf_counter()
     _, t18, t66 = octahedra(2)
@@ -291,7 +301,7 @@ def flow_small(rng, workdir):
     w, m0, tgt = flow_start(rng, t66)
     for kind in kinds_of(("calabi",) + RICCI_KINDS, tgt):
         ops.append(flow_op("#0", t66, w, m0, kind, expected(kind, t66, tgt), opts))
-    return Batch(interleave(ops), build)
+    return Batch(interleave(ops), build, speed_adjusted=True)
 
 
 FLOW_LARGE_BUDGET = 10
@@ -306,6 +316,9 @@ def flow_large(rng, workdir):
     the two sizes cost about the same per op, so all ops form one group.
     The sparse λ1 raises ``RuntimeError: Factor is exactly singular`` on
     some N=1026 states; many short ops keep the share that fails steady.
+    Op times are not speed-adjusted: these ops live in LAPACK and sparse
+    factorizations on two BLAS threads, which the host's slow state slows
+    by 1.1-1.4x against the probe's 1.6x, so each op is read at its best.
     """
     start = time.perf_counter()
     meshes = octahedra(4)
@@ -321,25 +334,29 @@ def flow_large(rng, workdir):
         for kind in kinds_of(("calabi", "ricci_normalized"), tgt):
             ops.append(flow_op(f"#{i}", t1026, w, m0, kind, None, opts,
                                FLOW_LARGE_BUDGET, known=singular_factor))
-    return Batch(ops, build)
+    return Batch(ops, build, speed_adjusted=False)
 
 
 def admissibility(rng, workdir):
     """``check_admissible`` on realizable and inadmissible targets.
 
-    Half of the 40 targets are realizable: 18 at N=12, each paying the full
-    2^12 - 2 scan, and 2 at N=66.  The other half are built inadmissible:
-    12 at N=12, 2 at N=18 and 6 at N=66.  N=66 exceeds ``SIZE_GUARD`` and is
-    refused today with ``EnumerationSizeError``.  Putting more of the
-    inadmissible targets on N=66 keeps the median op among the N=12 scans.
+    About half of the 40 targets are realizable: 21 at N=12, each paying
+    the full 2^12 - 2 scan, and 1 at N=66.  The other 18 are built
+    inadmissible: 9 at N=12, 2 at N=18 and 7 at N=66.  N=66 exceeds
+    ``SIZE_GUARD`` and is refused today with ``EnumerationSizeError``.  An
+    inadmissible scan stops at its certificate, anywhere from the first
+    subsets to the last; with 11 of the 32 successful ops inadmissible, the
+    median op lies well inside the full N=12 scans.
     A realizable N=18 target (a 2^18 - 2 scan, about 64 times an N=12
-    scan) would be too long to repeat within a run.
+    scan) would be too long to repeat within a run.  Op times are
+    speed-adjusted: the scans are interpreted Python and small numpy calls,
+    which slow down with the host as the probe does.
     """
     start = time.perf_counter()
     t12 = cf.parse_mesh(cf.mesh_text("icosahedron"))
     _, t18, t66 = octahedra(2)
     build = time.perf_counter() - start
-    plan = [(t12, 18, 12), (t18, 0, 2), (t66, 2, 6)]
+    plan = [(t12, 21, 9), (t18, 0, 2), (t66, 1, 7)]
     ops = []
     for t, n_ok, n_bad in plan:
         known = size_guard if t.n_vertices > thurston.SIZE_GUARD else unknown
@@ -355,7 +372,7 @@ def admissibility(rng, workdir):
                 counts=admissible_counts,
                 known=known,
             ))
-    return Batch(interleave(ops), build)
+    return Batch(interleave(ops), build, speed_adjusted=True)
 
 
 def potential_probe(rng, workdir):
@@ -365,7 +382,9 @@ def potential_probe(rng, workdir):
     about the same, and one on the N=66 file; each run draws its own
     uniform weight and CLI seed.  The batch is kept short so that it
     repeats several times in a run.  The CLI reads ``--phi`` only as
-    a scalar here: its file form fails today.
+    a scalar here: its file form fails today.  Op times are
+    speed-adjusted: the probes slow down with the host as the speed probe
+    does.
     """
     start = time.perf_counter()
     _, t18, t66 = octahedra(2)
@@ -391,7 +410,7 @@ def potential_probe(rng, workdir):
                 counts=probe_counts,
                 known_result=path_residual,
             ))
-    return Batch(interleave(ops), build)
+    return Batch(interleave(ops), build, speed_adjusted=True)
 
 
 def run_cli(argv):
