@@ -93,18 +93,25 @@ def _load_phi(spec: str | None, t: Triangulation) -> Weight:
     if spec is None:
         return Weight.uniform(t, 0.0)
     if os.path.exists(spec):
-        pairs = []
+        pairs = {}
         with open(spec, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                parts = line.split()
-                if len(parts) != 3:
+                try:
+                    a, b, value = line.split()
+                    a, b, value = int(a), int(b), float(value)
+                except ValueError:
                     raise DomainError(
                         f"{spec}:{lineno}: expected 'a b phi', got {raw.strip()!r}"
+                    ) from None
+                key = (min(a, b), max(a, b))
+                if key in pairs:
+                    raise DomainError(
+                        f"{spec}:{lineno}: edge {key} assigned a weight twice"
                     )
-                pairs.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                pairs[key] = value
         return Weight.from_edge_map(t, pairs)
     try:
         value = float(spec)
@@ -271,8 +278,10 @@ def cmd_curvature(args) -> int:
 def _run_one(kind, t, w, m, opts, seed, args, suffix="") -> tuple[dict, int]:
     trace = integrate(kind, t, w, m, opts)
     summary = _trace_summary(trace, seed)
-    _write(args.out, f"trace{suffix}.csv", _trace_csv(trace))
-    _write(args.out, f"result{suffix}.json", _json(summary) + "\n")
+    if args.out is not None:
+        # the trace reads every sample's lambda1, one eigen-solve each
+        _write(args.out, f"trace{suffix}.csv", _trace_csv(trace))
+        _write(args.out, f"result{suffix}.json", _json(summary) + "\n")
     code = EXIT_OK if trace.status == "converged" else EXIT_NOT_CONVERGED
     return summary, code
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -126,8 +127,11 @@ class FlowSample:
     """One recorded state of a flow run.
 
     ``lambda1`` is the first nonzero dual Laplacian eigenvalue at the
-    sampled state; it is NaN when the state is so degenerate that the dual
-    weights do not evaluate in floating point (deep divergent escapes).
+    sampled state.  It is computed from ``u`` and the run's mesh and weight
+    on first access and then cached, so a run pays for it only on the
+    samples that are read.  It is NaN when the state is so degenerate that
+    the dual weights do not evaluate in floating point (deep divergent
+    escapes).
     """
 
     t: float
@@ -135,7 +139,17 @@ class FlowSample:
     u: np.ndarray
     curvatures: np.ndarray
     energy: float
-    lambda1: float
+    mesh: Triangulation = field(repr=False, compare=False)
+    weight: Weight = field(repr=False, compare=False)
+
+    @cached_property
+    def lambda1(self) -> float:
+        _, _, _, _, b, _, err = _kernels.state(
+            np.exp(self.u), *_mesh_arrays(self.mesh, self.weight)
+        )
+        if err != _kernels.ERR_OK:
+            return float("nan")
+        return DualLaplacian(self.mesh.n_vertices, self.mesh.edges, b).lambda1()
 
 
 @dataclass
@@ -145,7 +159,8 @@ class FlowTrace:
     ``samples`` holds the initial state, every ``max(1, k/1000)``-th
     accepted step (``k`` the running count), and the final state.  For
     Calabi kinds every accepted step satisfied the energy guard, so the
-    recorded energies are non-increasing.
+    recorded energies are non-increasing.  Each sample's ``lambda1`` is
+    computed when it is first read, not during the run.
     """
 
     kind_name: str
@@ -280,18 +295,7 @@ def integrate(
 
     samples: list[FlowSample] = []
 
-    def record(t_now, h_now, u_now, curv_now, energy_now, b_now):
-        if not kind.uses_laplacian:
-            # Ricci kinds advance on curvatures alone, so the dual weights
-            # are re-derived here; deep escapes can degenerate their formula
-            # in floating point, which is reported as a NaN lambda1.
-            _, _, _, _, b_now, _, err = _kernels.state(np.exp(u_now), fv, fe, ea, eb, cphi)
-            if err != _kernels.ERR_OK:
-                b_now = None
-        if b_now is None:
-            lam = float("nan")
-        else:
-            lam = DualLaplacian(t.n_vertices, t.edges, b_now).lambda1()
+    def record(t_now, h_now, u_now, curv_now, energy_now):
         samples.append(
             FlowSample(
                 t=float(t_now),
@@ -299,7 +303,8 @@ def integrate(
                 u=u_now.copy(),
                 curvatures=curv_now.copy(),
                 energy=float(energy_now),
-                lambda1=lam,
+                mesh=t,
+                weight=w,
             )
         )
 
@@ -307,7 +312,7 @@ def integrate(
     t_now = 0.0
     accepted = 0
     streak = 0
-    record(t_now, h, u, curv, energy, b)
+    record(t_now, h, u, curv, energy)
 
     if float(np.max(np.abs(curv - target))) < opts.curvature_tol:
         return FlowTrace(
@@ -385,13 +390,13 @@ def integrate(
             curv, b, kn = _state_of(u, t, w)
             energy = float(np.sum((curv - target) ** 2))
         if accepted - last_recorded >= stride or terminal:
-            record(t_now, h, u, curv, energy, b)
+            record(t_now, h, u, curv, energy)
             last_recorded = accepted
         if terminal:
             break
 
     if status == "step_limit" and last_recorded != accepted:
-        record(t_now, h, u, curv, energy, b)
+        record(t_now, h, u, curv, energy)
 
     return FlowTrace(
         kind_name=kind.name,

@@ -1,7 +1,8 @@
 """The dual Laplacian of a circle packing metric.
 
-The matrix ``L = -d K / d u`` (curvatures differentiated in log radii,
-sign chosen so that ``L`` is positive semi-definite) is a weighted graph
+The matrix ``L = d K / d u`` (curvatures differentiated in log radii;
+growing one radius shrinks the angles at its vertex and widens those at its
+neighbours, so ``L`` is positive semi-definite) is a weighted graph
 Laplacian: ``L_ij = -B_ij`` for an edge ``ij`` and ``L_ii = sum_k B_ik``,
 where the edge weight ``B_ij`` collects one half-contribution
 
@@ -24,12 +25,13 @@ import math
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as scipy_linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as sparse_linalg
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .geometry import PackingMetric, Weight, edge_length, triangle_angles
+from .geometry import PHI_MAX, PackingMetric, Weight, triangle_angles
 from .mesh import Triangulation
 
 __all__ = [
@@ -37,28 +39,45 @@ __all__ = [
     "half_weight_analytic",
     "half_weight_dual",
     "assemble",
-    "apply",
-    "lambda1",
 ]
 
 DENSE_LIMIT = 512
 
 
-def _phi_between(phi, a: int, b: int) -> float:
-    """Weight of the face edge between local vertices a and b (0, 1, 2)."""
-    pair = (min(a, b), max(a, b))
-    return float(phi[{(0, 1): 0, (1, 2): 1, (0, 2): 2}[pair]])
+# slot of the face edge between two local vertices in (phi_01, phi_12, phi_20)
+_EDGE_SLOT = {(0, 1): 0, (1, 0): 0, (1, 2): 1, (2, 1): 1, (0, 2): 2, (2, 0): 2}
 
 
 def _face_inputs(r, phi, corner: int, moving: int):
+    """``(r_c, r_m, r_o), (phi_cm, phi_co, phi_mo), (l_cm, l_co, l_mo)``
+    of one face, validated once.  Plain ``math``: these routines run once
+    per face in the oracles, where numpy's per-call cost would dominate.
+    """
     if corner == moving or not {corner, moving} <= {0, 1, 2}:
         raise DomainError("corner and moving must be distinct members of {0, 1, 2}")
     r = [float(x) for x in r]
     phi = [float(x) for x in phi]
     if len(r) != 3 or len(phi) != 3:
         raise DomainError("expected three radii and three weights")
+    if any(x <= 0.0 for x in r):
+        raise DomainError("radii must be positive")
+    if not all(math.isfinite(x) for x in phi):
+        raise DomainError("weights must be finite")
+    if min(phi) < 0.0 or max(phi) > PHI_MAX:
+        raise DomainError(
+            f"weights must lie in [0, pi/2]; got range [{min(phi)!r}, {max(phi)!r}]"
+        )
     other = 3 - corner - moving
-    return r, phi, other
+    r_c, r_m, r_o = r[corner], r[moving], r[other]
+    p_cm = phi[_EDGE_SLOT[corner, moving]]
+    p_co = phi[_EDGE_SLOT[corner, other]]
+    p_mo = phi[_EDGE_SLOT[moving, other]]
+
+    def length(a, b, p):
+        return math.sqrt(a * a + b * b + 2.0 * a * b * math.cos(p))
+
+    lengths = (length(r_c, r_m, p_cm), length(r_c, r_o, p_co), length(r_m, r_o, p_mo))
+    return (r_c, r_m, r_o), (p_cm, p_co, p_mo), lengths
 
 
 def half_weight_analytic(r, phi, corner: int, moving: int) -> float:
@@ -74,15 +93,13 @@ def half_weight_analytic(r, phi, corner: int, moving: int) -> float:
         Differentiates the angle at ``corner`` with respect to the radius
         at ``moving`` (then multiplies by that radius).
     """
-    r, phi, other = _face_inputs(r, phi, corner, moving)
-    r_c, r_m, r_o = r[corner], r[moving], r[other]
-    l_cm = edge_length(r_c, r_m, _phi_between(phi, corner, moving))
-    l_co = edge_length(r_c, r_o, _phi_between(phi, corner, other))
-    l_mo = edge_length(r_m, r_o, _phi_between(phi, moving, other))
+    (r_c, r_m, r_o), (p_cm, _, p_mo), (l_cm, l_co, l_mo) = _face_inputs(
+        r, phi, corner, moving
+    )
     theta_c, theta_m, _ = triangle_angles(l_mo, l_co, l_cm)
-    bracket = (r_m + r_o * math.cos(_phi_between(phi, moving, other))) - (
-        l_mo * math.cos(theta_m) / l_cm
-    ) * (r_m + r_c * math.cos(_phi_between(phi, corner, moving)))
+    bracket = (r_m + r_o * math.cos(p_mo)) - (l_mo * math.cos(theta_m) / l_cm) * (
+        r_m + r_c * math.cos(p_cm)
+    )
     return r_m / (l_cm * l_co * math.sin(theta_c)) * bracket
 
 
@@ -106,11 +123,7 @@ def half_weight_dual(r, phi, corner: int, moving: int) -> float:
     resulting dual edge length by the primal edge length.  Agrees with
     :func:`half_weight_analytic` to roundoff.
     """
-    r, phi, other = _face_inputs(r, phi, corner, moving)
-    r_c, r_m, r_o = r[corner], r[moving], r[other]
-    l_cm = edge_length(r_c, r_m, _phi_between(phi, corner, moving))
-    l_co = edge_length(r_c, r_o, _phi_between(phi, corner, other))
-    l_mo = edge_length(r_m, r_o, _phi_between(phi, moving, other))
+    (r_c, r_m, r_o), _, (l_cm, l_co, l_mo) = _face_inputs(r, phi, corner, moving)
     _, theta_m, _ = triangle_angles(l_mo, l_co, l_cm)
     cos_aux1 = _aux_cos(r_m, l_mo, r_o)
     cos_aux2 = _aux_cos(r_m, l_cm, r_c)
@@ -154,16 +167,6 @@ def _dual_halves(t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
         aux2 = np.clip(aux2, -1.0, 1.0)
         halves[:, mm] = r_m * (aux1 - cc[:, q] * aux2) / (sn[:, q] * l_cm)
     return halves
-
-
-def _helmert(n: int) -> np.ndarray:
-    """Orthonormal basis of the complement of the constant vectors, (n-1, n)."""
-    s = np.zeros((n - 1, n))
-    for k in range(1, n):
-        s[k - 1, :k] = 1.0
-        s[k - 1, k] = -float(k)
-        s[k - 1] /= math.sqrt(k * (k + 1.0))
-    return s
 
 
 class DualLaplacian:
@@ -235,40 +238,51 @@ class DualLaplacian:
         if self.is_dense:
             vals = self.eigenvalues()
             return float(vals[0]), float(vals[1]), float(vals[-1])
-        lo = sparse_linalg.eigsh(
-            self.matrix, k=2, sigma=0.0, which="LM", v0=self._start_vector()
-        )[0]
+        lo = self._smallest_two()[0]
         hi = sparse_linalg.eigsh(
             self.matrix, k=1, which="LA", v0=self._start_vector()
         )[0]
-        lo = np.sort(lo)
         return float(lo[0]), float(lo[1]), float(hi[0])
 
     def _start_vector(self):
         # fixed ARPACK start vector so repeated runs are deterministic
         return np.linspace(1.0, 2.0, self.n)
 
+    def _smallest_two(self):
+        """The two smallest eigenpairs (sparse path), ascending.
+
+        Shift-invert about a small negative ``sigma``: ``L - sigma I`` is
+        then positive definite, so its factorization cannot be singular,
+        and the two eigenvalues nearest ``sigma`` are still 0 and lambda1.
+        """
+        sigma = -1e-3 * float(self.matrix.diagonal().max())
+        vals, vecs = sparse_linalg.eigsh(
+            self.matrix, k=2, sigma=sigma, which="LM", v0=self._start_vector()
+        )
+        order = np.argsort(vals)
+        return vals[order], vecs[:, order]
+
     def lambda1(self) -> float:
         """Smallest eigenvalue of L restricted to the complement of the kernel.
 
-        The constant direction is deflated with an explicit orthonormal
-        basis of its complement (dense path), or by shift-invert around 0
-        (sparse path).  The result is validated against the Rayleigh
-        quotient of the corresponding eigenvector.
+        Dense path: the constant direction is lifted above the spectrum by
+        the rank-one shift ``(c/N) 11^T`` with ``c`` beyond the Gershgorin
+        bound, and only the smallest eigenpair of the shifted matrix is
+        computed.  Sparse path: shift-invert (see :meth:`_smallest_two`).
+        The result is validated against the Rayleigh quotient of the
+        corresponding eigenvector.
         """
         if self.is_dense:
-            s = _helmert(self.n)
-            reduced = s @ self.matrix @ s.T
-            vals, vecs = np.linalg.eigh(reduced)
-            lam = float(vals[0])
-            vec = s.T @ vecs[:, 0]
-        else:
-            vals, vecs = sparse_linalg.eigsh(
-                self.matrix, k=2, sigma=0.0, which="LM", v0=self._start_vector()
+            lift = 2.0 * self._norm_estimate() / self.n
+            vals, vecs = scipy_linalg.eigh(
+                self.matrix + lift, subset_by_index=[0, 0]
             )
-            order = np.argsort(vals)
-            lam = float(vals[order[1]])
-            vec = vecs[:, order[1]]
+            lam = float(vals[0])
+            vec = vecs[:, 0]
+        else:
+            vals, vecs = self._smallest_two()
+            lam = float(vals[1])
+            vec = vecs[:, 1]
         quotient = float(vec @ (self.matrix @ vec) / (vec @ vec))
         scale = max(abs(lam), 1e-12 * self._norm_estimate())
         if abs(quotient - lam) > 1e-8 * scale:
@@ -322,12 +336,3 @@ def assemble(
         raise DomainError(f"unknown assembly route {route!r}")
     return DualLaplacian(t.n_vertices, t.edges, b)
 
-
-def apply(lap: DualLaplacian, f: np.ndarray) -> np.ndarray:
-    """Module-level alias for :meth:`DualLaplacian.apply`."""
-    return lap.apply(f)
-
-
-def lambda1(lap: DualLaplacian) -> float:
-    """Module-level alias for :meth:`DualLaplacian.lambda1`."""
-    return lap.lambda1()

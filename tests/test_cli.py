@@ -267,3 +267,47 @@ def test_size_guard_exit_1(capsys):
         assert "error:" in err2
     finally:
         os.unlink(path)
+
+
+def _phi_file(tmp_path, rows):
+    p = tmp_path / "w.phi"
+    p.write_text("# a b phi\n" + "".join(f"{row}\n" for row in rows))
+    return str(p)
+
+
+def test_phi_file_matches_scalar_weight(capsys, tmp_path):
+    t = mesh("tetrahedron")
+    path = _phi_file(tmp_path, [f"{b} {a} 0.5" for a, b in t.edges])
+    code, out, _ = run(capsys, "curvature", "--mesh", "tetrahedron", "--phi", path, "--radii", "random")
+    assert code == 0
+    code2, out2, _ = run(capsys, "curvature", "--mesh", "tetrahedron", "--phi", "0.5", "--radii", "random")
+    assert code2 == 0
+    assert out == out2
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["0 1 0.5", "1 0 0.5", "0 2 0.5", "0 3 0.5", "1 2 0.5", "1 3 0.5", "2 3 0.5"],
+        ["0 1 0.5", "0 2 0.5", "0 3 abc", "1 2 0.5", "1 3 0.5", "2 3 0.5"],
+    ],
+    ids=["duplicate-edge", "bad-token"],
+)
+def test_phi_file_errors_exit_1(capsys, tmp_path, rows):
+    path = _phi_file(tmp_path, rows)
+    code, out, err = run(capsys, "curvature", "--mesh", "tetrahedron", "--phi", path)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_flow_without_out_reads_no_lambda1(capsys, monkeypatch):
+    # stdout never shows lambda1, so only --out's trace.csv pays for it
+    calls = []
+    original = cf.DualLaplacian.lambda1
+    monkeypatch.setattr(
+        cf.DualLaplacian, "lambda1", lambda self: calls.append(1) or original(self)
+    )
+    code, out, _ = run(capsys, "flow", "--mesh", "octahedron", "--seed", "3")
+    assert code == 0 and json.loads(out)["status"] == "converged"
+    assert calls == []

@@ -149,6 +149,51 @@ def test_trace_samples_structure():
     assert tr.samples[-1].lambda1 == pytest.approx(4 / math.sqrt(3), abs=1e-8)
 
 
+def _counting_lambda1(monkeypatch):
+    calls = []
+    original = cf.DualLaplacian.lambda1
+
+    def counted(self):
+        calls.append(self.n)
+        return original(self)
+
+    monkeypatch.setattr(cf.DualLaplacian, "lambda1", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kind_name", ["calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescribed"]
+)
+def test_integrate_solves_no_eigenproblem(monkeypatch, kind_name):
+    # lambda1 is a diagnostic: the run itself never computes it, and a
+    # sample computes it once, on first access
+    calls = _counting_lambda1(monkeypatch)
+    t = mesh("octahedron")
+    rng = np.random.default_rng(27)
+    w = random_weight(rng, t)
+    target = cf.compute_geometry(t, w, random_metric(rng, t)).curvatures
+    make = getattr(cf.FlowKind, kind_name)
+    kind = make(target) if "prescribed" in kind_name else make()
+    tr = cf.integrate(kind, t, w, random_metric(rng, t))
+    assert tr.status == "converged" and len(tr.samples) > 2
+    assert calls == []
+    lam = tr.samples[-1].lambda1
+    assert tr.samples[-1].lambda1 == lam
+    assert calls == [t.n_vertices]
+
+
+@pytest.mark.parametrize("kind", [cf.FlowKind.calabi(), cf.FlowKind.ricci_normalized()])
+def test_sample_lambda1_matches_assembled_laplacian(kind):
+    t = mesh("icosahedron")
+    rng = np.random.default_rng(28)
+    w = random_weight(rng, t)
+    tr = cf.integrate(kind, t, w, random_metric(rng, t))
+    assert tr.status == "converged"
+    for s in tr.samples:
+        m = cf.PackingMetric.from_log_radii(s.u)
+        assert s.lambda1 == cf.assemble(t, w, m).lambda1()
+
+
 def test_conservation_laws_random_starts():
     t = mesh("octahedron")
     w = zero_weight(t)

@@ -174,6 +174,25 @@ def test_sparse_path_matches_dense_eigensolve():
     assert np.allclose(lap.apply(f), -(dense @ f), rtol=1e-10, atol=1e-10)
 
 
+def test_sparse_lambda1_never_factors_a_singular_matrix():
+    # Shift-invert about sigma = 0 factors the singular L itself, and that
+    # factorization failed ("Factor is exactly singular") on draws 67 and
+    # 145 of this sequence; a small negative shift keeps it definite.
+    t = subdivide(subdivide(subdivide(subdivide(mesh("octahedron")))))
+    rng = np.random.default_rng(7)
+    for draw in range(150):
+        lap = cf.assemble(t, random_weight(rng, t), random_metric(rng, t))
+        assert not lap.is_dense
+        lam = lap.lambda1()
+        assert lam > 0.0
+        if draw in (67, 145):
+            evals = np.linalg.eigvalsh(lap.matrix.toarray())
+            assert lam == pytest.approx(evals[1], rel=1e-8)
+            lo, second, _ = lap.spectral_summary()
+            assert second == lam
+            assert abs(lo) < 1e-9 * lam
+
+
 def test_spectral_summary_values():
     t = mesh("tetrahedron")
     lap = cf.assemble(t, zero_weight(t), cf.PackingMetric.from_radii(np.ones(4)))
