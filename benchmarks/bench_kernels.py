@@ -1,7 +1,7 @@
-"""Timing comparison of the numpy and numba kernel backends.
+"""Timing of the state evaluation and the adaptive advance loop.
 
-Runs the state evaluation and the adaptive advance loop on a family of
-subdivided octahedra and prints one table row per (size, kernel) pair.
+Runs both kernels on a family of subdivided octahedra and prints one table
+row per (size, kernel) pair: the best of ``--repeats`` wall-clock times.
 
 Usage:
     python3 benchmarks/bench_kernels.py [--repeats 5] [--levels 4] [--steps 200]
@@ -15,20 +15,7 @@ import numpy as np
 
 import calabiflow as cf
 from calabiflow import _kernels
-
-
-def subdivide(t: cf.Triangulation) -> cf.Triangulation:
-    """Midpoint refinement: one new vertex per edge, 4 faces per face."""
-    mid = {tuple(e): t.n_vertices + k for k, e in enumerate(t.edges)}
-
-    def m(a, b):
-        return mid[(a, b) if a < b else (b, a)]
-
-    faces = []
-    for a, b, c in t.faces:
-        ab, bc, ca = m(a, b), m(b, c), m(c, a)
-        faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-    return cf.Triangulation(t.n_vertices + t.n_edges, faces)
+from calabiflow.meshes import subdivide  # also imported from here by perfbench
 
 
 def arrays(t, rng):
@@ -46,19 +33,19 @@ def time_call(fn, repeats):
     return best
 
 
-def bench_state(impl, args_state, repeats):
-    return time_call(lambda: impl["state"](*args_state), repeats)
+def bench_state(args_state, repeats):
+    return time_call(lambda: _kernels.state(*args_state), repeats)
 
 
-def bench_advance(impl, t, r, fv, fe, ea, eb, cphi, steps, repeats):
+def bench_advance(t, r, fv, fe, ea, eb, cphi, steps, repeats):
     target = np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
     u0 = np.log(r)
-    _, _, _, K, B, kn, err = impl["state"](np.exp(u0), fv, fe, ea, eb, cphi)
+    _, _, _, K, B, kn, err = _kernels.state(np.exp(u0), fv, fe, ea, eb, cphi)
     assert err == _kernels.ERR_OK
     energy = float(np.sum((K - target) ** 2))
 
     def run():
-        impl["advance"](
+        _kernels.advance(
             u0.copy(), 1e-2, 0.0, 0, steps,
             fv, fe, ea, eb, cphi, target, True,
             u0.copy(), 1e-10, 50.0, 1e12, 60, 1.2, 10, 4,
@@ -77,42 +64,23 @@ def main():
                     help="accepted steps per advance call")
     opts = ap.parse_args()
 
-    backends = list(_kernels.IMPLS)
-    print(f"backends: {', '.join(backends)} (active: {cf.active_backend()})")
-    if "numba" not in backends:
-        print("note: numba unavailable, timing the numpy path only")
-
     meshes = [cf.parse_mesh(cf.mesh_text("octahedron"))]
     for _ in range(opts.levels):
         meshes.append(subdivide(meshes[-1]))
 
     rng = np.random.default_rng(0)
-    header = f"{'N':>6} {'kernel':<10}" + "".join(f" {b + ' (ms)':>12}" for b in backends)
-    if len(backends) == 2:
-        header += f" {'speedup':>9}"
-    print(header)
+    print(f"{'N':>6} {'kernel':<10} {'time (ms)':>12}")
     for t in meshes:
         r, fv, fe, ea, eb, cphi = arrays(t, rng)
         args_state = (r, fv, fe, ea, eb, cphi)
-        for kernel in ("state", "advance"):
-            times = []
-            for name in backends:
-                impl = _kernels.IMPLS[name]
-                if kernel == "state":
-                    impl["state"](*args_state)  # warm-up / JIT compile
-                    times.append(bench_state(impl, args_state, opts.repeats))
-                else:
-                    times.append(
-                        bench_advance(
-                            impl, t, r, fv, fe, ea, eb, cphi, opts.steps, opts.repeats
-                        )
-                    )
-            row = f"{t.n_vertices:>6} {kernel:<10}" + "".join(
-                f" {1e3 * v:>12.3f}" for v in times
-            )
-            if len(times) == 2:
-                row += f" {times[0] / times[1]:>8.1f}x"
-            print(row)
+        times = {
+            "state": bench_state(args_state, opts.repeats),
+            "advance": bench_advance(
+                t, r, fv, fe, ea, eb, cphi, opts.steps, opts.repeats
+            ),
+        }
+        for kernel, best in times.items():
+            print(f"{t.n_vertices:>6} {kernel:<10} {1e3 * best:>12.3f}")
 
 
 if __name__ == "__main__":

@@ -1,27 +1,25 @@
-"""Hot numeric kernels with two interchangeable backends.
+"""Hot numeric kernels, vectorized with numpy.
 
-Everything here is array-in / array-out with no Python objects, so the same
-operations exist twice: vectorized numpy implementations (suffix ``_np``)
-and loop implementations compiled with numba (suffix ``_nb``).  The public
-names (``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
-``advance``, ``admissibility_scan``) are bound to one backend at import
-time.  Set ``CALABIFLOW_BACKEND=numpy`` to force the fallback path, or
-``CALABIFLOW_BACKEND=numba`` to fail loudly if numba is unavailable; the
-default picks numba when importable.
+Everything here is array-in / array-out with no Python objects.  The public
+names are ``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
+``advance`` and ``scan_subsets``.  Kernels call each other by their private
+names, so rebinding a public name (to time it, say) sees only outside
+callers.
 
 Accumulation orders are fixed (face-major for curvatures and edge weights,
-two passes over edges for Laplacian application) and identical in both
-backends, so repeated runs are deterministic within a backend.
+two passes over edges for Laplacian application), so repeated runs are
+deterministic.
 
-Error reporting: kernels return an integer code instead of raising, since
-the numba paths cannot build rich exceptions.  Callers translate nonzero
+Error reporting: the geometry kernels return an integer code instead of
+raising, because the step controller in :func:`advance` treats a trial
+whose geometry does not evaluate cleanly as one more rejected trial, not as
+a failure of the run.  Callers outside the controller translate nonzero
 codes via :func:`raise_state_error`.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -42,7 +40,6 @@ ADV_CHUNK_DONE = 0
 ADV_CONVERGED = 1
 ADV_DIVERGED = 2
 ADV_STEP_COLLAPSE = 3
-ADV_STATE_ERROR = 4
 
 # margin (in log-radius units) past the divergence guard inside which trial
 # steps are still evaluated; beyond it they are rejected unevaluated so that
@@ -56,32 +53,16 @@ TRIAL_MARGIN = 5.0
 # 1/sin(theta), and along non-compact escape directions (inadmissible
 # targets) the genuine per-step descent falls below that noise — a strict
 # comparison would then reject on noise and collapse the step size instead of
-# letting the iterate reach the divergence guard.  The state kernels return a
+# letting the iterate reach the divergence guard.  The state kernel returns a
 # per-vertex curvature noise bound built from NOISE_ULPS units of rounding
 # per corner evaluation, scaled by the conditioning factor kappa/sin(theta).
 EPS = 2.220446049250313e-16
 NOISE_ULPS = 4.0
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency normally
-    HAS_NUMBA = False
-
-_requested = os.environ.get("CALABIFLOW_BACKEND", "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numba", "numpy"):
-    raise RuntimeError(
-        f"CALABIFLOW_BACKEND must be 'auto', 'numba' or 'numpy', got {_requested!r}"
-    )
-if _requested == "numba" and not HAS_NUMBA:
-    raise RuntimeError("CALABIFLOW_BACKEND=numba, but numba cannot be imported")
-USE_NUMBA = HAS_NUMBA and _requested != "numpy"
-
 
 def active_backend() -> str:
-    """Name of the backend the public kernel bindings use."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 def raise_state_error(err: int):
@@ -102,12 +83,36 @@ def raise_state_error(err: int):
         raise InternalConsistencyError(f"unknown kernel error code {err}")
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
+def _corners(r, fv, fe, ea, eb, cphi):
+    """Edge lengths, per-face lengths, clamped corner cosines, corner angles,
+    curvatures and error code: the part :func:`_state` and
+    :func:`_curvatures` share.  Call under ``np.errstate(all="ignore")``.
+    """
+    n = r.shape[0]
+    ra = r[ea]
+    rb = r[eb]
+    lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
+    L = lens[fe]
+    c = np.empty_like(L)
+    for m in range(3):
+        p = (m + 1) % 3
+        q = (m + 2) % 3
+        c[:, m] = (L[:, p] * L[:, p] + L[:, q] * L[:, q] - L[:, m] * L[:, m]) / (
+            2.0 * L[:, p] * L[:, q]
+        )
+    err = ERR_OK
+    if not np.all(np.isfinite(c)):
+        err = ERR_NONFINITE
+    elif c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
+        err = ERR_CLAMP
+    cc = np.clip(c, -1.0, 1.0)
+    ang = np.arccos(cc)
+    K = np.full(n, 2.0 * math.pi)
+    np.add.at(K, fv.ravel(), -ang.ravel())
+    return lens, L, cc, ang, K, err
 
 
-def _state_np(r, fv, fe, ea, eb, cphi):
+def _state(r, fv, fe, ea, eb, cphi):
     """Lengths, angles, half weights, curvatures, edge weights and curvature
     noise bounds of a metric.
 
@@ -119,101 +124,56 @@ def _state_np(r, fv, fe, ea, eb, cphi):
     so floating point warnings are suppressed for the whole evaluation.
     """
     with np.errstate(all="ignore"):
-        return _state_np_raw(r, fv, fe, ea, eb, cphi)
+        lens, L, cc, ang, K, err = _corners(r, fv, fe, ea, eb, cphi)
+        kappa = np.empty_like(L)
+        for m in range(3):
+            p = (m + 1) % 3
+            q = (m + 2) % 3
+            kappa[:, m] = (
+                L[:, p] * L[:, p] + L[:, q] * L[:, q] + L[:, m] * L[:, m]
+            ) / (2.0 * L[:, p] * L[:, q])
+        sin = np.sqrt(1.0 - cc * cc)
+        corner_noise = NOISE_ULPS * EPS * (kappa / np.maximum(sin, 1e-300) + 4.0)
 
+        # Half weight of the edge opposite corner m (joining corners p and q):
+        # the derivative of the angle at p with respect to the log-radius at q.
+        halves = np.empty_like(L)
+        rv = r[fv]
+        cphi_f = cphi[fe]
+        for m in range(3):
+            p = (m + 1) % 3
+            q = (m + 2) % 3
+            r_c = rv[:, p]
+            r_m = rv[:, q]
+            r_o = rv[:, m]
+            l_cm = L[:, m]
+            l_co = L[:, q]
+            l_mo = L[:, p]
+            bracket = (r_m + r_o * cphi_f[:, p]) - (l_mo * cc[:, q] / l_cm) * (
+                r_m + r_c * cphi_f[:, m]
+            )
+            halves[:, m] = r_m / (l_cm * l_co * sin[:, p]) * bracket
 
-def _state_np_raw(r, fv, fe, ea, eb, cphi):
-    n = r.shape[0]
-    ra = r[ea]
-    rb = r[eb]
-    lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
-    L = lens[fe]
-    c = np.empty_like(L)
-    kappa = np.empty_like(L)
-    for m in range(3):
-        p = (m + 1) % 3
-        q = (m + 2) % 3
-        c[:, m] = (L[:, p] * L[:, p] + L[:, q] * L[:, q] - L[:, m] * L[:, m]) / (
-            2.0 * L[:, p] * L[:, q]
-        )
-        kappa[:, m] = (
-            L[:, p] * L[:, p] + L[:, q] * L[:, q] + L[:, m] * L[:, m]
-        ) / (2.0 * L[:, p] * L[:, q])
-    err = ERR_OK
-    if not np.all(np.isfinite(c)):
-        err = ERR_NONFINITE
-    elif c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
-        err = ERR_CLAMP
-    cc = np.clip(c, -1.0, 1.0)
-    ang = np.arccos(cc)
-    sin = np.sqrt(1.0 - cc * cc)
-    corner_noise = NOISE_ULPS * EPS * (kappa / np.maximum(sin, 1e-300) + 4.0)
-
-    # Half weight of the edge opposite corner m (joining corners p and q):
-    # the derivative of the angle at p with respect to the log-radius at q.
-    halves = np.empty_like(L)
-    rv = r[fv]
-    cphi_f = cphi[fe]
-    for m in range(3):
-        p = (m + 1) % 3
-        q = (m + 2) % 3
-        r_c = rv[:, p]
-        r_m = rv[:, q]
-        r_o = rv[:, m]
-        l_cm = L[:, m]
-        l_co = L[:, q]
-        l_mo = L[:, p]
-        bracket = (r_m + r_o * cphi_f[:, p]) - (l_mo * cc[:, q] / l_cm) * (
-            r_m + r_c * cphi_f[:, m]
-        )
-        halves[:, m] = r_m / (l_cm * l_co * sin[:, p]) * bracket
-
-    K = np.full(n, 2.0 * math.pi)
-    np.add.at(K, fv.ravel(), -ang.ravel())
-    kn = np.zeros(n)
-    np.add.at(kn, fv.ravel(), corner_noise.ravel())
-    B = np.zeros(ea.shape[0])
-    np.add.at(B, fe.ravel(), halves.ravel())
-    if err == ERR_OK:
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
-            err = ERR_NONFINITE
-        elif float(B.min()) <= 0.0 or float(B.max()) >= TWO_SQRT3:
-            err = ERR_WEIGHT_BOUNDS
+        kn = np.zeros(r.shape[0])
+        np.add.at(kn, fv.ravel(), corner_noise.ravel())
+        B = np.zeros(ea.shape[0])
+        np.add.at(B, fe.ravel(), halves.ravel())
+        if err == ERR_OK:
+            if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
+                err = ERR_NONFINITE
+            elif float(B.min()) <= 0.0 or float(B.max()) >= TWO_SQRT3:
+                err = ERR_WEIGHT_BOUNDS
     return lens, ang, halves, K, B, kn, err
 
 
-def _curvatures_np(r, fv, fe, ea, eb, cphi):
+def _curvatures(r, fv, fe, ea, eb, cphi):
     """Curvatures only; the cheap evaluation used inside quadratures."""
     with np.errstate(all="ignore"):
-        return _curvatures_np_raw(r, fv, fe, ea, eb, cphi)
-
-
-def _curvatures_np_raw(r, fv, fe, ea, eb, cphi):
-    n = r.shape[0]
-    ra = r[ea]
-    rb = r[eb]
-    lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
-    L = lens[fe]
-    c = np.empty_like(L)
-    for m in range(3):
-        p = (m + 1) % 3
-        q = (m + 2) % 3
-        c[:, m] = (L[:, p] * L[:, p] + L[:, q] * L[:, q] - L[:, m] * L[:, m]) / (
-            2.0 * L[:, p] * L[:, q]
-        )
-    err = ERR_OK
-    if not np.all(np.isfinite(c)):
-        err = ERR_NONFINITE
-    elif c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
-        err = ERR_CLAMP
-    cc = np.clip(c, -1.0, 1.0)
-    ang = np.arccos(cc)
-    K = np.full(n, 2.0 * math.pi)
-    np.add.at(K, fv.ravel(), -ang.ravel())
+        _, _, _, _, K, err = _corners(r, fv, fe, ea, eb, cphi)
     return K, err
 
 
-def _lap_apply_np(weights, ea, eb, x):
+def _lap_apply(weights, ea, eb, x):
     """Discrete Laplacian: (apply)_i = sum_j B_ij (x_j - x_i)."""
     d = weights * (x[eb] - x[ea])
     out = np.zeros(x.shape[0])
@@ -222,13 +182,13 @@ def _lap_apply_np(weights, ea, eb, x):
     return out
 
 
-def _energy_noise_np(K, kn, target, energy):
+def _energy_noise(K, kn, target, energy):
     """Roundoff bound for the energy sum(K - target)^2 given curvature noise."""
     w = np.abs(K - target)
     return float(np.sum((2.0 * w + kn) * kn)) + 32.0 * EPS * energy
 
 
-def _segment_np(u0, du, target, panels, fv, fe, ea, eb, cphi):
+def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
     """Composite Simpson quadrature of the curvature one-form on a segment.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with
@@ -238,7 +198,7 @@ def _segment_np(u0, du, target, panels, fv, fe, ea, eb, cphi):
     total = 0.0
     for k in range(m2 + 1):
         s = k / m2
-        K, err = _curvatures_np(np.exp(u0 + s * du), fv, fe, ea, eb, cphi)
+        K, err = _curvatures(np.exp(u0 + s * du), fv, fe, ea, eb, cphi)
         if err != ERR_OK:
             return math.nan, err
         g = float(np.dot(K - target, du))
@@ -252,7 +212,7 @@ def _segment_np(u0, du, target, panels, fv, fe, ea, eb, cphi):
     return total / (3.0 * m2), ERR_OK
 
 
-def _advance_np(
+def advance(
     u,
     h,
     t,
@@ -283,15 +243,14 @@ def _advance_np(
     The caller supplies the current state quantities (K, B, kn, energy)
     consistent with ``u`` and receives the updated ones back, so geometry
     is evaluated exactly once per trial step.  Returns
-    ``(status, done, u, h, t, streak, K, B, kn, energy, err)``.
+    ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
     done = 0
-    err = ERR_OK
     while done < n_accept:
         w = K - target
         if lap_kind:
-            v = _lap_apply_np(B, ea, eb, w)
-            noise = _energy_noise_np(K, kn, target, energy)
+            v = _lap_apply(B, ea, eb, w)
+            noise = _energy_noise(K, kn, target, energy)
         else:
             v = -w
             noise = 0.0
@@ -314,26 +273,26 @@ def _advance_np(
             # touch the dual weights, whose formula degenerates in floating
             # point on deep escapes long before the curvature map does.
             if lap_kind:
-                _, _, _, K_new, B_new, kn_new, err = _state_np(
+                _, _, _, K_new, B_new, kn_new, err = _state(
                     np.exp(u_new), fv, fe, ea, eb, cphi
                 )
             else:
-                K_new, err = _curvatures_np(np.exp(u_new), fv, fe, ea, eb, cphi)
+                K_new, err = _curvatures(np.exp(u_new), fv, fe, ea, eb, cphi)
                 B_new = B
                 kn_new = kn
             if err != ERR_OK:
-                err = ERR_OK
                 h *= 0.5
                 streak = 0
                 continue
             e_new = float(np.sum((K_new - target) ** 2))
             if lap_kind:
-                allow = noise + _energy_noise_np(K_new, kn_new, target, e_new)
+                allow = noise + _energy_noise(K_new, kn_new, target, e_new)
                 ok = e_new <= energy + allow
             else:
-                df, err = _segment_np(u, h * v, target, guard_panels, fv, fe, ea, eb, cphi)
+                df, err = _segment_potential(
+                    u, h * v, target, guard_panels, fv, fe, ea, eb, cphi
+                )
                 if err != ERR_OK:
-                    err = ERR_OK
                     h *= 0.5
                     streak = 0
                     continue
@@ -344,7 +303,7 @@ def _advance_np(
             h *= 0.5
             streak = 0
         if not accepted:
-            return ADV_STEP_COLLAPSE, done, u, h, t, streak, K, B, kn, energy, ERR_OK
+            return ADV_STEP_COLLAPSE, done, u, h, t, streak, K, B, kn, energy
         t += h
         u = u_new
         K = K_new
@@ -358,13 +317,13 @@ def _advance_np(
             h = grown if grown < max_step else max_step
             streak = 0
         if float(np.max(np.abs(K - target))) < eps_k:
-            return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy, ERR_OK
+            return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy
         if float(np.max(np.abs(u - u_ref))) > u_max:
-            return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy, ERR_OK
-    return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy, ERR_OK
+            return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy
+    return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy
 
 
-def _scan_subsets_py(n, target, ea, eb, fv, fe, pmp, tol):
+def scan_subsets(n, target, ea, eb, fv, fe, pmp, tol):
     """Admissibility scan over all nonempty proper vertex subsets.
 
     Enumerates subsets by (size, lexicographic member order) and stops at
@@ -405,387 +364,8 @@ def _scan_subsets_py(n, target, ea, eb, fv, fe, pmp, tol):
     return False, [], 0.0, 0.0, checked
 
 
-# ---------------------------------------------------------------------------
-# numba backend: the same operations as explicit loops
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, error_model="numpy")
-    def _state_nb(r, fv, fe, ea, eb, cphi):
-        n = r.shape[0]
-        n_edges = ea.shape[0]
-        n_faces = fv.shape[0]
-        lens = np.empty(n_edges)
-        for e in range(n_edges):
-            ra = r[ea[e]]
-            rb = r[eb[e]]
-            lens[e] = math.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi[e])
-        ang = np.empty((n_faces, 3))
-        halves = np.empty((n_faces, 3))
-        noise = np.empty((n_faces, 3))
-        K = np.full(n, 2.0 * math.pi)
-        kn = np.zeros(n)
-        B = np.zeros(n_edges)
-        err = ERR_OK
-        cc = np.empty(3)
-        sn = np.empty(3)
-        ll = np.empty(3)
-        for f in range(n_faces):
-            for m in range(3):
-                ll[m] = lens[fe[f, m]]
-            for m in range(3):
-                p = (m + 1) % 3
-                q = (m + 2) % 3
-                c = (ll[p] * ll[p] + ll[q] * ll[q] - ll[m] * ll[m]) / (
-                    2.0 * ll[p] * ll[q]
-                )
-                kap = (ll[p] * ll[p] + ll[q] * ll[q] + ll[m] * ll[m]) / (
-                    2.0 * ll[p] * ll[q]
-                )
-                if not math.isfinite(c):
-                    err = ERR_NONFINITE
-                    c = 0.0
-                elif abs(c) > 1.0:
-                    if abs(c) - 1.0 > CLAMP_TOL and err == ERR_OK:
-                        err = ERR_CLAMP
-                    c = 1.0 if c > 0.0 else -1.0
-                cc[m] = c
-                sn[m] = math.sqrt(1.0 - c * c)
-                ang[f, m] = math.acos(c)
-                s = sn[m]
-                if s < 1e-300:
-                    s = 1e-300
-                noise[f, m] = NOISE_ULPS * EPS * (kap / s + 4.0)
-            for m in range(3):
-                p = (m + 1) % 3
-                q = (m + 2) % 3
-                r_c = r[fv[f, p]]
-                r_m = r[fv[f, q]]
-                r_o = r[fv[f, m]]
-                l_cm = ll[m]
-                l_co = ll[q]
-                l_mo = ll[p]
-                bracket = (r_m + r_o * cphi[fe[f, p]]) - (
-                    l_mo * cc[q] / l_cm
-                ) * (r_m + r_c * cphi[fe[f, m]])
-                halves[f, m] = r_m / (l_cm * l_co * sn[p]) * bracket
-        for f in range(n_faces):
-            for m in range(3):
-                K[fv[f, m]] -= ang[f, m]
-        for f in range(n_faces):
-            for m in range(3):
-                kn[fv[f, m]] += noise[f, m]
-        for f in range(n_faces):
-            for m in range(3):
-                B[fe[f, m]] += halves[f, m]
-        if err == ERR_OK:
-            for e in range(n_edges):
-                be = B[e]
-                if not math.isfinite(be):
-                    err = ERR_NONFINITE
-                    break
-                if be <= 0.0 or be >= TWO_SQRT3:
-                    err = ERR_WEIGHT_BOUNDS
-                    break
-        return lens, ang, halves, K, B, kn, err
-
-    @njit(cache=True, error_model="numpy")
-    def _curvatures_nb(r, fv, fe, ea, eb, cphi):
-        n = r.shape[0]
-        n_edges = ea.shape[0]
-        n_faces = fv.shape[0]
-        lens = np.empty(n_edges)
-        for e in range(n_edges):
-            ra = r[ea[e]]
-            rb = r[eb[e]]
-            lens[e] = math.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi[e])
-        K = np.full(n, 2.0 * math.pi)
-        err = ERR_OK
-        ll = np.empty(3)
-        ang = np.empty((n_faces, 3))
-        for f in range(n_faces):
-            for m in range(3):
-                ll[m] = lens[fe[f, m]]
-            for m in range(3):
-                p = (m + 1) % 3
-                q = (m + 2) % 3
-                c = (ll[p] * ll[p] + ll[q] * ll[q] - ll[m] * ll[m]) / (
-                    2.0 * ll[p] * ll[q]
-                )
-                if not math.isfinite(c):
-                    err = ERR_NONFINITE
-                    c = 0.0
-                elif abs(c) > 1.0:
-                    if abs(c) - 1.0 > CLAMP_TOL and err == ERR_OK:
-                        err = ERR_CLAMP
-                    c = 1.0 if c > 0.0 else -1.0
-                ang[f, m] = math.acos(c)
-        for f in range(n_faces):
-            for m in range(3):
-                K[fv[f, m]] -= ang[f, m]
-        return K, err
-
-    @njit(cache=True, error_model="numpy")
-    def _lap_apply_nb(weights, ea, eb, x):
-        n_edges = ea.shape[0]
-        out = np.zeros(x.shape[0])
-        d = np.empty(n_edges)
-        for e in range(n_edges):
-            d[e] = weights[e] * (x[eb[e]] - x[ea[e]])
-        for e in range(n_edges):
-            out[ea[e]] += d[e]
-        for e in range(n_edges):
-            out[eb[e]] -= d[e]
-        return out
-
-    @njit(cache=True, error_model="numpy")
-    def _segment_nb(u0, du, target, panels, fv, fe, ea, eb, cphi):
-        m2 = 2 * panels
-        total = 0.0
-        n = u0.shape[0]
-        r = np.empty(n)
-        for k in range(m2 + 1):
-            s = k / m2
-            for i in range(n):
-                r[i] = math.exp(u0[i] + s * du[i])
-            K, err = _curvatures_nb(r, fv, fe, ea, eb, cphi)
-            if err != ERR_OK:
-                return math.nan, err
-            g = 0.0
-            for i in range(n):
-                g += (K[i] - target[i]) * du[i]
-            if k == 0 or k == m2:
-                w = 1.0
-            elif k % 2 == 1:
-                w = 4.0
-            else:
-                w = 2.0
-            total += w * g
-        return total / (3.0 * m2), ERR_OK
-
-    @njit(cache=True, error_model="numpy")
-    def _energy_noise_nb(K, kn, target, energy):
-        n = K.shape[0]
-        total = 0.0
-        for i in range(n):
-            w = abs(K[i] - target[i])
-            total += (2.0 * w + kn[i]) * kn[i]
-        return total + 32.0 * EPS * energy
-
-    @njit(cache=True, error_model="numpy")
-    def _advance_nb(
-        u,
-        h,
-        t,
-        streak,
-        n_accept,
-        fv,
-        fe,
-        ea,
-        eb,
-        cphi,
-        target,
-        lap_kind,
-        u_ref,
-        eps_k,
-        u_max,
-        max_step,
-        max_halvings,
-        growth_factor,
-        growth_interval,
-        guard_panels,
-        K,
-        B,
-        kn,
-        energy,
-    ):
-        n = u.shape[0]
-        done = 0
-        err = ERR_OK
-        u = u.copy()
-        K = K.copy()
-        B = B.copy()
-        kn = kn.copy()
-        while done < n_accept:
-            if lap_kind:
-                w = np.empty(n)
-                for i in range(n):
-                    w[i] = K[i] - target[i]
-                v = _lap_apply_nb(B, ea, eb, w)
-                noise = _energy_noise_nb(K, kn, target, energy)
-            else:
-                v = np.empty(n)
-                for i in range(n):
-                    v[i] = target[i] - K[i]
-                noise = 0.0
-            accepted = False
-            u_new = u
-            K_new = K
-            B_new = B
-            kn_new = kn
-            e_new = energy
-            for _ in range(max_halvings + 1):
-                u_new = u + h * v
-                far = 0.0
-                for i in range(n):
-                    a = abs(u_new[i] - u_ref[i])
-                    if a > far:
-                        far = a
-                if far > u_max + TRIAL_MARGIN:
-                    h *= 0.5
-                    streak = 0
-                    continue
-                if lap_kind:
-                    _, _, _, K_new, B_new, kn_new, err = _state_nb(
-                        np.exp(u_new), fv, fe, ea, eb, cphi
-                    )
-                else:
-                    K_new, err = _curvatures_nb(np.exp(u_new), fv, fe, ea, eb, cphi)
-                    B_new = B
-                    kn_new = kn
-                if err != ERR_OK:
-                    err = ERR_OK
-                    h *= 0.5
-                    streak = 0
-                    continue
-                e_new = 0.0
-                for i in range(n):
-                    d = K_new[i] - target[i]
-                    e_new += d * d
-                if lap_kind:
-                    allow = noise + _energy_noise_nb(K_new, kn_new, target, e_new)
-                    ok = e_new <= energy + allow
-                else:
-                    df, err = _segment_nb(
-                        u, h * v, target, guard_panels, fv, fe, ea, eb, cphi
-                    )
-                    if err != ERR_OK:
-                        err = ERR_OK
-                        h *= 0.5
-                        streak = 0
-                        continue
-                    ok = df <= 0.0
-                if ok:
-                    accepted = True
-                    break
-                h *= 0.5
-                streak = 0
-            if not accepted:
-                return ADV_STEP_COLLAPSE, done, u, h, t, streak, K, B, kn, energy, ERR_OK
-            t += h
-            u = u_new
-            K = K_new
-            B = B_new
-            kn = kn_new
-            energy = e_new
-            done += 1
-            streak += 1
-            if streak >= growth_interval:
-                grown = h * growth_factor
-                h = grown if grown < max_step else max_step
-                streak = 0
-            dev = 0.0
-            for i in range(n):
-                a = abs(K[i] - target[i])
-                if a > dev:
-                    dev = a
-            if dev < eps_k:
-                return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy, ERR_OK
-            far = 0.0
-            for i in range(n):
-                a = abs(u[i] - u_ref[i])
-                if a > far:
-                    far = a
-            if far > u_max:
-                return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy, ERR_OK
-        return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy, ERR_OK
-
-    @njit(cache=True, error_model="numpy")
-    def _scan_subsets_nb(n, target, ea, eb, fv, fe, pmp, tol):
-        two_pi = 2.0 * math.pi
-        n_edges = ea.shape[0]
-        n_faces = fv.shape[0]
-        inside = np.zeros(n, dtype=np.bool_)
-        c = np.empty(n, dtype=np.int64)
-        out_members = np.empty(n, dtype=np.int64)
-        checked = 0
-        for size in range(1, n):
-            for i in range(size):
-                c[i] = i
-            while True:
-                for i in range(n):
-                    inside[i] = False
-                lhs = 0.0
-                for i in range(size):
-                    inside[c[i]] = True
-                    lhs += target[c[i]]
-                e_in = 0
-                for e in range(n_edges):
-                    if inside[ea[e]] and inside[eb[e]]:
-                        e_in += 1
-                f_in = 0
-                lk = 0.0
-                for f in range(n_faces):
-                    m0 = inside[fv[f, 0]]
-                    m1 = inside[fv[f, 1]]
-                    m2 = inside[fv[f, 2]]
-                    if m0 and m1 and m2:
-                        f_in += 1
-                    elif m0 and not m1 and not m2:
-                        lk += pmp[fe[f, 0]]
-                    elif m1 and not m0 and not m2:
-                        lk += pmp[fe[f, 1]]
-                    elif m2 and not m0 and not m1:
-                        lk += pmp[fe[f, 2]]
-                chi_sub = size - e_in + f_in
-                rhs = -lk + two_pi * chi_sub
-                checked += 1
-                if lhs <= rhs + tol:
-                    for i in range(size):
-                        out_members[i] = c[i]
-                    return True, size, out_members, lhs, rhs, checked
-                i = size - 1
-                while i >= 0 and c[i] == n - size + i:
-                    i -= 1
-                if i < 0:
-                    break
-                c[i] += 1
-                for j in range(i + 1, size):
-                    c[j] = c[j - 1] + 1
-        return False, 0, out_members, 0.0, 0.0, checked
-
-    def _scan_subsets_nb_wrap(n, target, ea, eb, fv, fe, pmp, tol):
-        found, size, members, lhs, rhs, checked = _scan_subsets_nb(
-            n, target, ea, eb, fv, fe, pmp, tol
-        )
-        return found, [int(v) for v in members[:size]], lhs, rhs, checked
-
-
-IMPLS = {
-    "numpy": {
-        "state": _state_np,
-        "curvatures": _curvatures_np,
-        "lap_apply": _lap_apply_np,
-        "segment_potential": _segment_np,
-        "advance": _advance_np,
-        "scan_subsets": _scan_subsets_py,
-    }
-}
-if HAS_NUMBA:
-    IMPLS["numba"] = {
-        "state": _state_nb,
-        "curvatures": _curvatures_nb,
-        "lap_apply": _lap_apply_nb,
-        "segment_potential": _segment_nb,
-        "advance": _advance_nb,
-        "scan_subsets": _scan_subsets_nb_wrap,
-    }
-
-_active = IMPLS[active_backend()]
-state = _active["state"]
-curvatures = _active["curvatures"]
-lap_apply = _active["lap_apply"]
-segment_potential = _active["segment_potential"]
-advance = _active["advance"]
-scan_subsets = _active["scan_subsets"]
+# The kernels above also call these by their private names.
+state = _state
+curvatures = _curvatures
+lap_apply = _lap_apply
+segment_potential = _segment_potential

@@ -31,7 +31,7 @@ from .errors import (
 from .flows import KIND_NAMES, FlowKind, FlowTrace, IntegratorOptions, integrate
 from .geometry import PackingMetric, Weight, compute_geometry
 from .laplacian import assemble
-from .mesh import Triangulation, parse_mesh
+from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
 from .potential import (
     constant_curvature_log_metric,
@@ -304,6 +304,8 @@ def cmd_flow(args) -> int:
         "ricci_normalized": FlowKind.ricci_normalized,
         "ricci_prescribed": lambda: FlowKind.ricci_prescribed(target),
     }
+    if args.starts < 1:
+        raise DomainError("--starts must be at least 1")
     worst = EXIT_OK
     for start in range(args.starts):
         seed = args.seed + start
@@ -329,9 +331,7 @@ def cmd_flow(args) -> int:
 def cmd_check(args) -> int:
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
-    target = _load_target(args.target, t)
-    if target is None:
-        target = np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
+    target = resolve_target(t, _load_target(args.target, t))
     report = check_admissible(t, w, target, force=args.force)
     payload = {"seed": args.seed, **report.as_dict()}
     text = _json(payload)
@@ -349,6 +349,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_potential_probe(args) -> int:
+    if args.rays < 1:
+        raise DomainError("--rays must be at least 1")
+    try:
+        radii = [float(x) for x in args.probe_radii.split(",")]
+    except ValueError:
+        raise DomainError(
+            f"--probe-radii {args.probe_radii!r} is not a comma list of numbers"
+        ) from None
+    if not all(s > 0 and math.isfinite(s) for s in radii):
+        raise DomainError("--probe-radii must be positive and finite")
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
     seed_metric = _load_radii(args.radii, t, args.seed)
@@ -362,7 +372,6 @@ def cmd_potential_probe(args) -> int:
         norm = float(np.linalg.norm(d))
         if norm > 1e-6:
             dirs.append(d / norm)
-    radii = [float(x) for x in args.probe_radii.split(",")]
     rows = []
     ok = lam > 0.0
     for idx, d in enumerate(dirs):
@@ -511,7 +520,12 @@ def _apply_config(args: argparse.Namespace) -> None:
                 current = getattr(args, key)
                 if current is None or current is False:
                     parse = _CONFIG_PARSERS.get(key, str)
-                    setattr(args, key, parse(value))
+                    try:
+                        setattr(args, key, parse(value))
+                    except ValueError:
+                        raise DomainError(
+                            f"{args.config}:{lineno}: bad value {value!r} for {key!r}"
+                        ) from None
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)

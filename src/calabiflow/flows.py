@@ -24,7 +24,6 @@ accepted steps for Calabi kinds to repair floating point drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -35,7 +34,7 @@ from . import _kernels
 from .errors import DomainError, StepCollapseError
 from .geometry import PackingMetric, Weight
 from .laplacian import DualLaplacian, assemble
-from .mesh import Triangulation
+from .mesh import Triangulation, resolve_target
 
 __all__ = [
     "FlowKind",
@@ -54,7 +53,11 @@ KIND_NAMES = ("calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescrib
 
 @dataclass(frozen=True, eq=False)
 class FlowKind:
-    """One of the four flow kinds, with its target curvature if prescribed."""
+    """One of the four flow kinds, with its target curvature if prescribed.
+
+    An unprescribed ``target`` is ``None``, which :func:`resolve_target`
+    reads as the average curvature.
+    """
 
     name: str
     target: Optional[np.ndarray]
@@ -75,20 +78,6 @@ class FlowKind:
     @classmethod
     def ricci_prescribed(cls, target) -> "FlowKind":
         return cls("ricci_prescribed", np.asarray(target, dtype=np.float64), False)
-
-    def resolve_target(self, t: Triangulation) -> np.ndarray:
-        """The target curvature vector: ``Kbar``, or ``K_av`` if unprescribed."""
-        if self.target is None:
-            k_av = 2.0 * math.pi * t.chi / t.n_vertices
-            return np.full(t.n_vertices, k_av)
-        tgt = np.ascontiguousarray(self.target, dtype=np.float64)
-        if tgt.shape != (t.n_vertices,):
-            raise DomainError(
-                f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
-            )
-        if not np.all(np.isfinite(tgt)):
-            raise DomainError("target curvature must be finite")
-        return tgt
 
 
 @dataclass(frozen=True)
@@ -114,12 +103,24 @@ class IntegratorOptions:
     sample_target: int = 1000
 
     def __post_init__(self):
-        if self.initial_step <= 0 or self.max_step <= 0:
+        if not (self.initial_step > 0 and self.max_step > 0):
             raise DomainError("step sizes must be positive")
-        if self.max_steps < 1 or self.max_halvings < 0:
-            raise DomainError("step counts must be positive")
-        if self.curvature_tol <= 0 or self.u_max <= 0:
+        if not (self.curvature_tol > 0 and self.u_max > 0):
             raise DomainError("tolerances must be positive")
+        # a factor below 1 would shrink the step on every regrowth
+        if not self.growth_factor >= 1:
+            raise DomainError("growth_factor must be at least 1")
+        for name, least in (
+            ("max_steps", 1),
+            ("growth_interval", 1),
+            ("max_halvings", 0),
+            ("recenter_interval", 1),
+            ("guard_panels", 1),
+            ("sample_target", 1),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise DomainError(f"{name} must be an integer >= {least}")
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def _state_of(u, t, w):
 
 def velocity(kind: FlowKind, t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
     """The right-hand side du/dt at a metric."""
-    target = kind.resolve_target(t)
+    target = resolve_target(t, kind.target)
     curv, b, _ = _state_of(m.u, t, w)
     dev = curv - target
     if kind.uses_laplacian:
@@ -222,11 +223,11 @@ def step(
     opts = opts or IntegratorOptions()
     if h <= 0:
         raise DomainError("step size must be positive")
-    target = kind.resolve_target(t)
+    target = resolve_target(t, kind.target)
     fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
     curv, b, kn = _state_of(m.u, t, w)
     energy = float(np.sum((curv - target) ** 2))
-    status, done, u, h_out, t_out, _, _, _, _, energy_out, err = _kernels.advance(
+    status, done, u, h_out, t_out, _, _, _, _, energy_out = _kernels.advance(
         m.u.copy(),
         float(h),
         0.0,
@@ -252,8 +253,6 @@ def step(
         kn,
         energy,
     )
-    if status == _kernels.ADV_STATE_ERROR:
-        _kernels.raise_state_error(err)
     if status == _kernels.ADV_STEP_COLLAPSE:
         raise StepCollapseError(
             f"no acceptable step after {opts.max_halvings} halvings"
@@ -281,7 +280,7 @@ def integrate(
     else is reported through ``FlowTrace.status``.
     """
     opts = opts or IntegratorOptions()
-    target = kind.resolve_target(t)
+    target = resolve_target(t, kind.target)
     fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
     if m0.n != t.n_vertices:
         raise DomainError("metric size does not match the mesh")
@@ -345,7 +344,6 @@ def integrate(
             b,
             kn,
             energy,
-            err,
         ) = _kernels.advance(
             u,
             h,
@@ -373,8 +371,6 @@ def integrate(
             energy,
         )
         accepted += done
-        if adv_status == _kernels.ADV_STATE_ERROR:
-            _kernels.raise_state_error(err)
         if adv_status == _kernels.ADV_STEP_COLLAPSE:
             raise StepCollapseError(
                 f"step collapsed after {opts.max_halvings} halvings at "

@@ -13,12 +13,13 @@ neither checked nor normalized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import MeshSyntaxError, MeshValidationError
+from .errors import DomainError, MeshSyntaxError, MeshValidationError
 
 __all__ = [
     "Triangulation",
@@ -26,6 +27,7 @@ __all__ = [
     "parse_mesh",
     "subcomplex_euler",
     "link_pairs",
+    "resolve_target",
 ]
 
 
@@ -290,3 +292,21 @@ def link_pairs(t: Triangulation, subset) -> list[tuple[tuple[int, int], int]]:
                 out.append((edge, int(v)))
     out.sort()
     return out
+
+
+def resolve_target(t: Triangulation, target) -> np.ndarray:
+    """A target curvature vector, checked against the mesh.
+
+    ``None`` means the average curvature ``K_av = 2 pi chi / N`` at every
+    vertex.  Anything else must be ``N`` finite numbers.
+    """
+    if target is None:
+        return np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
+    tgt = np.ascontiguousarray(target, dtype=np.float64)
+    if tgt.shape != (t.n_vertices,):
+        raise DomainError(
+            f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
+        )
+    if not np.all(np.isfinite(tgt)):
+        raise DomainError("target curvature must be finite")
+    return tgt

@@ -1,12 +1,15 @@
 """Canonical example triangulations.
 
 Face lists for the small closed surfaces used throughout the test suite and
-the command line examples.  Vertices are numbered from 0; faces are triples
-of vertex indices.  All of these pass full validation: every edge lies in
-exactly two faces and every vertex link is a single cycle.
+the command line examples, and midpoint refinement to grow larger ones.
+Vertices are numbered from 0; faces are triples of vertex indices.  All of
+these pass full validation: every edge lies in exactly two faces and every
+vertex link is a single cycle.
 """
 
 from __future__ import annotations
+
+from .mesh import Triangulation
 
 TETRAHEDRON = (
     (0, 1, 2),
@@ -67,3 +70,20 @@ def mesh_text(name: str) -> str:
 
 def names() -> list[str]:
     return sorted(_BY_NAME)
+
+
+def subdivide(t: Triangulation) -> Triangulation:
+    """Midpoint refinement: one new vertex per edge, each face split in four.
+
+    The result is again a closed triangulation with the same topology, so
+    repeated calls grow vertex counts as N' = N + E.
+    """
+    n = t.n_vertices
+    faces = []
+    for a, b, c in t.faces:
+        a, b, c = int(a), int(b), int(c)
+        mab = n + t.edge_index[(min(a, b), max(a, b))]
+        mbc = n + t.edge_index[(min(b, c), max(b, c))]
+        mca = n + t.edge_index[(min(c, a), max(c, a))]
+        faces += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+    return Triangulation(n + t.n_edges, faces)

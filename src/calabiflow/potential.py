@@ -22,7 +22,7 @@ from .errors import DomainError, NoConstantCurvatureMetric, QuadratureError
 from .flows import FlowKind, IntegratorOptions, integrate
 from .geometry import PackingMetric, Weight, compute_geometry
 from .laplacian import assemble
-from .mesh import Triangulation
+from .mesh import Triangulation, resolve_target
 
 __all__ = [
     "calabi_energy",
@@ -36,22 +36,11 @@ __all__ = [
 MAX_PANELS = 2**20
 
 
-def _resolve_target(t: Triangulation, target) -> np.ndarray:
-    if target is None:
-        return np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
-    tgt = np.ascontiguousarray(target, dtype=np.float64)
-    if tgt.shape != (t.n_vertices,):
-        raise DomainError(
-            f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
-        )
-    return tgt
-
-
 def calabi_energy(
     t: Triangulation, w: Weight, m: PackingMetric, target=None
 ) -> float:
     """``sum_i (K_i - target_i)^2`` (target defaults to the average curvature)."""
-    tgt = _resolve_target(t, target)
+    tgt = resolve_target(t, target)
     geo = compute_geometry(t, w, m)
     return float(np.sum((geo.curvatures - tgt) ** 2))
 
@@ -64,7 +53,7 @@ def energy_gradient(
     Always orthogonal to the constant vectors, which is why the Calabi
     flows conserve ``sum u``.
     """
-    tgt = _resolve_target(t, target)
+    tgt = resolve_target(t, target)
     geo = compute_geometry(t, w, m)
     lap = assemble(t, w, m)
     # apply() is the discrete Laplacian -L f, so the gradient 2 L (K - Kbar)
@@ -96,7 +85,7 @@ def ricci_potential(
     intermediate point gives the same value) follows from closedness of
     the form and is what the ``potential-probe`` CLI verifies.
     """
-    tgt = _resolve_target(t, target)
+    tgt = resolve_target(t, target)
     u_from = np.ascontiguousarray(u_from, dtype=np.float64)
     u_to = np.ascontiguousarray(u_to, dtype=np.float64)
     if u_from.shape != (t.n_vertices,) or u_to.shape != (t.n_vertices,):

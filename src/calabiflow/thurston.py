@@ -26,7 +26,13 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, EnumerationSizeError
 from .geometry import Weight
-from .mesh import Triangulation, VertexSubset, link_pairs, subcomplex_euler
+from .mesh import (
+    Triangulation,
+    VertexSubset,
+    link_pairs,
+    resolve_target,
+    subcomplex_euler,
+)
 
 __all__ = [
     "AdmissibilityReport",
@@ -93,15 +99,12 @@ def subset_inequality(
     return lhs, rhs
 
 
-def _validated_target(t: Triangulation, target) -> np.ndarray:
-    tgt = np.ascontiguousarray(target, dtype=np.float64)
-    if tgt.shape != (t.n_vertices,):
-        raise DomainError(
-            f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
-        )
-    if not np.all(np.isfinite(tgt)):
-        raise DomainError("target curvature must be finite")
-    return tgt
+def _explicit_target(t: Triangulation, target) -> np.ndarray:
+    """:func:`resolve_target`, except that ``None`` is refused: a check
+    needs the target spelled out (see :func:`constant_curvature_exists`)."""
+    if target is None:
+        raise DomainError("an admissibility check needs an explicit target curvature")
+    return resolve_target(t, target)
 
 
 def check_admissible(
@@ -115,7 +118,7 @@ def check_admissible(
     Refuses meshes with more than 24 vertices (an exponential enumeration
     of over 1.6e7 subsets) unless ``force`` is true.
     """
-    tgt = _validated_target(t, target)
+    tgt = _explicit_target(t, target)
     if w.phi.shape[0] != t.n_edges:
         raise DomainError("weight does not match the mesh")
     if t.n_vertices > SIZE_GUARD and not force:
@@ -172,8 +175,7 @@ def constant_curvature_exists(
     t: Triangulation, w: Weight, force: bool = False
 ) -> AdmissibilityReport:
     """Admissibility of the constant target ``K_av = 2 pi chi / N``."""
-    k_av = 2.0 * math.pi * t.chi / t.n_vertices
-    return check_admissible(t, w, np.full(t.n_vertices, k_av), force=force)
+    return check_admissible(t, w, resolve_target(t, None), force=force)
 
 
 def enumerate_rows(
@@ -184,7 +186,7 @@ def enumerate_rows(
     Unlike the scan this does not stop early; it exists for the
     ``--dump-subsets`` CLI flag and for cross-checking the kernels.
     """
-    tgt = _validated_target(t, target)
+    tgt = _explicit_target(t, target)
     if t.n_vertices > 16:
         raise EnumerationSizeError(
             "per-subset dumps are limited to 16 vertices"

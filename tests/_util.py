@@ -1,4 +1,4 @@
-"""Shared helpers for the test suite: random draws and mesh refinement."""
+"""Shared helpers for the test suite: builtin meshes and random draws."""
 
 import numpy as np
 
@@ -21,23 +21,6 @@ def zero_weight(t):
 
 def random_metric(rng, t, lo=0.5, hi=2.0):
     return cf.PackingMetric.from_radii(rng.uniform(lo, hi, t.n_vertices))
-
-
-def subdivide(t):
-    """Midpoint refinement: one new vertex per edge, each face split in four.
-
-    The result is again a closed triangulation with the same topology, so
-    repeated calls grow vertex counts as N' = N + E.
-    """
-    n = t.n_vertices
-    faces = []
-    for a, b, c in t.faces:
-        a, b, c = int(a), int(b), int(c)
-        mab = n + t.edge_index[(min(a, b), max(a, b))]
-        mbc = n + t.edge_index[(min(b, c), max(b, c))]
-        mca = n + t.edge_index[(min(c, a), max(c, a))]
-        faces += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
-    return cf.Triangulation(n + t.n_edges, faces)
 
 
 def gb_target(rng, t, spread=1.0):

@@ -8,6 +8,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow.cli import main
+from calabiflow.meshes import subdivide
 from _util import mesh, zero_weight
 
 TWO_PI = 2 * math.pi
@@ -239,9 +240,17 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
         ("flow", "--mesh", "tetrahedron", "--target", "1.0,2.0"),
         ("flow", "--mesh", "tetrahedron", "--kind", "warp"),
         ("check", "--mesh", "tetrahedron", "--target", "not_a_file.txt"),
+        ("potential-probe", "--mesh", "tetrahedron", "--rays", "0"),
+        ("potential-probe", "--mesh", "tetrahedron", "--probe-radii", "a"),
+        ("flow", "--mesh", "tetrahedron", "--config", "BAD_SEED_CONFIG"),
+        ("flow", "--mesh", "tetrahedron", "--starts", "0"),
     ],
 )
-def test_input_errors_exit_1(capsys, argv):
+def test_input_errors_exit_1(capsys, tmp_path, argv):
+    if "BAD_SEED_CONFIG" in argv:
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("seed = abc\n")
+        argv = tuple(str(cfg) if a == "BAD_SEED_CONFIG" else a for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
@@ -251,9 +260,7 @@ def test_size_guard_exit_1(capsys):
     # 66 vertices exceed the subset enumeration guard
     code, _, err = run(capsys, "check", "--mesh", "icosahedron")
     assert code == 0  # 12 vertices is fine
-    import _util
-
-    big = _util.subdivide(_util.subdivide(mesh("octahedron")))
+    big = subdivide(subdivide(mesh("octahedron")))
     lines = [f"{big.n_vertices} {big.n_faces}"]
     lines += [f"{a} {b} {c}" for a, b, c in big.faces]
     import tempfile, os

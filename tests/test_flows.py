@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
+from calabiflow.mesh import resolve_target
 from _util import mesh, random_metric, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
@@ -19,12 +20,22 @@ def test_kind_constructors_and_targets():
     assert cf.FlowKind.calabi_prescribed(np.ones(4)).uses_laplacian
     assert not cf.FlowKind.ricci_prescribed(np.ones(4)).uses_laplacian
     # unprescribed kinds target the average curvature
-    tgt = cf.FlowKind.calabi().resolve_target(t)
+    tgt = resolve_target(t, cf.FlowKind.calabi().target)
     assert np.allclose(tgt, TWO_PI * t.chi / 4)
     with pytest.raises(cf.DomainError):
-        cf.FlowKind.calabi_prescribed(np.ones(5)).resolve_target(t)
+        resolve_target(t, cf.FlowKind.calabi_prescribed(np.ones(5)).target)
     with pytest.raises(cf.DomainError):
-        cf.FlowKind.ricci_prescribed([np.inf, 0, 0, 0]).resolve_target(t)
+        resolve_target(t, cf.FlowKind.ricci_prescribed([np.inf, 0, 0, 0]).target)
+    # every entry point that takes a target rejects a non-finite one
+    w = zero_weight(t)
+    m = cf.PackingMetric.from_radii(np.ones(4))
+    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1]):
+        with pytest.raises(cf.DomainError):
+            cf.calabi_energy(t, w, m, target=bad)
+        with pytest.raises(cf.DomainError):
+            cf.ricci_potential(t, w, np.zeros(4), np.full(4, 0.1), target=bad)
+        with pytest.raises(cf.DomainError):
+            cf.integrate(cf.FlowKind.ricci_prescribed(bad), t, w, m)
 
 
 def test_velocity_closed_forms():
@@ -291,6 +302,21 @@ def test_options_validation():
         cf.IntegratorOptions(curvature_tol=0.0)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(u_max=-5.0)
+    # a zero interval divides by zero inside integrate, and a growth factor
+    # below 1 shrinks the step until the whole step budget is spent
+    for field in ("recenter_interval", "sample_target", "guard_panels",
+                  "growth_interval"):
+        with pytest.raises(cf.DomainError):
+            cf.IntegratorOptions(**{field: 0})
+        with pytest.raises(cf.DomainError):
+            cf.IntegratorOptions(**{field: 2.5})
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(max_halvings=-1)
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(growth_factor=0.5)
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(initial_step=float("nan"))
+    cf.IntegratorOptions(growth_factor=1.0, max_halvings=0, guard_panels=1)
 
 
 def test_integrate_size_mismatch():

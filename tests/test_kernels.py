@@ -1,9 +1,7 @@
-"""Backend equivalence: the JIT kernels must match the numpy reference."""
+"""numpy kernels: error codes, the energy-noise bound, and the result
+layouts that callers index into."""
 
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -11,9 +9,6 @@ import pytest
 import calabiflow as cf
 from calabiflow import _kernels
 from _util import mesh, random_metric, random_weight
-
-HAVE_NUMBA = "numba" in _kernels.IMPLS
-needs_numba = pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend unavailable")
 
 
 def _arrays(name, seed):
@@ -32,106 +27,8 @@ def _arrays(name, seed):
     )
 
 
-@needs_numba
-@pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron", "torus"])
-def test_state_kernels_agree(name):
-    t, r, fv, fe, ea, eb, cphi = _arrays(name, 50)
-    res_np = _kernels.IMPLS["numpy"]["state"](r, fv, fe, ea, eb, cphi)
-    res_nb = _kernels.IMPLS["numba"]["state"](r, fv, fe, ea, eb, cphi)
-    labels = ("lengths", "angles", "halves", "curvatures", "weights", "noise")
-    for lbl, a, b in zip(labels, res_np[:-1], res_nb[:-1]):
-        assert np.allclose(a, b, rtol=1e-13, atol=1e-13), lbl
-    assert res_np[-1] == res_nb[-1] == _kernels.ERR_OK
-
-
-@needs_numba
-def test_curvature_kernels_agree():
-    t, r, fv, fe, ea, eb, cphi = _arrays("icosahedron", 51)
-    k_np, e_np = _kernels.IMPLS["numpy"]["curvatures"](r, fv, fe, ea, eb, cphi)
-    k_nb, e_nb = _kernels.IMPLS["numba"]["curvatures"](r, fv, fe, ea, eb, cphi)
-    assert np.allclose(k_np, k_nb, rtol=1e-14, atol=1e-14)
-    assert e_np == e_nb == _kernels.ERR_OK
-
-
-@needs_numba
-def test_lap_apply_kernels_agree():
-    t, r, fv, fe, ea, eb, cphi = _arrays("octahedron", 52)
-    rng = np.random.default_rng(53)
-    weights = rng.uniform(0.1, 3.0, t.n_edges)
-    for _ in range(5):
-        x = rng.normal(size=t.n_vertices)
-        a = _kernels.IMPLS["numpy"]["lap_apply"](weights, ea, eb, x)
-        b = _kernels.IMPLS["numba"]["lap_apply"](weights, ea, eb, x)
-        assert np.allclose(a, b, rtol=1e-14, atol=1e-15)
-
-
-@needs_numba
-def test_segment_kernels_agree():
-    t, r, fv, fe, ea, eb, cphi = _arrays("octahedron", 54)
-    rng = np.random.default_rng(55)
-    target = np.full(t.n_vertices, 2 * math.pi / 3)
-    for _ in range(10):
-        u0 = rng.uniform(-0.5, 0.5, t.n_vertices)
-        du = rng.uniform(-0.3, 0.3, t.n_vertices)
-        a, ea_ = _kernels.IMPLS["numpy"]["segment_potential"](
-            u0, du, target, 4, fv, fe, ea, eb, cphi
-        )
-        b, eb_ = _kernels.IMPLS["numba"]["segment_potential"](
-            u0, du, target, 4, fv, fe, ea, eb, cphi
-        )
-        assert ea_ == eb_ == _kernels.ERR_OK
-        assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
-
-
-@needs_numba
-@pytest.mark.parametrize("lap_kind", [True, False])
-def test_advance_kernels_agree(lap_kind):
-    t, r, fv, fe, ea, eb, cphi = _arrays("octahedron", 56)
-    target = np.full(t.n_vertices, 2 * math.pi / 3)
-    u0 = np.log(r)
-    results = {}
-    for impl_name in ("numpy", "numba"):
-        impl = _kernels.IMPLS[impl_name]
-        _, _, _, K, B, kn, err = impl["state"](np.exp(u0), fv, fe, ea, eb, cphi)
-        assert err == _kernels.ERR_OK
-        energy = float(np.sum((K - target) ** 2))
-        results[impl_name] = impl["advance"](
-            u0.copy(), 1e-2, 0.0, 0, 50,
-            fv, fe, ea, eb, cphi, target, lap_kind,
-            u0.copy(), 1e-10, 50.0, 1e12, 60, 1.2, 10, 4,
-            K, B, kn, energy,
-        )
-    s_np, s_nb = results["numpy"], results["numba"]
-    assert s_np[0] == s_nb[0]          # advance status
-    assert s_np[1] == s_nb[1]          # accepted count
-    assert np.allclose(s_np[2], s_nb[2], rtol=1e-12, atol=1e-13)  # u
-    assert s_np[3] == pytest.approx(s_nb[3], rel=1e-12)           # h
-    assert s_np[4] == pytest.approx(s_nb[4], rel=1e-12)           # t
-    assert s_np[9] == pytest.approx(s_nb[9], rel=1e-10, abs=1e-18)  # energy
-
-
-@needs_numba
-def test_scan_subsets_kernels_agree():
-    t = mesh("octahedron")
-    rng = np.random.default_rng(57)
-    w = random_weight(rng, t)
-    pmp = math.pi - w.phi
-    for _ in range(20):
-        x = rng.normal(0.0, 3.0, t.n_vertices)
-        x += (4 * math.pi - x.sum()) / t.n_vertices
-        a = _kernels.IMPLS["numpy"]["scan_subsets"](
-            t.n_vertices, x, t.edges[:, 0], t.edges[:, 1], t.faces, t.face_edges,
-            pmp, 1e-12,
-        )
-        b = _kernels.IMPLS["numba"]["scan_subsets"](
-            t.n_vertices, x, t.edges[:, 0], t.edges[:, 1], t.faces, t.face_edges,
-            pmp, 1e-12,
-        )
-        assert a[0] == b[0]
-        assert list(a[1]) == list(b[1])
-        assert a[2] == pytest.approx(b[2], rel=1e-14, abs=1e-14)
-        assert a[3] == pytest.approx(b[3], rel=1e-14, abs=1e-14)
-        assert a[4] == b[4]
+def test_active_backend_is_numpy():
+    assert cf.active_backend() == "numpy"
 
 
 def test_error_codes_and_raise_mapping():
@@ -145,37 +42,54 @@ def test_error_codes_and_raise_mapping():
 
 
 def test_energy_noise_bound_scales():
-    impl = _kernels.IMPLS["numpy"]
     t, r, fv, fe, ea, eb, cphi = _arrays("tetrahedron", 58)
-    _, _, _, K, B, kn, err = impl["state"](r, fv, fe, ea, eb, cphi)
+    _, _, _, K, B, kn, err = _kernels.state(r, fv, fe, ea, eb, cphi)
     assert err == _kernels.ERR_OK
     assert np.all(kn >= 0)
     # healthy metrics have curvature noise near machine precision
     assert np.max(kn) < 1e-12
     target = np.full(4, math.pi)
     energy = float(np.sum((K - target) ** 2))
-    noise = _kernels._energy_noise_np(K, kn, target, energy)
+    noise = _kernels._energy_noise(K, kn, target, energy)
     assert 0 <= noise < 1e-10
 
 
-@pytest.mark.parametrize("backend", ["numpy", "numba"] if HAVE_NUMBA else ["numpy"])
-def test_backend_selection_env(backend):
-    code = (
-        "import calabiflow as cf; print(cf.active_backend())"
-    )
-    env = dict(os.environ, CALABIFLOW_BACKEND=backend)
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == backend
+def test_curvatures_match_state():
+    t, r, fv, fe, ea, eb, cphi = _arrays("icosahedron", 51)
+    k_state = _kernels.state(r, fv, fe, ea, eb, cphi)[3]
+    k_only, err = _kernels.curvatures(r, fv, fe, ea, eb, cphi)
+    assert err == _kernels.ERR_OK
+    assert np.array_equal(k_only, k_state)
 
 
-def test_backend_selection_rejects_unknown():
-    code = "import calabiflow"
-    env = dict(os.environ, CALABIFLOW_BACKEND="fortran")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+@pytest.mark.parametrize("lap_kind", [True, False])
+def test_advance_result_layout(lap_kind):
+    # the accepted-step count sits at index 1 of a 10-tuple
+    t, r, fv, fe, ea, eb, cphi = _arrays("octahedron", 56)
+    target = np.full(t.n_vertices, 2 * math.pi / 3)
+    u0 = np.log(r)
+    _, _, _, K, B, kn, err = _kernels.state(r, fv, fe, ea, eb, cphi)
+    energy = float(np.sum((K - target) ** 2))
+    res = _kernels.advance(
+        u0.copy(), 1e-2, 0.0, 0, 5,
+        fv, fe, ea, eb, cphi, target, lap_kind,
+        u0.copy(), 1e-10, 50.0, 1e12, 60, 1.2, 10, 4,
+        K, B, kn, energy,
     )
-    assert out.returncode != 0
-    assert "CALABIFLOW_BACKEND" in out.stderr
+    assert len(res) == 10
+    assert res[0] == _kernels.ADV_CHUNK_DONE and res[1] == 5
+    assert res[4] > 0.0  # time advanced
+
+
+def test_scan_subsets_result_layout():
+    # the number of subsets checked sits at index 4
+    t = mesh("octahedron")
+    w = random_weight(np.random.default_rng(57), t)
+    target = np.full(t.n_vertices, 4 * math.pi / t.n_vertices)
+    res = _kernels.scan_subsets(
+        t.n_vertices, target, t.edges[:, 0], t.edges[:, 1], t.faces,
+        t.face_edges, math.pi - w.phi, 1e-12,
+    )
+    assert res[0] is False
+    assert res[4] == 2**t.n_vertices - 2
+    assert res[4] == cf.check_admissible(t, w, target).subsets_checked

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from _util import MESH_NAMES, mesh, random_metric, random_weight, subdivide, zero_weight
+from calabiflow.meshes import subdivide
+from _util import MESH_NAMES, mesh, random_metric, random_weight, zero_weight
 
 SQRT3 = math.sqrt(3.0)
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from _util import MESH_NAMES, mesh, subdivide
+from calabiflow.meshes import subdivide
+from _util import MESH_NAMES, mesh
 
 
 EXPECTED_SIZES = {

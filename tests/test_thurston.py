@@ -8,7 +8,8 @@ import pytest
 
 import calabiflow as cf
 from calabiflow.thurston import SIZE_GUARD, enumerate_rows, subset_inequality
-from _util import gb_target, mesh, random_weight, subdivide, zero_weight
+from calabiflow.meshes import subdivide
+from _util import gb_target, mesh, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
 TOL = 1e-12
