@@ -10,11 +10,21 @@ Accumulation orders are fixed (face-major for curvatures and edge weights,
 two passes over edges for Laplacian application), so repeated runs are
 deterministic.
 
+Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
+on one mesh, and returns curvatures of shape (m, n).  Each row is computed
+by the same elementwise operations, in the same accumulation order, as a
+call on that row alone, so every row equals the one-metric result bit for
+bit.  The Simpson segment evaluates its nodes this way, in row blocks (see
+``BLOCK_FACES``).
+
 Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
 whose geometry does not evaluate cleanly as one more rejected trial, not as
 a failure of the run.  Callers outside the controller translate nonzero
-codes via :func:`raise_state_error`.
+codes via :func:`raise_state_error`.  A non-finite corner cosine takes
+precedence over one past the clamp tolerance.  On a batch every row has
+its own code, and the call reports the code of the first row that fails;
+a failing row does not change the values of the other rows.
 """
 
 from __future__ import annotations
@@ -40,6 +50,14 @@ ADV_CHUNK_DONE = 0
 ADV_CONVERGED = 1
 ADV_DIVERGED = 2
 ADV_STEP_COLLAPSE = 3
+
+# Simpson nodes are evaluated in row blocks of at most BLOCK_FACES // F
+# metrics per curvature call (F faces).  A block saves the per-call overhead
+# that dominates on small meshes.  Past about 2**12 faces per block the
+# time per node rose again on subdivided octahedra (N = 6 ... 1026), as a
+# block's temporaries outgrow the caches; the bound also keeps a block's
+# memory a few hundred kB at any panel count.
+BLOCK_FACES = 2**12
 
 # margin (in log-radius units) past the divergence guard inside which trial
 # steps are still evaluated; beyond it they are rejected unevaluated so that
@@ -83,32 +101,54 @@ def raise_state_error(err: int):
         raise InternalConsistencyError(f"unknown kernel error code {err}")
 
 
+def _cosine_error(c):
+    """Error code of one metric's corner cosines ``c`` (F, 3): a non-finite
+    value takes precedence over a value past the clamp tolerance."""
+    if not np.all(np.isfinite(c)):
+        return ERR_NONFINITE
+    if c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
+        return ERR_CLAMP
+    return ERR_OK
+
+
 def _corners(r, fv, fe, ea, eb, cphi):
     """Edge lengths, per-face lengths, clamped corner cosines, corner angles,
     curvatures and error code: the part :func:`_state` and
     :func:`_curvatures` share.  Call under ``np.errstate(all="ignore")``.
+
+    ``r`` is one metric (n,) or a batch of metrics (m, n); every array
+    returned gains the same leading axis, and the error code is that of
+    the first row that fails (see the module docstring).
     """
-    n = r.shape[0]
-    ra = r[ea]
-    rb = r[eb]
+    n = r.shape[-1]
+    # take() keeps a batch C-contiguous; fancy indexing after an ellipsis
+    # would make the batch axis the innermost in memory
+    ra = r.take(ea, axis=-1)
+    rb = r.take(eb, axis=-1)
     lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
-    L = lens[fe]
+    L = lens.take(fe, axis=-1)
     c = np.empty_like(L)
     for m in range(3):
         p = (m + 1) % 3
         q = (m + 2) % 3
-        c[:, m] = (L[:, p] * L[:, p] + L[:, q] * L[:, q] - L[:, m] * L[:, m]) / (
-            2.0 * L[:, p] * L[:, q]
-        )
-    err = ERR_OK
-    if not np.all(np.isfinite(c)):
-        err = ERR_NONFINITE
-    elif c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
-        err = ERR_CLAMP
+        c[..., m] = (
+            L[..., p] * L[..., p] + L[..., q] * L[..., q] - L[..., m] * L[..., m]
+        ) / (2.0 * L[..., p] * L[..., q])
+    corners = fv.ravel()
+    if r.ndim == 1:
+        err = _cosine_error(c)
+    else:
+        # a row fails exactly when its largest |cosine| is past the clamp
+        # tolerance or NaN (np.max propagates NaN); that row then gets the
+        # one-metric verdict
+        worst = np.max(np.abs(c).reshape(r.shape[0], -1), axis=1)
+        bad = np.flatnonzero(~(worst - 1.0 <= CLAMP_TOL))
+        err = _cosine_error(c[bad[0]]) if bad.size else ERR_OK
+        corners = (np.arange(r.shape[0])[:, None] * n + corners).ravel()
     cc = np.clip(c, -1.0, 1.0)
     ang = np.arccos(cc)
-    K = np.full(n, 2.0 * math.pi)
-    np.add.at(K, fv.ravel(), -ang.ravel())
+    K = np.full(r.shape, 2.0 * math.pi)
+    np.add.at(K.reshape(-1), corners, -ang.ravel())
     return lens, L, cc, ang, K, err
 
 
@@ -188,28 +228,55 @@ def _energy_noise(K, kn, target, energy):
     return float(np.sum((2.0 * w + kn) * kn)) + 32.0 * EPS * energy
 
 
-def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
-    """Composite Simpson quadrature of the curvature one-form on a segment.
+def _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi, K0=None):
+    """Composite Simpson quadrature of the curvature one-form on a segment,
+    plus the curvatures at its far end.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with
-    ``panels`` Simpson panels (2*panels + 1 nodes).
+    ``panels`` Simpson panels (2*panels + 1 nodes).  The nodes are
+    evaluated in row blocks of at most ``BLOCK_FACES // F`` metrics, one
+    curvature call per block, and the weighted terms are summed in node
+    order.  ``K0``, the curvatures at ``u0`` when the caller already holds
+    them, saves the evaluation of node 0.  Returns ``(value, K(u0 + du),
+    err)``; on a failed evaluation the value is NaN and ``err`` the code of
+    the first failing node.
     """
     m2 = 2 * panels
+    rows = max(1, BLOCK_FACES // fv.shape[0])
     total = 0.0
-    for k in range(m2 + 1):
-        s = k / m2
-        K, err = _curvatures(np.exp(u0 + s * du), fv, fe, ea, eb, cphi)
+    k = 0
+    if K0 is not None:
+        total += float(np.dot(K0 - target, du))  # node 0 has weight 1
+        k = 1
+    while k <= m2:
+        stop = min(k + rows, m2 + 1)
+        s = np.arange(k, stop) / m2
+        Kb, err = _curvatures(np.exp(u0 + s[:, None] * du), fv, fe, ea, eb, cphi)
         if err != ERR_OK:
-            return math.nan, err
-        g = float(np.dot(K - target, du))
-        if k == 0 or k == m2:
-            w = 1.0
-        elif k % 2 == 1:
-            w = 4.0
-        else:
-            w = 2.0
-        total += w * g
-    return total / (3.0 * m2), ERR_OK
+            return math.nan, None, err
+        for j, d in enumerate(Kb - target, k):
+            if j == 0 or j == m2:
+                w = 1.0
+            elif j % 2 == 1:
+                w = 4.0
+            else:
+                w = 2.0
+            total += w * float(np.dot(d, du))
+        k = stop
+    return total / (3.0 * m2), Kb[-1], ERR_OK
+
+
+def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
+    """Composite Simpson quadrature of the curvature one-form on a segment
+    (see :func:`_simpson`); returns ``(value, err)``.
+
+    Its 2*panels + 1 nodes take ``ceil((2*panels + 1) / max(1,
+    BLOCK_FACES // F))`` curvature calls.  The descent guard of a Ricci
+    trial in :func:`advance` already holds node 0, so it takes
+    ``ceil(2*panels / max(1, BLOCK_FACES // F))``.
+    """
+    value, _, err = _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi)
+    return value, err
 
 
 def advance(
@@ -241,8 +308,11 @@ def advance(
     """Advance the flow by up to ``n_accept`` accepted explicit Euler steps.
 
     The caller supplies the current state quantities (K, B, kn, energy)
-    consistent with ``u`` and receives the updated ones back, so geometry
-    is evaluated exactly once per trial step.  Returns
+    consistent with ``u`` and receives the updated ones back.  A Calabi
+    trial makes one geometry call (:func:`_state`).  A Ricci trial makes
+    ``ceil(2 * guard_panels / max(1, BLOCK_FACES // F))`` curvature calls
+    for its descent guard, which covers the trial point itself: one call
+    for ``guard_panels=4`` on meshes of up to 512 faces.  Returns
     ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
     done = 0
@@ -277,9 +347,12 @@ def advance(
                     np.exp(u_new), fv, fe, ea, eb, cphi
                 )
             else:
-                K_new, err = _curvatures(np.exp(u_new), fv, fe, ea, eb, cphi)
-                B_new = B
-                kn_new = kn
+                # the descent guard's quadrature reuses K at its node 0, and
+                # its last node, u + 1.0 * (h v), is u_new: one block call
+                # yields both the guard and K_new
+                df, K_new, err = _simpson(
+                    u, h * v, target, guard_panels, fv, fe, ea, eb, cphi, K
+                )
             if err != ERR_OK:
                 h *= 0.5
                 streak = 0
@@ -289,13 +362,6 @@ def advance(
                 allow = noise + _energy_noise(K_new, kn_new, target, e_new)
                 ok = e_new <= energy + allow
             else:
-                df, err = _segment_potential(
-                    u, h * v, target, guard_panels, fv, fe, ea, eb, cphi
-                )
-                if err != ERR_OK:
-                    h *= 0.5
-                    streak = 0
-                    continue
                 ok = df <= 0.0
             if ok:
                 accepted = True

@@ -432,8 +432,17 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value file; explicit flags win")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input errors: argparse's own
+    ``error()`` prints the usage and exits 2, which this CLI reserves for
+    a meaningful negative result."""
+
+    def error(self, message):
+        raise DomainError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="calabiflow",
         description="circle packing metrics with prescribed combinatorial "
         "curvature via Calabi/Ricci flows",
@@ -541,8 +550,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _apply_config(args)
         return COMMANDS[args.command](args)
     except (MeshError, DomainError, EnumerationSizeError, OSError) as exc:

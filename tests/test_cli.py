@@ -244,6 +244,8 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
         ("potential-probe", "--mesh", "tetrahedron", "--probe-radii", "a"),
         ("flow", "--mesh", "tetrahedron", "--config", "BAD_SEED_CONFIG"),
         ("flow", "--mesh", "tetrahedron", "--starts", "0"),
+        ("flow", "--mesh", "tetrahedron", "--max-steps", "abc"),
+        ("potential-probe", "--mesh", "tetrahedron", "--rays", "a"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):
@@ -254,6 +256,14 @@ def test_input_errors_exit_1(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("flow", "-h")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_size_guard_exit_1(capsys):
