@@ -31,10 +31,8 @@ from .flows import (
     FlowSample,
     FlowTrace,
     IntegratorOptions,
-    StepResult,
     curvature_derivative_check,
     integrate,
-    step,
     velocity,
 )
 from .geometry import (
@@ -96,7 +94,6 @@ __all__ = [
     "PackingMetric",
     "QuadratureError",
     "StepCollapseError",
-    "StepResult",
     "Triangulation",
     "VertexSubset",
     "Weight",
@@ -121,7 +118,6 @@ __all__ = [
     "restricted_hessian_check",
     "ricci_potential",
     "scale_metric",
-    "step",
     "subcomplex_euler",
     "triangle_angles",
     "velocity",

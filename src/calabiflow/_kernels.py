@@ -1,7 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Everything here is array-in / array-out with no Python objects.  The public
-names are ``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
+The geometry kernels are array-in / array-out.  The step controller
+:func:`advance` takes the flow state as arrays, the mesh as the 5-tuple
+``(fv, fe, ea, eb, cphi)`` described in :func:`_state`, and its settings
+as one options object (``flows.IntegratorOptions``).  The public names are
+``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
 ``advance`` and ``scan_subsets``.  Kernels call each other by their private
 names, so rebinding a public name (to time it, say) sees only outside
 callers.
@@ -113,8 +116,9 @@ def _cosine_error(c):
 
 def _corners(r, fv, fe, ea, eb, cphi):
     """Edge lengths, per-face lengths, clamped corner cosines, corner angles,
-    curvatures and error code: the part :func:`_state` and
-    :func:`_curvatures` share.  Call under ``np.errstate(all="ignore")``.
+    curvatures and error code: the part :func:`_state`, :func:`_curvatures`
+    and the dual route of ``laplacian`` share.  Call under
+    ``np.errstate(all="ignore")``.
 
     ``r`` is one metric (n,) or a batch of metrics (m, n); every array
     returned gains the same leading axis, and the error code is that of
@@ -207,7 +211,7 @@ def _state(r, fv, fe, ea, eb, cphi):
 
 
 def _curvatures(r, fv, fe, ea, eb, cphi):
-    """Curvatures only; the cheap evaluation used inside quadratures."""
+    """Curvatures only; the cheap evaluation of one metric or a batch."""
     with np.errstate(all="ignore"):
         _, _, _, _, K, err = _corners(r, fv, fe, ea, eb, cphi)
     return K, err
@@ -251,7 +255,11 @@ def _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi, K0=None):
     while k <= m2:
         stop = min(k + rows, m2 + 1)
         s = np.arange(k, stop) / m2
-        Kb, err = _curvatures(np.exp(u0 + s[:, None] * du), fv, fe, ea, eb, cphi)
+        # radii that overflow to inf are reported by the error code, so the
+        # exponential is taken under the same errstate as the curvatures
+        with np.errstate(all="ignore"):
+            r = np.exp(u0 + s[:, None] * du)
+            _, _, _, _, Kb, err = _corners(r, fv, fe, ea, eb, cphi)
         if err != ERR_OK:
             return math.nan, None, err
         for j, d in enumerate(Kb - target, k):
@@ -280,41 +288,23 @@ def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
 
 
 def advance(
-    u,
-    h,
-    t,
-    streak,
-    n_accept,
-    fv,
-    fe,
-    ea,
-    eb,
-    cphi,
-    target,
-    lap_kind,
-    u_ref,
-    eps_k,
-    u_max,
-    max_step,
-    max_halvings,
-    growth_factor,
-    growth_interval,
-    guard_panels,
-    K,
-    B,
-    kn,
-    energy,
+    u, h, t, streak, n_accept, mesh, target, lap_kind, u_ref, opts, K, B, kn, energy
 ):
     """Advance the flow by up to ``n_accept`` accepted explicit Euler steps.
 
-    The caller supplies the current state quantities (K, B, kn, energy)
-    consistent with ``u`` and receives the updated ones back.  A Calabi
-    trial makes one geometry call (:func:`_state`).  A Ricci trial makes
+    ``mesh`` is the 5-tuple ``(fv, fe, ea, eb, cphi)`` of :func:`_state`,
+    and ``opts`` an ``IntegratorOptions``, of which the controller reads
+    ``curvature_tol``, ``u_max``, ``max_step``, ``max_halvings``,
+    ``growth_factor``, ``growth_interval`` and ``guard_panels``.  The caller
+    supplies the current state quantities (K, B, kn, energy) consistent with
+    ``u`` and receives the updated ones back.  A Calabi trial makes one
+    geometry call (:func:`_state`).  A Ricci trial makes
     ``ceil(2 * guard_panels / max(1, BLOCK_FACES // F))`` curvature calls
     for its descent guard, which covers the trial point itself: one call
     for ``guard_panels=4`` on meshes of up to 512 faces.  Returns
     ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
+    _, _, ea, eb, _ = mesh
     done = 0
     while done < n_accept:
         w = K - target
@@ -330,9 +320,9 @@ def advance(
         B_new = B
         kn_new = kn
         e_new = energy
-        for _ in range(max_halvings + 1):
+        for _ in range(opts.max_halvings + 1):
             u_new = u + h * v
-            if float(np.max(np.abs(u_new - u_ref))) > u_max + TRIAL_MARGIN:
+            if float(np.max(np.abs(u_new - u_ref))) > opts.u_max + TRIAL_MARGIN:
                 h *= 0.5
                 streak = 0
                 continue
@@ -343,16 +333,12 @@ def advance(
             # touch the dual weights, whose formula degenerates in floating
             # point on deep escapes long before the curvature map does.
             if lap_kind:
-                _, _, _, K_new, B_new, kn_new, err = _state(
-                    np.exp(u_new), fv, fe, ea, eb, cphi
-                )
+                _, _, _, K_new, B_new, kn_new, err = _state(np.exp(u_new), *mesh)
             else:
                 # the descent guard's quadrature reuses K at its node 0, and
                 # its last node, u + 1.0 * (h v), is u_new: one block call
                 # yields both the guard and K_new
-                df, K_new, err = _simpson(
-                    u, h * v, target, guard_panels, fv, fe, ea, eb, cphi, K
-                )
+                df, K_new, err = _simpson(u, h * v, target, opts.guard_panels, *mesh, K)
             if err != ERR_OK:
                 h *= 0.5
                 streak = 0
@@ -378,13 +364,13 @@ def advance(
         energy = e_new
         done += 1
         streak += 1
-        if streak >= growth_interval:
-            grown = h * growth_factor
-            h = grown if grown < max_step else max_step
+        if streak >= opts.growth_interval:
+            grown = h * opts.growth_factor
+            h = grown if grown < opts.max_step else opts.max_step
             streak = 0
-        if float(np.max(np.abs(K - target))) < eps_k:
+        if float(np.max(np.abs(K - target))) < opts.curvature_tol:
             return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy
-        if float(np.max(np.abs(u - u_ref))) > u_max:
+        if float(np.max(np.abs(u - u_ref))) > opts.u_max:
             return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy
     return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy
 

@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -89,29 +90,33 @@ def _load_mesh(spec: str) -> Triangulation:
     )
 
 
+def _data_lines(path: str) -> list[tuple[int, str, str]]:
+    """``(lineno, raw, line)`` for each line of the file ``path`` that is not
+    blank once its ``#`` comment is cut; ``line`` is the stripped rest."""
+    with open(path, encoding="utf-8") as fh:
+        rows = [(n, raw, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1)]
+    return [row for row in rows if row[2]]
+
+
 def _load_phi(spec: str | None, t: Triangulation) -> Weight:
     if spec is None:
         return Weight.uniform(t, 0.0)
     if os.path.exists(spec):
         pairs = {}
-        with open(spec, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    a, b, value = line.split()
-                    a, b, value = int(a), int(b), float(value)
-                except ValueError:
-                    raise DomainError(
-                        f"{spec}:{lineno}: expected 'a b phi', got {raw.strip()!r}"
-                    ) from None
-                key = (min(a, b), max(a, b))
-                if key in pairs:
-                    raise DomainError(
-                        f"{spec}:{lineno}: edge {key} assigned a weight twice"
-                    )
-                pairs[key] = value
+        for lineno, raw, line in _data_lines(spec):
+            try:
+                a, b, value = line.split()
+                a, b, value = int(a), int(b), float(value)
+            except ValueError:
+                raise DomainError(
+                    f"{spec}:{lineno}: expected 'a b phi', got {raw.strip()!r}"
+                ) from None
+            key = (min(a, b), max(a, b))
+            if key in pairs:
+                raise DomainError(
+                    f"{spec}:{lineno}: edge {key} assigned a weight twice"
+                )
+            pairs[key] = value
         return Weight.from_edge_map(t, pairs)
     try:
         value = float(spec)
@@ -126,17 +131,13 @@ def _load_radii(spec: str | None, t: Triangulation, seed: int) -> PackingMetric:
         return PackingMetric.from_radii(rng.uniform(0.5, 2.0, t.n_vertices))
     if os.path.exists(spec):
         values = []
-        with open(spec, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise DomainError(
-                        f"{spec}:{lineno}: expected one radius, got {raw.strip()!r}"
-                    )
+        for lineno, raw, line in _data_lines(spec):
+            try:
+                values.append(float(line))
+            except ValueError:
+                raise DomainError(
+                    f"{spec}:{lineno}: expected one radius, got {raw.strip()!r}"
+                )
         if len(values) != t.n_vertices:
             raise DomainError(
                 f"{spec}: {len(values)} radii for {t.n_vertices} vertices"
@@ -159,12 +160,7 @@ def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
         return None
     try:
         if os.path.exists(spec):
-            values = []
-            with open(spec, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.split("#", 1)[0].strip()
-                    if line:
-                        values.append(float(line))
+            values = [float(line) for _, _, line in _data_lines(spec)]
         elif "," in spec:
             values = [float(x) for x in spec.split(",")]
         else:
@@ -291,13 +287,15 @@ def cmd_flow(args) -> int:
     w = _load_phi(args.phi, t)
     target = _load_target(args.target, t)
     kind = _resolve_kind(args.kind, target, t)
-    opts = IntegratorOptions(
-        initial_step=args.initial_step,
-        max_steps=args.max_steps,
-        curvature_tol=args.tol,
-        u_max=args.u_max,
-        max_step=args.max_step,
-    )
+    given = {
+        "initial_step": args.initial_step,
+        "max_steps": args.max_steps,
+        "curvature_tol": args.tol,
+        "u_max": args.u_max,
+        "max_step": args.max_step,
+    }
+    # an option left unset keeps the IntegratorOptions default
+    opts = IntegratorOptions(**{k: v for k, v in given.items() if v is not None})
     ricci_twin = {
         "calabi": FlowKind.ricci_normalized,
         "calabi_prescribed": lambda: FlowKind.ricci_prescribed(target),
@@ -417,8 +415,16 @@ def _add_shared(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--seed", type=int, help="RNG seed (default 0)")
     p.add_argument("--out", help="directory for CSV/JSON outputs")
-    p.add_argument("--tol", type=float, help="curvature tolerance (default 1e-10)")
-    p.add_argument("--max-steps", type=int, help="accepted-step limit (default 10^6)")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help=f"curvature tolerance (default {IntegratorOptions.curvature_tol:g})",
+    )
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        help=f"accepted-step limit (default {IntegratorOptions.max_steps})",
+    )
     p.add_argument("--kind", help=f"flow kind: one of {', '.join(KIND_NAMES)}")
     p.add_argument("--target", help="target curvature: 'kav', scalar, list, or file")
     p.add_argument(
@@ -459,7 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="integrate a curvature flow")
     _add_shared(p)
     p.add_argument("--starts", type=int, help="number of seeded random starts")
-    p.add_argument("--initial-step", type=float, help="first Euler step (default 0.01)")
+    p.add_argument(
+        "--initial-step",
+        type=float,
+        help=f"first Euler step (default {IntegratorOptions.initial_step:g})",
+    )
     p.add_argument("--max-step", type=float, help="step regrowth cap")
     p.add_argument("--u-max", type=float, help="divergence guard on |u - u(0)|")
 
@@ -480,15 +490,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# flow settings left unset take their defaults from IntegratorOptions
 _DEFAULTS = {
     "seed": 0,
-    "tol": 1e-10,
-    "max_steps": 10**6,
     "kind": "calabi",
     "starts": 1,
-    "initial_step": 1e-2,
-    "max_step": 1e12,
-    "u_max": 50.0,
     "rays": 8,
     "probe_radii": "1,2,4,8",
 }
@@ -512,29 +518,25 @@ _CONFIG_PARSERS = {
 def _apply_config(args: argparse.Namespace) -> None:
     """Fill unset options from the config file, then from defaults."""
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
+        for lineno, raw, line in _data_lines(args.config):
+            if "=" not in line:
+                raise DomainError(
+                    f"{args.config}:{lineno}: expected key=value, got {raw.strip()!r}"
+                )
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            value = value.strip()
+            if not hasattr(args, key):
+                raise DomainError(f"{args.config}:{lineno}: unknown key {key!r}")
+            current = getattr(args, key)
+            if current is None or current is False:
+                parse = _CONFIG_PARSERS.get(key, str)
+                try:
+                    setattr(args, key, parse(value))
+                except ValueError:
                     raise DomainError(
-                        f"{args.config}:{lineno}: expected key=value, got {raw.strip()!r}"
-                    )
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                value = value.strip()
-                if not hasattr(args, key):
-                    raise DomainError(f"{args.config}:{lineno}: unknown key {key!r}")
-                current = getattr(args, key)
-                if current is None or current is False:
-                    parse = _CONFIG_PARSERS.get(key, str)
-                    try:
-                        setattr(args, key, parse(value))
-                    except ValueError:
-                        raise DomainError(
-                            f"{args.config}:{lineno}: bad value {value!r} for {key!r}"
-                        ) from None
+                        f"{args.config}:{lineno}: bad value {value!r} for {key!r}"
+                    ) from None
     for key, value in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, value)
@@ -549,9 +551,24 @@ COMMANDS = {
 }
 
 
+def _glue_negative_target(argv: list[str]) -> list[str]:
+    """``--target -6.28,...`` as ``--target=-6.28,...``: argparse reads a
+    value that starts with a minus sign, and is not a single number, as an
+    option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--target" and re.match(r"-\.?\d", arg):
+            out[-1] = f"--target={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_glue_negative_target(argv))
         _apply_config(args)
         return COMMANDS[args.command](args)
     except (MeshError, DomainError, EnumerationSizeError, OSError) as exc:

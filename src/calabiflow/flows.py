@@ -49,8 +49,6 @@ __all__ = [
     "FlowSample",
     "FlowTrace",
     "velocity",
-    "step",
-    "StepResult",
     "integrate",
     "curvature_derivative_check",
 ]
@@ -189,8 +187,7 @@ def _mesh_arrays(t: Triangulation, w: Weight):
 
 
 def _state_of(u, t, w):
-    fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
-    _, _, _, curv, b, kn, err = _kernels.state(np.exp(u), fv, fe, ea, eb, cphi)
+    _, _, _, curv, b, kn, err = _kernels.state(np.exp(u), *_mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return curv, b, kn
 
@@ -203,73 +200,6 @@ def velocity(kind: FlowKind, t: Triangulation, w: Weight, m: PackingMetric) -> n
     if kind.uses_laplacian:
         return _kernels.lap_apply(b, t.edges[:, 0], t.edges[:, 1], dev)
     return -dev
-
-
-@dataclass(frozen=True)
-class StepResult:
-    metric: PackingMetric
-    h: float
-    energy: float
-    halved: bool
-
-
-def step(
-    kind: FlowKind,
-    t: Triangulation,
-    w: Weight,
-    m: PackingMetric,
-    h: float,
-    opts: IntegratorOptions | None = None,
-) -> StepResult:
-    """One guarded explicit Euler step of size at most ``h``.
-
-    If the energy guard rejects the step, ``h`` is halved and retried up
-    to ``opts.max_halvings`` times; the returned ``h`` is the accepted
-    size.
-    """
-    opts = opts or IntegratorOptions()
-    if h <= 0:
-        raise DomainError("step size must be positive")
-    target = resolve_target(t, kind.target)
-    fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
-    curv, b, kn = _state_of(m.u, t, w)
-    energy = float(np.sum((curv - target) ** 2))
-    status, done, u, h_out, t_out, _, _, _, _, energy_out = _kernels.advance(
-        m.u.copy(),
-        float(h),
-        0.0,
-        0,
-        1,
-        fv,
-        fe,
-        ea,
-        eb,
-        cphi,
-        target,
-        kind.uses_laplacian,
-        m.u.copy(),
-        opts.curvature_tol,
-        float("inf"),  # a single probe step should not trip the guard
-        opts.max_step,
-        opts.max_halvings,
-        opts.growth_factor,
-        opts.growth_interval + 2,  # no regrowth within a single step
-        opts.guard_panels,
-        curv,
-        b,
-        kn,
-        energy,
-    )
-    if status == _kernels.ADV_STEP_COLLAPSE:
-        raise StepCollapseError(
-            f"no acceptable step after {opts.max_halvings} halvings"
-        )
-    return StepResult(
-        metric=PackingMetric.from_log_radii(u),
-        h=t_out,
-        energy=energy_out,
-        halved=t_out < h,
-    )
 
 
 def integrate(
@@ -288,7 +218,7 @@ def integrate(
     """
     opts = opts or IntegratorOptions()
     target = resolve_target(t, kind.target)
-    fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
+    mesh = _mesh_arrays(t, w)
     if m0.n != t.n_vertices:
         raise DomainError("metric size does not match the mesh")
 
@@ -297,7 +227,8 @@ def integrate(
     sum_u0 = float(u.sum())
     curv, b, kn = _state_of(u, t, w)
     energy = float(np.sum((curv - target) ** 2))
-    recenter = kind.name in ("calabi", "calabi_prescribed")
+    # the Calabi kinds conserve sum u in exact arithmetic; repair the drift
+    recenter = kind.uses_laplacian
 
     samples: list[FlowSample] = []
 
@@ -320,62 +251,20 @@ def integrate(
     streak = 0
     record(t_now, h, u, curv, energy)
 
-    if float(np.max(np.abs(curv - target))) < opts.curvature_tol:
-        return FlowTrace(
-            kind_name=kind.name,
-            target=target,
-            status="converged",
-            accepted_steps=0,
-            t_final=0.0,
-            final_metric=PackingMetric.from_log_radii(u),
-            samples=samples,
-        )
-
     status = "step_limit"
+    if float(np.max(np.abs(curv - target))) < opts.curvature_tol:
+        status = "converged"
     last_recorded = 0
-    while accepted < opts.max_steps:
+    while status == "step_limit" and accepted < opts.max_steps:
         stride = max(1, accepted // opts.sample_target)
         boundaries = [last_recorded + stride - accepted, opts.max_steps - accepted]
         if recenter:
             next_recenter = ((accepted // opts.recenter_interval) + 1) * opts.recenter_interval
             boundaries.append(next_recenter - accepted)
         n_chunk = max(1, min(boundaries))
-        (
-            adv_status,
-            done,
-            u,
-            h,
-            t_now,
-            streak,
-            curv,
-            b,
-            kn,
-            energy,
-        ) = _kernels.advance(
-            u,
-            h,
-            t_now,
-            streak,
-            n_chunk,
-            fv,
-            fe,
-            ea,
-            eb,
-            cphi,
-            target,
-            kind.uses_laplacian,
-            u_ref,
-            opts.curvature_tol,
-            opts.u_max,
-            opts.max_step,
-            opts.max_halvings,
-            opts.growth_factor,
-            opts.growth_interval,
-            opts.guard_panels,
-            curv,
-            b,
-            kn,
-            energy,
+        adv_status, done, u, h, t_now, streak, curv, b, kn, energy = _kernels.advance(
+            u, h, t_now, streak, n_chunk, mesh, target, kind.uses_laplacian, u_ref,
+            opts, curv, b, kn, energy,
         )
         accepted += done
         if adv_status == _kernels.ADV_STEP_COLLAPSE:
@@ -387,7 +276,7 @@ def integrate(
             status = "converged"
         elif adv_status == _kernels.ADV_DIVERGED:
             status = "diverged"
-        terminal = adv_status in (_kernels.ADV_CONVERGED, _kernels.ADV_DIVERGED)
+        terminal = status != "step_limit"
         if recenter and not terminal and accepted % opts.recenter_interval == 0:
             u = u - (u.sum() - sum_u0) / t.n_vertices
             curv, b, kn = _state_of(u, t, w)
@@ -395,8 +284,6 @@ def integrate(
         if accepted - last_recorded >= stride or terminal:
             record(t_now, h, u, curv, energy)
             last_recorded = accepted
-        if terminal:
-            break
 
     if status == "step_limit" and last_recorded != accepted:
         record(t_now, h, u, curv, energy)
@@ -427,10 +314,10 @@ def curvature_derivative_check(
     absolute residual.
     """
     v = velocity(kind, t, w, m)
-    fv, fe, ea, eb, cphi = _mesh_arrays(t, w)
+    mesh = _mesh_arrays(t, w)
 
     def curv_at(u):
-        k, err = _kernels.curvatures(np.exp(u), fv, fe, ea, eb, cphi)
+        k, err = _kernels.curvatures(np.exp(u), *mesh)
         _kernels.raise_state_error(err)
         return k
 

@@ -134,22 +134,14 @@ def half_weight_dual(r, phi, corner: int, moving: int) -> float:
 def _dual_halves(t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
     """Vectorized dual-route half-contributions, aligned like face_edges."""
     r = m.r
-    ea = t.edges[:, 0]
-    eb = t.edges[:, 1]
-    lens = np.sqrt(
-        r[ea] ** 2 + r[eb] ** 2 + 2.0 * r[ea] * r[eb] * w.cos_phi
-    )
-    L = lens[t.face_edges]
-    cc = np.empty_like(L)
-    for mm in range(3):
-        p = (mm + 1) % 3
-        q = (mm + 2) % 3
-        cc[:, mm] = (L[:, p] ** 2 + L[:, q] ** 2 - L[:, mm] ** 2) / (
-            2.0 * L[:, p] * L[:, q]
+    # lengths and clamped corner cosines come from the kernels' cosine law;
+    # only the dual-length formula below is this route's own
+    with np.errstate(all="ignore"):
+        _, L, cc, _, _, err = _kernels._corners(
+            r, t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
         )
-    if float(np.max(np.abs(cc))) - 1.0 > _kernels.CLAMP_TOL:
+    if err == _kernels.ERR_CLAMP:
         raise InternalConsistencyError("cosine-law value left [-1, 1]")
-    cc = np.clip(cc, -1.0, 1.0)
     sn = np.sqrt(1.0 - cc * cc)
     rv = r[t.faces]
     halves = np.empty_like(L)

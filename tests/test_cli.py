@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
+from calabiflow import cli
 from calabiflow.cli import main
 from calabiflow.meshes import subdivide
 from _util import mesh, zero_weight
@@ -328,3 +329,33 @@ def test_flow_without_out_reads_no_lambda1(capsys, monkeypatch):
     code, out, _ = run(capsys, "flow", "--mesh", "octahedron", "--seed", "3")
     assert code == 0 and json.loads(out)["status"] == "converged"
     assert calls == []
+
+
+NEGATIVE_TETRA_TARGET = ",".join(repr(v) for v in (-TWO_PI, TWO_PI, TWO_PI, TWO_PI))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "--mesh", "tetrahedron"),
+        ("flow", "--mesh", "tetrahedron", "--kind", "ricci_prescribed"),
+    ],
+)
+def test_negative_target_list_as_separate_argument(capsys, argv):
+    # "--target -6.28,..." must mean exactly what "--target=-6.28,..." does
+    glued = run(capsys, *argv, f"--target={NEGATIVE_TETRA_TARGET}")
+    spaced = run(capsys, *argv, "--target", NEGATIVE_TETRA_TARGET)
+    assert spaced == glued
+    assert glued[0] == 2 and glued[2] == ""
+
+
+def test_bare_flow_uses_integrator_defaults(capsys, monkeypatch):
+    # the CLI keeps no copy of the flow settings' defaults
+    seen = []
+    original = cli.integrate
+    monkeypatch.setattr(
+        cli, "integrate", lambda *a: seen.append(a[4]) or original(*a)
+    )
+    code, _, _ = run(capsys, "flow", "--mesh", "octahedron")
+    assert code == 0
+    assert seen == [cf.IntegratorOptions()]

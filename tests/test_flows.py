@@ -77,22 +77,29 @@ def test_curvature_derivative_identity(kind_name):
         assert cf.curvature_derivative_check(kind, t, w, m) < 1e-5
 
 
+def _one_step(kind, t, w, m, h):
+    """One guarded explicit Euler step of size at most ``h``."""
+    return cf.integrate(
+        kind, t, w, m, cf.IntegratorOptions(initial_step=h, max_steps=1)
+    )
+
+
 def test_step_decreases_energy():
     t = mesh("tetrahedron")
     w = zero_weight(t)
     m = cf.PackingMetric.from_radii([2.0, 1.0, 1.0, 1.0])
     e0 = cf.calabi_energy(t, w, m)
-    res = cf.step(cf.FlowKind.calabi(), t, w, m, h=1e-2)
-    assert res.energy < e0
-    assert res.h == pytest.approx(1e-2)
-    assert not res.halved
+    res = _one_step(cf.FlowKind.calabi(), t, w, m, 1e-2)
+    assert res.accepted_steps == 1
+    assert res.samples[-1].energy < e0
+    assert res.t_final == 1e-2  # accepted at full size, not halved
     # an oversized step gets halved until the guard passes
-    res_big = cf.step(cf.FlowKind.calabi(), t, w, m, h=64.0)
-    assert res_big.halved
-    assert res_big.h < 64.0
-    assert res_big.energy < e0
+    res_big = _one_step(cf.FlowKind.calabi(), t, w, m, 64.0)
+    assert res_big.accepted_steps == 1
+    assert res_big.t_final < 64.0
+    assert res_big.samples[-1].energy < e0
     with pytest.raises(cf.DomainError):
-        cf.step(cf.FlowKind.calabi(), t, w, m, h=0.0)
+        _one_step(cf.FlowKind.calabi(), t, w, m, 0.0)
 
 
 def test_step_conserves_log_sum():
@@ -101,8 +108,9 @@ def test_step_conserves_log_sum():
     w = random_weight(rng, t)
     m = random_metric(rng, t)
     for kind in (cf.FlowKind.calabi(), cf.FlowKind.ricci_normalized()):
-        res = cf.step(kind, t, w, m, h=1e-2)
-        assert res.metric.u.sum() == pytest.approx(m.u.sum(), abs=1e-12)
+        res = _one_step(kind, t, w, m, 1e-2)
+        assert res.accepted_steps == 1
+        assert res.final_metric.u.sum() == pytest.approx(m.u.sum(), abs=1e-12)
 
 
 def test_fixed_point_is_immediate():

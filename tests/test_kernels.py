@@ -186,9 +186,8 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
         _kernels, "_corners", lambda *a: calls.append(1) or corners(*a)
     )
     res = _kernels.advance(
-        u0.copy(), 1e-2, 0.0, 0, 1, *args, target, False,
-        u0.copy(), 1e-10, 50.0, 1e12, 60, 1.2, 10, 4,
-        K, B, kn, energy,
+        u0.copy(), 1e-2, 0.0, 0, 1, args, target, False, u0.copy(),
+        cf.IntegratorOptions(), K, B, kn, energy,
     )
     assert res[1] == 1 and res[4] == 1e-2  # accepted at full size
     assert len(calls) == (1 if rows is None else math.ceil(8 / rows))
@@ -221,10 +220,8 @@ def test_advance_result_layout(lap_kind):
     _, _, _, K, B, kn, err = _kernels.state(r, fv, fe, ea, eb, cphi)
     energy = float(np.sum((K - target) ** 2))
     res = _kernels.advance(
-        u0.copy(), 1e-2, 0.0, 0, 5,
-        fv, fe, ea, eb, cphi, target, lap_kind,
-        u0.copy(), 1e-10, 50.0, 1e12, 60, 1.2, 10, 4,
-        K, B, kn, energy,
+        u0.copy(), 1e-2, 0.0, 0, 5, (fv, fe, ea, eb, cphi), target, lap_kind,
+        u0.copy(), cf.IntegratorOptions(), K, B, kn, energy,
     )
     assert len(res) == 10
     assert res[0] == _kernels.ADV_CHUNK_DONE and res[1] == 5

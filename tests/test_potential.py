@@ -1,6 +1,7 @@
 """Calabi energy, Ricci potential, properness, convexity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -167,3 +168,14 @@ def test_quadrature_error_at_panel_cap(monkeypatch):
     monkeypatch.setattr(potential_mod, "MAX_PANELS", 8)
     with pytest.raises(cf.QuadratureError):
         cf.ricci_potential(t, w, np.zeros(4), np.array([2.0, -1.0, -0.5, -0.5]), tol=1e-16)
+
+
+def test_ricci_potential_overflow_raises_without_warning():
+    # radii overflow to inf part way along the segment: the kernel reports
+    # it through its error code, and numpy prints no RuntimeWarning first
+    t = mesh("octahedron")
+    u_to = np.array([800.0, 0.0, 0.0, 0.0, 0.0, -800.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(cf.InternalConsistencyError):
+            cf.ricci_potential(t, zero_weight(t), np.zeros(6), u_to)
