@@ -2,8 +2,9 @@
 
 The geometry kernels are array-in / array-out.  The step controller
 :func:`advance` takes the flow state as arrays, the mesh as the 5-tuple
-``(fv, fe, ea, eb, cphi)`` described in :func:`_state`, and its settings
-as one options object (``flows.IntegratorOptions``).  The public names are
+``(fv, fe, ea, eb, cphi)`` described in :func:`_state`, and the settings
+callers vary as one options object (``flows.IntegratorOptions``); its
+fixed settings are the module constants below.  The public names are
 ``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
 ``advance`` and ``scan_subsets``.  Kernels call each other by their private
 names, so rebinding a public name (to time it, say) sees only outside
@@ -66,6 +67,13 @@ BLOCK_FACES = 2**12
 # steps are still evaluated; beyond it they are rejected unevaluated so that
 # exp() cannot overflow while probing huge step sizes
 TRIAL_MARGIN = 5.0
+
+# step controller settings (see advance); GUARD_PANELS is the Simpson panel
+# count of a Ricci trial's descent guard
+MAX_HALVINGS = 60
+GROWTH_FACTOR = 1.2
+GROWTH_INTERVAL = 10
+GUARD_PANELS = 4
 
 # The energy guard accepts a trial step when the new energy does not exceed
 # the current one beyond a certified roundoff allowance.  The allowance must
@@ -294,14 +302,15 @@ def advance(
 
     ``mesh`` is the 5-tuple ``(fv, fe, ea, eb, cphi)`` of :func:`_state`,
     and ``opts`` an ``IntegratorOptions``, of which the controller reads
-    ``curvature_tol``, ``u_max``, ``max_step``, ``max_halvings``,
-    ``growth_factor``, ``growth_interval`` and ``guard_panels``.  The caller
-    supplies the current state quantities (K, B, kn, energy) consistent with
-    ``u`` and receives the updated ones back.  A Calabi trial makes one
-    geometry call (:func:`_state`).  A Ricci trial makes
-    ``ceil(2 * guard_panels / max(1, BLOCK_FACES // F))`` curvature calls
+    ``curvature_tol``, ``u_max`` and ``max_step``; the rest of its settings
+    are the constants ``MAX_HALVINGS``, ``GROWTH_FACTOR``,
+    ``GROWTH_INTERVAL`` and ``GUARD_PANELS``.  The caller supplies the
+    current state quantities (K, B, kn, energy) consistent with ``u`` and
+    receives the updated ones back.  A Calabi trial makes one geometry call
+    (:func:`_state`).  A Ricci trial makes
+    ``ceil(2 * GUARD_PANELS / max(1, BLOCK_FACES // F))`` curvature calls
     for its descent guard, which covers the trial point itself: one call
-    for ``guard_panels=4`` on meshes of up to 512 faces.  Returns
+    on meshes of up to 512 faces.  Returns
     ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
     _, _, ea, eb, _ = mesh
@@ -320,7 +329,7 @@ def advance(
         B_new = B
         kn_new = kn
         e_new = energy
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             u_new = u + h * v
             if float(np.max(np.abs(u_new - u_ref))) > opts.u_max + TRIAL_MARGIN:
                 h *= 0.5
@@ -338,7 +347,7 @@ def advance(
                 # the descent guard's quadrature reuses K at its node 0, and
                 # its last node, u + 1.0 * (h v), is u_new: one block call
                 # yields both the guard and K_new
-                df, K_new, err = _simpson(u, h * v, target, opts.guard_panels, *mesh, K)
+                df, K_new, err = _simpson(u, h * v, target, GUARD_PANELS, *mesh, K)
             if err != ERR_OK:
                 h *= 0.5
                 streak = 0
@@ -364,8 +373,8 @@ def advance(
         energy = e_new
         done += 1
         streak += 1
-        if streak >= opts.growth_interval:
-            grown = h * opts.growth_factor
+        if streak >= GROWTH_INTERVAL:
+            grown = h * GROWTH_FACTOR
             h = grown if grown < opts.max_step else opts.max_step
             streak = 0
         if float(np.max(np.abs(K - target))) < opts.curvature_tol:

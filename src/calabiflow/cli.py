@@ -77,12 +77,20 @@ def _json(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
+def _read_text(path: str) -> str:
+    """The file ``path`` as text; a file that is not UTF-8 is an input error."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_mesh(spec: str) -> Triangulation:
     if spec is None:
         raise DomainError("--mesh is required")
     if os.path.exists(spec):
-        with open(spec, encoding="utf-8") as fh:
-            return parse_mesh(fh.read())
+        return parse_mesh(_read_text(spec))
     if spec in builtin_names():
         return parse_mesh(mesh_text(spec))
     raise DomainError(
@@ -93,8 +101,8 @@ def _load_mesh(spec: str) -> Triangulation:
 def _data_lines(path: str) -> list[tuple[int, str, str]]:
     """``(lineno, raw, line)`` for each line of the file ``path`` that is not
     blank once its ``#`` comment is cut; ``line`` is the stripped rest."""
-    with open(path, encoding="utf-8") as fh:
-        rows = [(n, raw, raw.split("#", 1)[0].strip()) for n, raw in enumerate(fh, 1)]
+    lines = enumerate(_read_text(path).split("\n"), 1)
+    rows = [(n, raw, raw.split("#", 1)[0].strip()) for n, raw in lines]
     return [row for row in rows if row[2]]
 
 
@@ -158,13 +166,12 @@ def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
     """None means 'use the average curvature'."""
     if spec is None or spec == "kav":
         return None
+    if os.path.exists(spec):
+        tokens = [line for _, _, line in _data_lines(spec)]
+    else:
+        tokens = spec.split(",") if "," in spec else [spec] * t.n_vertices
     try:
-        if os.path.exists(spec):
-            values = [float(line) for _, _, line in _data_lines(spec)]
-        elif "," in spec:
-            values = [float(x) for x in spec.split(",")]
-        else:
-            values = [float(spec)] * t.n_vertices
+        values = [float(x) for x in tokens]
     except ValueError:
         raise DomainError(
             f"target {spec!r} is neither a file, a comma list, nor a number"

@@ -16,17 +16,18 @@ the negative gradient flow of the Ricci potential.
 Integration is explicit Euler with an energy guard: a trial step that
 increases the energy (for Calabi kinds) or the Ricci potential difference
 along the step segment (for Ricci kinds) is halved and retried, up to
-``max_halvings`` times.  The step grows again by ``growth_factor`` after
-every ``growth_interval`` consecutive accepted steps, capped at
-``max_step``.  ``sum u`` is re-centered every ``recenter_interval``
-accepted steps for Calabi kinds to repair floating point drift.
+``_kernels.MAX_HALVINGS`` times.  The step grows again by
+``_kernels.GROWTH_FACTOR`` after every ``_kernels.GROWTH_INTERVAL``
+consecutive accepted steps, capped at ``IntegratorOptions.max_step``.
+``sum u`` is re-centered every ``RECENTER_INTERVAL`` accepted steps for
+Calabi kinds to repair floating point drift.
 
 Cost of a trial step: a Calabi trial evaluates the full geometry (lengths,
 angles, curvatures, dual weights) once.  A Ricci trial evaluates the
-curvatures at the ``2 * guard_panels`` Simpson nodes of its descent guard
-past the current point, the last of which is the trial point; they are
-batched into one kernel call on meshes of up to 512 faces at the default
-``guard_panels=4`` (a few calls on larger meshes).
+curvatures at the ``2 * _kernels.GUARD_PANELS`` Simpson nodes of its
+descent guard past the current point, the last of which is the trial
+point; they are batched into one kernel call on meshes of up to 512 faces
+(a few calls on larger meshes).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, StepCollapseError
-from .geometry import PackingMetric, Weight
+from .geometry import PackingMetric, Weight, _mesh_arrays
 from .laplacian import DualLaplacian, assemble
 from .mesh import Triangulation, resolve_target
 
@@ -54,6 +55,11 @@ __all__ = [
 ]
 
 KIND_NAMES = ("calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescribed")
+
+# accepted steps between re-centerings of sum u (Calabi kinds)
+RECENTER_INTERVAL = 1000
+# sets the stride between recorded samples (see FlowTrace)
+SAMPLE_TARGET = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,12 +93,15 @@ class FlowKind:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """Explicit Euler controller settings.
+    """The explicit Euler settings a caller may vary: one per ``flow`` flag.
 
     ``max_step`` bounds step regrowth; the large default effectively
     removes the cap, which divergent runs need to reach the ``u_max``
     guard quickly.  Pass a small cap (e.g. ``0.02``) when the measured
-    decay rate of a converging run should track continuous time.
+    decay rate of a converging run should track continuous time.  ``u_max``
+    and ``max_step`` may be infinite.  The other settings are constants:
+    ``RECENTER_INTERVAL``, ``SAMPLE_TARGET`` and ``_kernels.MAX_HALVINGS``,
+    ``GROWTH_FACTOR``, ``GROWTH_INTERVAL`` and ``GUARD_PANELS``.
     """
 
     initial_step: float = 1e-2
@@ -100,32 +109,16 @@ class IntegratorOptions:
     curvature_tol: float = 1e-10
     u_max: float = 50.0
     max_step: float = 1e12
-    growth_factor: float = 1.2
-    growth_interval: int = 10
-    max_halvings: int = 60
-    recenter_interval: int = 1000
-    guard_panels: int = 4
-    sample_target: int = 1000
 
     def __post_init__(self):
-        if not (self.initial_step > 0 and self.max_step > 0):
-            raise DomainError("step sizes must be positive")
-        if not (self.curvature_tol > 0 and self.u_max > 0):
-            raise DomainError("tolerances must be positive")
-        # a factor below 1 would shrink the step on every regrowth
-        if not self.growth_factor >= 1:
-            raise DomainError("growth_factor must be at least 1")
-        for name, least in (
-            ("max_steps", 1),
-            ("growth_interval", 1),
-            ("max_halvings", 0),
-            ("recenter_interval", 1),
-            ("guard_panels", 1),
-            ("sample_target", 1),
-        ):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < least:
-                raise DomainError(f"{name} must be an integer >= {least}")
+        # an infinite first step collapses, and an infinite tolerance
+        # reports any start as converged
+        if not (0 < self.initial_step < np.inf and 0 < self.curvature_tol < np.inf):
+            raise DomainError("initial_step and curvature_tol must be finite and > 0")
+        if not (self.max_step > 0 and self.u_max > 0):
+            raise DomainError("max_step and u_max must be positive")
+        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+            raise DomainError("max_steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -162,8 +155,9 @@ class FlowSample:
 class FlowTrace:
     """Full record of a flow run.
 
-    ``samples`` holds the initial state, every ``max(1, k/1000)``-th
-    accepted step (``k`` the running count), and the final state.  For
+    ``samples`` holds the initial state, every
+    ``max(1, k // SAMPLE_TARGET)``-th accepted step (``k`` the running
+    count), and the final state.  For
     Calabi kinds every accepted step satisfied the energy guard, so the
     recorded energies are non-increasing.  Each sample's ``lambda1`` is
     computed when it is first read, not during the run.
@@ -180,10 +174,6 @@ class FlowTrace:
     def max_curvature_deviation(self) -> float:
         last = self.samples[-1]
         return float(np.max(np.abs(last.curvatures - self.target)))
-
-
-def _mesh_arrays(t: Triangulation, w: Weight):
-    return t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
 
 
 def _state_of(u, t, w):
@@ -256,10 +246,10 @@ def integrate(
         status = "converged"
     last_recorded = 0
     while status == "step_limit" and accepted < opts.max_steps:
-        stride = max(1, accepted // opts.sample_target)
+        stride = max(1, accepted // SAMPLE_TARGET)
         boundaries = [last_recorded + stride - accepted, opts.max_steps - accepted]
         if recenter:
-            next_recenter = ((accepted // opts.recenter_interval) + 1) * opts.recenter_interval
+            next_recenter = ((accepted // RECENTER_INTERVAL) + 1) * RECENTER_INTERVAL
             boundaries.append(next_recenter - accepted)
         n_chunk = max(1, min(boundaries))
         adv_status, done, u, h, t_now, streak, curv, b, kn, energy = _kernels.advance(
@@ -269,7 +259,7 @@ def integrate(
         accepted += done
         if adv_status == _kernels.ADV_STEP_COLLAPSE:
             raise StepCollapseError(
-                f"step collapsed after {opts.max_halvings} halvings at "
+                f"step collapsed after {_kernels.MAX_HALVINGS} halvings at "
                 f"t={t_now!r} (step {accepted})"
             )
         if adv_status == _kernels.ADV_CONVERGED:
@@ -277,7 +267,7 @@ def integrate(
         elif adv_status == _kernels.ADV_DIVERGED:
             status = "diverged"
         terminal = status != "step_limit"
-        if recenter and not terminal and accepted % opts.recenter_interval == 0:
+        if recenter and not terminal and accepted % RECENTER_INTERVAL == 0:
             u = u - (u.sum() - sum_u0) / t.n_vertices
             curv, b, kn = _state_of(u, t, w)
             energy = float(np.sum((curv - target) ** 2))

@@ -93,6 +93,12 @@ class Weight:
         return np.cos(self.phi)
 
 
+def _mesh_arrays(t: Triangulation, w: Weight):
+    """The kernels' mesh tuple ``(fv, fe, ea, eb, cphi)`` (see
+    ``_kernels._state``)."""
+    return t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
+
+
 class PackingMetric:
     """Vertex radii ``r`` together with their logarithms ``u = ln r``.
 
@@ -231,9 +237,7 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
         )
     if m.n != t.n_vertices:
         raise DomainError(f"metric has {m.n} radii for {t.n_vertices} vertices")
-    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(
-        m.r, t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
-    )
+    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, *_mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return GeometryState(
         lengths=lens,

@@ -31,7 +31,7 @@ import scipy.sparse.linalg as sparse_linalg
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .geometry import PHI_MAX, PackingMetric, Weight, triangle_angles
+from .geometry import PHI_MAX, PackingMetric, Weight, _mesh_arrays, triangle_angles
 from .mesh import Triangulation
 
 __all__ = [
@@ -137,9 +137,7 @@ def _dual_halves(t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
     # lengths and clamped corner cosines come from the kernels' cosine law;
     # only the dual-length formula below is this route's own
     with np.errstate(all="ignore"):
-        _, L, cc, _, _, err = _kernels._corners(
-            r, t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
-        )
+        _, L, cc, _, _, err = _kernels._corners(r, *_mesh_arrays(t, w))
     if err == _kernels.ERR_CLAMP:
         raise InternalConsistencyError("cosine-law value left [-1, 1]")
     sn = np.sqrt(1.0 - cc * cc)
@@ -312,9 +310,7 @@ def assemble(
     if m.n != t.n_vertices or w.phi.shape[0] != t.n_edges:
         raise DomainError("mesh, weight and metric sizes are inconsistent")
     if route == "analytic":
-        _, _, _, _, b, _, err = _kernels.state(
-            m.r, t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
-        )
+        _, _, _, _, b, _, err = _kernels.state(m.r, *_mesh_arrays(t, w))
         _kernels.raise_state_error(err)
     elif route == "dual":
         halves = _dual_halves(t, w, m)

@@ -20,7 +20,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, NoConstantCurvatureMetric, QuadratureError
 from .flows import FlowKind, IntegratorOptions, integrate
-from .geometry import PackingMetric, Weight, compute_geometry
+from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, resolve_target
 
@@ -62,9 +62,7 @@ def energy_gradient(
 
 
 def _segment(t, w, u0, du, tgt, panels):
-    val, err = _kernels.segment_potential(
-        u0, du, tgt, panels, t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
-    )
+    val, err = _kernels.segment_potential(u0, du, tgt, panels, *_mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return val
 
@@ -172,20 +170,15 @@ def constant_curvature_log_metric(
     t: Triangulation,
     w: Weight,
     seed_metric: PackingMetric | None = None,
-    tol: float = 1e-12,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = IntegratorOptions(curvature_tol=1e-12),
 ) -> PackingMetric:
     """The constant-curvature metric in the conformal class of the seed.
 
-    Found by running the Calabi flow to tolerance ``tol``; the result
-    keeps the seed's ``sum u`` (the flow conserves it).  Raises
+    Found by running the Calabi flow with the settings ``opts``; the
+    result keeps the seed's ``sum u`` (the flow conserves it).  Raises
     :class:`NoConstantCurvatureMetric` when the flow does not converge.
-    ``opts`` replaces the integrator settings wholesale (``tol`` is then
-    ignored in favour of ``opts.curvature_tol``).
     """
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
-    if opts is None:
-        opts = IntegratorOptions(curvature_tol=tol)
     trace = integrate(FlowKind.calabi(), t, w, seed, opts)
     if trace.status != "converged":
         raise NoConstantCurvatureMetric(

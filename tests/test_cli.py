@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, reproducibility."""
 
+import dataclasses
 import json
 import math
 
@@ -247,6 +248,8 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
         ("flow", "--mesh", "tetrahedron", "--starts", "0"),
         ("flow", "--mesh", "tetrahedron", "--max-steps", "abc"),
         ("potential-probe", "--mesh", "tetrahedron", "--rays", "a"),
+        ("flow", "--mesh", "tetrahedron", "--initial-step", "inf"),
+        ("flow", "--mesh", "tetrahedron", "--tol", "inf"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):
@@ -359,3 +362,48 @@ def test_bare_flow_uses_integrator_defaults(capsys, monkeypatch):
     code, _, _ = run(capsys, "flow", "--mesh", "octahedron")
     assert code == 0
     assert seen == [cf.IntegratorOptions()]
+
+
+# each flow flag and the IntegratorOptions field it sets
+FLOW_FLAGS = [
+    ("--initial-step", "initial_step", 0.005),
+    ("--max-steps", "max_steps", 7),
+    ("--tol", "curvature_tol", 1e-6),
+    ("--u-max", "u_max", 30.0),
+    ("--max-step", "max_step", 0.5),
+]
+
+
+@pytest.mark.parametrize("flag,name,value", FLOW_FLAGS, ids=[f[0] for f in FLOW_FLAGS])
+def test_flow_flags_are_the_integrator_options(capsys, monkeypatch, flag, name, value):
+    # the options hold exactly what the flow flags set
+    fields = [f.name for f in dataclasses.fields(cf.IntegratorOptions)]
+    assert fields == [n for _, n, _ in FLOW_FLAGS]
+    seen = []
+    original = cli.integrate
+    monkeypatch.setattr(
+        cli, "integrate", lambda *a: seen.append(a[4]) or original(*a)
+    )
+    code, _, _ = run(capsys, "flow", "--mesh", "octahedron", flag, str(value))
+    assert code in (0, 2)
+    assert seen == [cf.IntegratorOptions(**{name: value})]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "--mesh", "FILE"),
+        ("curvature", "--mesh", "tetrahedron", "--phi", "FILE"),
+        ("curvature", "--mesh", "tetrahedron", "--radii", "FILE"),
+        ("flow", "--mesh", "tetrahedron", "--config", "FILE"),
+        ("check", "--mesh", "tetrahedron", "--target", "FILE"),
+    ],
+    ids=["mesh", "phi", "radii", "config", "target"],
+)
+def test_non_utf8_file_exits_1(capsys, tmp_path, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "UTF-8" in err and "neither" not in err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
+from calabiflow import flows
 from calabiflow.mesh import resolve_target
 from _util import mesh, random_metric, random_weight, zero_weight
 
@@ -287,14 +288,14 @@ def test_step_limit_status():
     assert tr.accepted_steps == 5
 
 
-def test_recenter_repairs_drift():
+def test_recenter_repairs_drift(monkeypatch):
     # Force frequent re-centering and check sum u stays pinned.
+    monkeypatch.setattr(flows, "RECENTER_INTERVAL", 10)
     t = mesh("icosahedron")
     w = zero_weight(t)
     rng = np.random.default_rng(25)
     m0 = random_metric(rng, t)
-    opts = cf.IntegratorOptions(recenter_interval=10)
-    tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0, opts)
+    tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0)
     assert tr.status == "converged"
     assert abs(tr.final_metric.u.sum() - m0.u.sum()) < 1e-10
 
@@ -310,21 +311,18 @@ def test_options_validation():
         cf.IntegratorOptions(curvature_tol=0.0)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(u_max=-5.0)
-    # a zero interval divides by zero inside integrate, and a growth factor
-    # below 1 shrinks the step until the whole step budget is spent
-    for field in ("recenter_interval", "sample_target", "guard_panels",
-                  "growth_interval"):
-        with pytest.raises(cf.DomainError):
-            cf.IntegratorOptions(**{field: 0})
-        with pytest.raises(cf.DomainError):
-            cf.IntegratorOptions(**{field: 2.5})
     with pytest.raises(cf.DomainError):
-        cf.IntegratorOptions(max_halvings=-1)
-    with pytest.raises(cf.DomainError):
-        cf.IntegratorOptions(growth_factor=0.5)
+        cf.IntegratorOptions(max_steps=2.5)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(initial_step=float("nan"))
-    cf.IntegratorOptions(growth_factor=1.0, max_halvings=0, guard_panels=1)
+    # an infinite first step collapses, and an infinite tolerance reports
+    # any start as converged
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(initial_step=math.inf)
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(curvature_tol=math.inf)
+    # no divergence guard and no step cap
+    cf.IntegratorOptions(u_max=math.inf, max_step=math.inf)
 
 
 def test_integrate_size_mismatch():

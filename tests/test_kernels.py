@@ -11,6 +11,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow import _kernels
+from calabiflow.geometry import _mesh_arrays
 from calabiflow.meshes import subdivide
 from _util import MESH_NAMES, mesh, random_metric, random_weight
 
@@ -26,10 +27,6 @@ def _mesh(name):
     while t.n_vertices < int(name[3:]):
         t = subdivide(t)
     return t
-
-
-def _mesh_args(t, w):
-    return t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
 
 
 def _node_loop_segment(u0, du, target, panels, fv, fe, ea, eb, cphi):
@@ -58,15 +55,7 @@ def _arrays(name, seed):
     rng = np.random.default_rng(seed)
     w = random_weight(rng, t)
     m = random_metric(rng, t)
-    return (
-        t,
-        m.r,
-        t.faces,
-        t.face_edges,
-        t.edges[:, 0],
-        t.edges[:, 1],
-        w.cos_phi,
-    )
+    return (t, m.r, *_mesh_arrays(t, w))
 
 
 def test_active_backend_is_numpy():
@@ -108,7 +97,7 @@ def test_curvatures_match_state():
 def test_batched_curvatures_match_rows(name):
     t = _mesh(name)
     rng = np.random.default_rng(60)
-    args = _mesh_args(t, random_weight(rng, t))
+    args = _mesh_arrays(t, random_weight(rng, t))
     radii = rng.uniform(0.5, 2.0, (5, t.n_vertices))
     kb, err = _kernels.curvatures(radii, *args)
     assert err == _kernels.ERR_OK and kb.shape == radii.shape
@@ -123,7 +112,7 @@ def test_batched_curvatures_first_failing_row(name):
     # with zero weights an edge is r_a + r_b long, so a negative radius
     # breaks the triangle inequality (clamp) and a NaN radius is non-finite
     t = _mesh(name)
-    args = _mesh_args(t, cf.Weight(np.zeros(t.n_edges)))
+    args = _mesh_arrays(t, cf.Weight(np.zeros(t.n_edges)))
     rng = np.random.default_rng(61)
     good = rng.uniform(0.5, 2.0, (2, t.n_vertices))
     clamp = np.ones(t.n_vertices)
@@ -151,7 +140,7 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, panels, rows):
     if rows is not None:
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
     rng = np.random.default_rng(62)
-    args = _mesh_args(t, random_weight(rng, t))
+    args = _mesh_arrays(t, random_weight(rng, t))
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.5, t.n_vertices)
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
@@ -173,7 +162,7 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
     # (the last is the trial itself) take one curvature call per block
     t = _mesh("octahedron")
     rng = np.random.default_rng(56)
-    args = _mesh_args(t, random_weight(rng, t))
+    args = _mesh_arrays(t, random_weight(rng, t))
     if rows is not None:
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
@@ -197,7 +186,7 @@ def test_segment_potential_memory_bounded():
     # 8193 nodes at N=66: one block of them all would peak near 190 MB
     t = _mesh("oct66")
     rng = np.random.default_rng(63)
-    args = _mesh_args(t, random_weight(rng, t))
+    args = _mesh_arrays(t, random_weight(rng, t))
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.3, t.n_vertices)
     target = np.full(t.n_vertices, 4 * math.pi / t.n_vertices)

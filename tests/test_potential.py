@@ -144,7 +144,9 @@ def test_constant_curvature_log_metric_properties():
     w = zero_weight(t)
     rng = np.random.default_rng(34)
     seed = cf.PackingMetric.from_radii(rng.uniform(0.5, 2.0, 4))
-    m = cf.constant_curvature_log_metric(t, w, seed_metric=seed, tol=1e-11)
+    m = cf.constant_curvature_log_metric(
+        t, w, seed_metric=seed, opts=cf.IntegratorOptions(curvature_tol=1e-11)
+    )
     g = cf.compute_geometry(t, w, m)
     assert np.max(np.abs(g.curvatures - g.avg_curvature)) < 1e-10
     # the seed's log-radius sum is preserved
