@@ -18,8 +18,8 @@ Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
 on one mesh, and returns curvatures of shape (m, n).  Each row is computed
 by the same elementwise operations, in the same accumulation order, as a
 call on that row alone, so every row equals the one-metric result bit for
-bit.  The Simpson segment evaluates its nodes this way, in row blocks (see
-``BLOCK_FACES``).
+bit.  :func:`segment_potential` evaluates its Simpson nodes this way, in
+row blocks (see ``BLOCK_FACES``).
 
 Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
@@ -68,12 +68,10 @@ BLOCK_FACES = 2**12
 # exp() cannot overflow while probing huge step sizes
 TRIAL_MARGIN = 5.0
 
-# step controller settings (see advance); GUARD_PANELS is the Simpson panel
-# count of a Ricci trial's descent guard
+# step controller settings (see advance)
 MAX_HALVINGS = 60
 GROWTH_FACTOR = 1.2
 GROWTH_INTERVAL = 10
-GUARD_PANELS = 4
 
 # The energy guard accepts a trial step when the new energy does not exceed
 # the current one beyond a certified roundoff allowance.  The allowance must
@@ -240,36 +238,27 @@ def _energy_noise(K, kn, target, energy):
     return float(np.sum((2.0 * w + kn) * kn)) + 32.0 * EPS * energy
 
 
-def _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi, K0=None):
-    """Composite Simpson quadrature of the curvature one-form on a segment,
-    plus the curvatures at its far end.
+def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
+    """Composite Simpson quadrature of the curvature one-form on a segment.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with
     ``panels`` Simpson panels (2*panels + 1 nodes).  The nodes are
-    evaluated in row blocks of at most ``BLOCK_FACES // F`` metrics, one
-    curvature call per block, and the weighted terms are summed in node
-    order.  ``K0``, the curvatures at ``u0`` when the caller already holds
-    them, saves the evaluation of node 0.  Returns ``(value, K(u0 + du),
-    err)``; on a failed evaluation the value is NaN and ``err`` the code of
-    the first failing node.
+    evaluated in row blocks of at most ``max(1, BLOCK_FACES // F)``
+    metrics, one curvature call per block, and the weighted terms are
+    summed in node order.  Returns ``(value, err)``; on a failed evaluation
+    the value is NaN and ``err`` the code of the first failing node.
     """
     m2 = 2 * panels
     rows = max(1, BLOCK_FACES // fv.shape[0])
     total = 0.0
-    k = 0
-    if K0 is not None:
-        total += float(np.dot(K0 - target, du))  # node 0 has weight 1
-        k = 1
-    while k <= m2:
-        stop = min(k + rows, m2 + 1)
-        s = np.arange(k, stop) / m2
-        # radii that overflow to inf are reported by the error code, so the
-        # exponential is taken under the same errstate as the curvatures
+    for k in range(0, m2 + 1, rows):
+        s = np.arange(k, min(k + rows, m2 + 1)) / m2
+        # radii that overflow to inf are reported by the error code
         with np.errstate(all="ignore"):
             r = np.exp(u0 + s[:, None] * du)
-            _, _, _, _, Kb, err = _corners(r, fv, fe, ea, eb, cphi)
+        Kb, err = _curvatures(r, fv, fe, ea, eb, cphi)
         if err != ERR_OK:
-            return math.nan, None, err
+            return math.nan, err
         for j, d in enumerate(Kb - target, k):
             if j == 0 or j == m2:
                 w = 1.0
@@ -278,21 +267,7 @@ def _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi, K0=None):
             else:
                 w = 2.0
             total += w * float(np.dot(d, du))
-        k = stop
-    return total / (3.0 * m2), Kb[-1], ERR_OK
-
-
-def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
-    """Composite Simpson quadrature of the curvature one-form on a segment
-    (see :func:`_simpson`); returns ``(value, err)``.
-
-    Its 2*panels + 1 nodes take ``ceil((2*panels + 1) / max(1,
-    BLOCK_FACES // F))`` curvature calls.  The descent guard of a Ricci
-    trial in :func:`advance` already holds node 0, so it takes
-    ``ceil(2*panels / max(1, BLOCK_FACES // F))``.
-    """
-    value, _, err = _simpson(u0, du, target, panels, fv, fe, ea, eb, cphi)
-    return value, err
+    return total / (3.0 * m2), ERR_OK
 
 
 def advance(
@@ -303,15 +278,20 @@ def advance(
     ``mesh`` is the 5-tuple ``(fv, fe, ea, eb, cphi)`` of :func:`_state`,
     and ``opts`` an ``IntegratorOptions``, of which the controller reads
     ``curvature_tol``, ``u_max`` and ``max_step``; the rest of its settings
-    are the constants ``MAX_HALVINGS``, ``GROWTH_FACTOR``,
-    ``GROWTH_INTERVAL`` and ``GUARD_PANELS``.  The caller supplies the
-    current state quantities (K, B, kn, energy) consistent with ``u`` and
-    receives the updated ones back.  A Calabi trial makes one geometry call
-    (:func:`_state`).  A Ricci trial makes
-    ``ceil(2 * GUARD_PANELS / max(1, BLOCK_FACES // F))`` curvature calls
-    for its descent guard, which covers the trial point itself: one call
-    on meshes of up to 512 faces.  Returns
-    ``(status, done, u, h, t, streak, K, B, kn, energy)``.
+    are the constants ``MAX_HALVINGS``, ``GROWTH_FACTOR`` and
+    ``GROWTH_INTERVAL``.  The caller supplies the current state quantities
+    (K, B, kn, energy) consistent with ``u`` and receives the updated ones
+    back.
+
+    A Calabi trial makes one geometry call (:func:`_state`) and passes when
+    the energy does not rise beyond its roundoff allowance.  A Ricci trial
+    makes one curvature call (:func:`_curvatures`) at the trial point
+    ``u + h v`` and passes when ``<K(u + h v) - target, h v> <= 0``.  For
+    weights in [0, pi/2] the Ricci potential is convex (Colin de Verdiere,
+    Invent. Math. 1991; Chow-Luo, J. Diff. Geom. 2003), so
+    g(s) = <K(u + s h v) - target, h v> is nondecreasing in s; g(1) <= 0
+    then gives g <= 0 on [0, 1], and the step does not raise the potential.
+    Returns ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
     _, _, ea, eb, _ = mesh
     done = 0
@@ -330,24 +310,25 @@ def advance(
         kn_new = kn
         e_new = energy
         for _ in range(MAX_HALVINGS + 1):
-            u_new = u + h * v
+            du = h * v
+            u_new = u + du
             if float(np.max(np.abs(u_new - u_ref))) > opts.u_max + TRIAL_MARGIN:
                 h *= 0.5
                 streak = 0
                 continue
-            # a trial whose geometry does not evaluate cleanly is rejected
-            # like any other failed trial; only accepted states carry the
-            # guarantee of a clean evaluation.  Ricci kinds evaluate only the
-            # curvature map at trials: their velocity and descent guard never
-            # touch the dual weights, whose formula degenerates in floating
-            # point on deep escapes long before the curvature map does.
+            # a trial whose geometry does not evaluate cleanly (radii that
+            # overflow to inf among them) is rejected like any other failed
+            # trial; only accepted states carry the guarantee of a clean
+            # evaluation.  Ricci kinds evaluate only the curvature map at
+            # trials: their velocity and descent guard never touch the dual
+            # weights, whose formula degenerates in floating point on deep
+            # escapes long before the curvature map does.
+            with np.errstate(all="ignore"):
+                r_new = np.exp(u_new)
             if lap_kind:
-                _, _, _, K_new, B_new, kn_new, err = _state(np.exp(u_new), *mesh)
+                _, _, _, K_new, B_new, kn_new, err = _state(r_new, *mesh)
             else:
-                # the descent guard's quadrature reuses K at its node 0, and
-                # its last node, u + 1.0 * (h v), is u_new: one block call
-                # yields both the guard and K_new
-                df, K_new, err = _simpson(u, h * v, target, GUARD_PANELS, *mesh, K)
+                K_new, err = _curvatures(r_new, *mesh)
             if err != ERR_OK:
                 h *= 0.5
                 streak = 0
@@ -357,7 +338,7 @@ def advance(
                 allow = noise + _energy_noise(K_new, kn_new, target, e_new)
                 ok = e_new <= energy + allow
             else:
-                ok = df <= 0.0
+                ok = float(np.dot(K_new - target, du)) <= 0.0
             if ok:
                 accepted = True
                 break

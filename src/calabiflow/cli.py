@@ -413,36 +413,70 @@ def cmd_potential_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mesh", help="mesh file, or a bundled name")
-    p.add_argument("--phi", help="edge weight: scalar, or file of 'a b phi' lines")
-    p.add_argument(
-        "--radii",
-        help="initial radii: scalar, file of N lines, or 'random' (default)",
-    )
-    p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-    p.add_argument("--out", help="directory for CSV/JSON outputs")
-    p.add_argument(
-        "--tol",
+# every flag of the CLI; each command takes only the ones it reads
+_FLAGS = {
+    "--mesh": dict(help="mesh file, or a bundled name"),
+    "--phi": dict(help="edge weight: scalar, or file of 'a b phi' lines"),
+    "--radii": dict(
+        help="initial radii: scalar, file of N lines, or 'random' (default)"
+    ),
+    "--seed": dict(type=int, help="RNG seed (default 0)"),
+    "--out": dict(help="directory for CSV/JSON outputs"),
+    "--tol": dict(
         type=float,
         help=f"curvature tolerance (default {IntegratorOptions.curvature_tol:g})",
-    )
-    p.add_argument(
-        "--max-steps",
-        type=int,
-        help=f"accepted-step limit (default {IntegratorOptions.max_steps})",
-    )
-    p.add_argument("--kind", help=f"flow kind: one of {', '.join(KIND_NAMES)}")
-    p.add_argument("--target", help="target curvature: 'kav', scalar, list, or file")
-    p.add_argument(
-        "--dump-laplacian", action="store_true", help="write L as 'i j value' lines"
-    )
-    p.add_argument(
-        "--compare-ricci",
+    ),
+    "--max-steps": dict(
+        type=int, help=f"accepted-step limit (default {IntegratorOptions.max_steps})"
+    ),
+    "--kind": dict(help=f"flow kind: one of {', '.join(KIND_NAMES)}"),
+    "--target": dict(help="target curvature: 'kav', scalar, list, or file"),
+    "--dump-laplacian": dict(action="store_true", help="write L as 'i j value' lines"),
+    "--route": dict(default="analytic", choices=["analytic", "dual"]),
+    "--compare-ricci": dict(
         action="store_true",
         help="also integrate the matching Ricci flow and emit its trace",
-    )
-    p.add_argument("--config", help="key=value file; explicit flags win")
+    ),
+    "--starts": dict(type=int, help="number of seeded random starts"),
+    "--initial-step": dict(
+        type=float,
+        help=f"first Euler step (default {IntegratorOptions.initial_step:g})",
+    ),
+    "--max-step": dict(type=float, help="step regrowth cap"),
+    "--u-max": dict(type=float, help="divergence guard on |u - u(0)|"),
+    "--force": dict(action="store_true", help="skip the N > 24 size guard"),
+    "--dump-subsets": dict(action="store_true", help="write per-subset LHS/RHS CSV"),
+    "--rays": dict(type=int, help="number of probe directions (default 8)"),
+    "--probe-radii": dict(help="comma list of ray radii (default 1,2,4,8)"),
+    "--config": dict(help="key=value file; explicit flags win"),
+}
+
+# each command's function, help line and the flags that function reads;
+# every command also takes --config, whose keys are the same flags
+COMMANDS = {
+    "validate": (cmd_validate, "parse a mesh and print its invariants", "--mesh"),
+    "curvature": (
+        cmd_curvature,
+        "curvatures and energy of one metric",
+        "--mesh --phi --radii --seed --out --dump-laplacian --route",
+    ),
+    "flow": (
+        cmd_flow,
+        "integrate a curvature flow",
+        "--mesh --phi --radii --seed --out --tol --max-steps --kind --target "
+        "--compare-ricci --starts --initial-step --max-step --u-max",
+    ),
+    "check": (
+        cmd_check,
+        "Thurston admissibility of a target",
+        "--mesh --phi --target --seed --out --force --dump-subsets",
+    ),
+    "potential-probe": (
+        cmd_potential_probe,
+        "convexity/properness probes of the Ricci potential",
+        "--mesh --phi --radii --seed --out --rays --probe-radii",
+    ),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -461,39 +495,10 @@ def build_parser() -> argparse.ArgumentParser:
         "curvature via Calabi/Ricci flows",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a mesh and print its invariants")
-    _add_shared(p)
-
-    p = sub.add_parser("curvature", help="curvatures and energy of one metric")
-    _add_shared(p)
-    p.add_argument("--route", default="analytic", choices=["analytic", "dual"])
-
-    p = sub.add_parser("flow", help="integrate a curvature flow")
-    _add_shared(p)
-    p.add_argument("--starts", type=int, help="number of seeded random starts")
-    p.add_argument(
-        "--initial-step",
-        type=float,
-        help=f"first Euler step (default {IntegratorOptions.initial_step:g})",
-    )
-    p.add_argument("--max-step", type=float, help="step regrowth cap")
-    p.add_argument("--u-max", type=float, help="divergence guard on |u - u(0)|")
-
-    p = sub.add_parser("check", help="Thurston admissibility of a target")
-    _add_shared(p)
-    p.add_argument("--force", action="store_true", help="skip the N > 24 size guard")
-    p.add_argument(
-        "--dump-subsets", action="store_true", help="write per-subset LHS/RHS CSV"
-    )
-
-    p = sub.add_parser(
-        "potential-probe", help="convexity/properness probes of the Ricci potential"
-    )
-    _add_shared(p)
-    p.add_argument("--rays", type=int, help="number of probe directions (default 8)")
-    p.add_argument("--probe-radii", help="comma list of ray radii (default 1,2,4,8)")
-
+    for command, (_, help_line, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        for name in names.split() + ["--config"]:
+            p.add_argument(name, **_FLAGS[name])
     return parser
 
 
@@ -549,15 +554,6 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-COMMANDS = {
-    "validate": cmd_validate,
-    "curvature": cmd_curvature,
-    "flow": cmd_flow,
-    "check": cmd_check,
-    "potential-probe": cmd_potential_probe,
-}
-
-
 def _glue_negative_target(argv: list[str]) -> list[str]:
     """``--target -6.28,...`` as ``--target=-6.28,...``: argparse reads a
     value that starts with a minus sign, and is not a single number, as an
@@ -577,7 +573,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_glue_negative_target(argv))
         _apply_config(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except (MeshError, DomainError, EnumerationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

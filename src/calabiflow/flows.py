@@ -13,21 +13,21 @@ kinds are the negative gradient flow of the energy ``sum (K_i - Kbar_i)^2``
 and conserve ``sum u_i`` exactly in continuous time; the Ricci kinds are
 the negative gradient flow of the Ricci potential.
 
-Integration is explicit Euler with an energy guard: a trial step that
-increases the energy (for Calabi kinds) or the Ricci potential difference
-along the step segment (for Ricci kinds) is halved and retried, up to
-``_kernels.MAX_HALVINGS`` times.  The step grows again by
+Integration is explicit Euler with a descent guard: a trial step that
+increases the energy (for Calabi kinds) or may increase the Ricci potential
+(for Ricci kinds) is halved and retried, up to ``_kernels.MAX_HALVINGS``
+times.  The Ricci guard is a convexity test: for weights in [0, pi/2] the
+Ricci potential is convex (Colin de Verdiere, Invent. Math. 1991; Chow-Luo,
+J. Diff. Geom. 2003), so a step ``du`` from ``u`` that satisfies
+``<K(u + du) - Kbar, du> <= 0`` does not raise it.  The step grows again by
 ``_kernels.GROWTH_FACTOR`` after every ``_kernels.GROWTH_INTERVAL``
 consecutive accepted steps, capped at ``IntegratorOptions.max_step``.
 ``sum u`` is re-centered every ``RECENTER_INTERVAL`` accepted steps for
 Calabi kinds to repair floating point drift.
 
 Cost of a trial step: a Calabi trial evaluates the full geometry (lengths,
-angles, curvatures, dual weights) once.  A Ricci trial evaluates the
-curvatures at the ``2 * _kernels.GUARD_PANELS`` Simpson nodes of its
-descent guard past the current point, the last of which is the trial
-point; they are batched into one kernel call on meshes of up to 512 faces
-(a few calls on larger meshes).
+angles, curvatures, dual weights) once.  A Ricci trial evaluates only the
+curvatures, once, at the trial point.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ class IntegratorOptions:
     decay rate of a converging run should track continuous time.  ``u_max``
     and ``max_step`` may be infinite.  The other settings are constants:
     ``RECENTER_INTERVAL``, ``SAMPLE_TARGET`` and ``_kernels.MAX_HALVINGS``,
-    ``GROWTH_FACTOR``, ``GROWTH_INTERVAL`` and ``GUARD_PANELS``.
+    ``GROWTH_FACTOR`` and ``GROWTH_INTERVAL``.
     """
 
     initial_step: float = 1e-2

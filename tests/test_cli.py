@@ -3,6 +3,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -260,6 +263,48 @@ def test_input_errors_exit_1(capsys, tmp_path, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+# (command, flags another command reads); "CONFIG" puts them in a config file
+FOREIGN_FLAGS = [
+    ("validate", "--kind", "warp"),
+    ("validate", "--max-steps", "3"),
+    ("curvature", "--target", "1.0"),
+    ("curvature", "--rays", "3"),
+    ("flow", "--route", "dual"),
+    ("flow", "--force"),
+    ("check", "--radii", "1.0"),
+    ("check", "--compare-ricci"),
+    ("potential-probe", "--tol", "1e-3"),
+    ("potential-probe", "--starts", "2"),
+    ("check", "CONFIG", "tol = 1e-3"),
+]
+
+
+@pytest.mark.parametrize("argv", FOREIGN_FLAGS, ids=" ".join)
+def test_command_rejects_foreign_flags(capsys, tmp_path, argv):
+    # a flag the command does not read is an input error, not a no-op
+    command, *extra = argv
+    if extra[0] == "CONFIG":
+        cfg = tmp_path / "foreign.cfg"
+        cfg.write_text(extra[1] + "\n")
+        extra = ["--config", str(cfg)]
+    code, out, err = run(capsys, command, "--mesh", "tetrahedron", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_overflowing_trials_print_no_warning():
+    # trial radii past the float range are rejected without a numpy warning
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "calabiflow", "flow", "--mesh", "tetrahedron",
+         "--u-max", "inf", "--initial-step", "1e6"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["status"] == "converged"
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("flow", "-h")])

@@ -288,6 +288,16 @@ def test_step_limit_status():
     assert tr.accepted_steps == 5
 
 
+def test_overflowing_trials_are_rejected_quietly():
+    # trial radii past the float range are rejected by their error code;
+    # numpy's overflow warning would fail the test
+    t = mesh("tetrahedron")
+    rng = np.random.default_rng(0)
+    opts = cf.IntegratorOptions(u_max=np.inf, initial_step=1e6)
+    tr = cf.integrate(cf.FlowKind.calabi(), t, zero_weight(t), random_metric(rng, t), opts)
+    assert tr.status == "converged"
+
+
 def test_recenter_repairs_drift(monkeypatch):
     # Force frequent re-centering and check sum u stays pinned.
     monkeypatch.setattr(flows, "RECENTER_INTERVAL", 10)

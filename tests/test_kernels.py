@@ -1,6 +1,6 @@
 """numpy kernels: error codes, the energy-noise bound, the batch axis of
-the curvature kernel, the work and memory of the Simpson segment, and the
-result layouts that callers index into."""
+the curvature kernel, the work and memory of the Simpson segment, the
+Ricci descent guard, and the result layouts that callers index into."""
 
 import functools
 import math
@@ -11,6 +11,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow import _kernels
+from calabiflow.flows import SAMPLE_TARGET
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.meshes import subdivide
 from _util import MESH_NAMES, mesh, random_metric, random_weight
@@ -158,8 +159,8 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, panels, rows):
 
 @pytest.mark.parametrize("rows", [None, 3])
 def test_ricci_trial_geometry_calls(monkeypatch, rows):
-    # one accepted Ricci step, no halving: the descent guard's nodes 1..2P
-    # (the last is the trial itself) take one curvature call per block
+    # one accepted Ricci step, no halving: the convexity guard reads the
+    # curvatures at the trial point, one curvature call whatever the block
     t = _mesh("octahedron")
     rng = np.random.default_rng(56)
     args = _mesh_arrays(t, random_weight(rng, t))
@@ -179,7 +180,33 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
         cf.IntegratorOptions(), K, B, kn, energy,
     )
     assert res[1] == 1 and res[4] == 1e-2  # accepted at full size
-    assert len(calls) == (1 if rows is None else math.ceil(8 / rows))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind", ["ricci_normalized", "ricci_prescribed"])
+@pytest.mark.parametrize("name", MESH_NAMES + ("oct18", "oct66"))
+def test_ricci_steps_lower_the_potential(name, kind):
+    # the quadrature as an oracle for the convexity guard: the Ricci
+    # potential does not rise between consecutive accepted states
+    t = _mesh(name)
+    for seed in range(3):
+        rng = np.random.default_rng(64 + seed)
+        w = random_weight(rng, t)
+        if kind == "ricci_normalized":
+            flow = cf.FlowKind.ricci_normalized()
+        else:
+            # the curvature of a metric is a realizable target
+            k = cf.compute_geometry(t, w, random_metric(rng, t)).curvatures
+            flow = cf.FlowKind.ricci_prescribed(k)
+        trace = cf.integrate(flow, t, w, random_metric(rng, t))
+        # below 2 * SAMPLE_TARGET steps every accepted state is a sample
+        assert trace.status == "converged"
+        assert trace.accepted_steps < 2 * SAMPLE_TARGET
+        args = _mesh_arrays(t, w)
+        us = [s.u for s in trace.samples]
+        for ua, ub in zip(us, us[1:]):
+            df, err = _kernels.segment_potential(ua, ub - ua, trace.target, 4, *args)
+            assert err == _kernels.ERR_OK and df <= 0.0
 
 
 def test_segment_potential_memory_bounded():
