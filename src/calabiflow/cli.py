@@ -48,6 +48,8 @@ EXIT_INTERNAL = 3
 
 TRACE_HEADER = "t,step,energy,max_curv_dev,lambda1,prod_r"
 
+ROUTES = ("analytic", "dual")
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -432,7 +434,7 @@ _FLAGS = {
     "--kind": dict(help=f"flow kind: one of {', '.join(KIND_NAMES)}"),
     "--target": dict(help="target curvature: 'kav', scalar, list, or file"),
     "--dump-laplacian": dict(action="store_true", help="write L as 'i j value' lines"),
-    "--route": dict(default="analytic", choices=["analytic", "dual"]),
+    "--route": dict(choices=ROUTES, help="Laplacian route (default analytic)"),
     "--compare-ricci": dict(
         action="store_true",
         help="also integrate the matching Ricci flow and emit its trace",
@@ -444,7 +446,9 @@ _FLAGS = {
     ),
     "--max-step": dict(type=float, help="step regrowth cap"),
     "--u-max": dict(type=float, help="divergence guard on |u - u(0)|"),
-    "--force": dict(action="store_true", help="skip the N > 24 size guard"),
+    "--force": dict(
+        action="store_true", help="above 24 vertices, scan what the solve cannot decide"
+    ),
     "--dump-subsets": dict(action="store_true", help="write per-subset LHS/RHS CSV"),
     "--rays": dict(type=int, help="number of probe directions (default 8)"),
     "--probe-radii": dict(help="comma list of ray radii (default 1,2,4,8)"),
@@ -506,10 +510,18 @@ def build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "seed": 0,
     "kind": "calabi",
+    "route": "analytic",
     "starts": 1,
     "rays": 8,
     "probe_radii": "1,2,4,8",
 }
+
+
+def _route(value: str) -> str:
+    if value not in ROUTES:
+        raise ValueError(value)
+    return value
+
 
 _CONFIG_PARSERS = {
     "seed": int,
@@ -520,6 +532,7 @@ _CONFIG_PARSERS = {
     "initial_step": float,
     "max_step": float,
     "u_max": float,
+    "route": _route,
     "dump_laplacian": lambda v: v.lower() in ("1", "true", "yes"),
     "dump_subsets": lambda v: v.lower() in ("1", "true", "yes"),
     "compare_ricci": lambda v: v.lower() in ("1", "true", "yes"),
@@ -528,8 +541,12 @@ _CONFIG_PARSERS = {
 
 
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from defaults."""
-    if getattr(args, "config", None):
+    """Fill unset options from the config file, then from defaults.
+
+    A config key must be one of the flags the command reads.
+    """
+    if args.config:
+        readable = {n[2:].replace("-", "_") for n in COMMANDS[args.command][2].split()}
         for lineno, raw, line in _data_lines(args.config):
             if "=" not in line:
                 raise DomainError(
@@ -538,7 +555,7 @@ def _apply_config(args: argparse.Namespace) -> None:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if not hasattr(args, key):
+            if key not in readable:
                 raise DomainError(f"{args.config}:{lineno}: unknown key {key!r}")
             current = getattr(args, key)
             if current is None or current is False:

@@ -7,11 +7,31 @@ subset ``I``, satisfies the strict inequality
     sum_{i in I} target_i > -sum_{(e,v) in Lk(I)} (pi - Phi(e)) + 2 pi chi(F_I)
 
 where ``F_I`` is the subcomplex spanned by ``I`` and ``Lk(I)`` its link.
-The check is an exhaustive scan over all ``2^N - 2`` subsets in
-(size, lexicographic) order with early exit, so a reported violator is
-minimal in that order.  Borderline subsets (strict inequality holds but
-by no more than the tolerance) are conservatively reported as violations
-and flagged, since the admissible set is open.
+
+A check first runs a damped Newton solve of ``K(u) = target``: the Ricci
+potential is convex with Hessian ``L`` (Chow-Luo, J. Diff. Geom. 2003),
+so the solve runs toward a realizing metric when one exists and off to
+infinity when none does.  The line search only steers the solve; the
+verdict comes from one of two certificates, checked at every iterate:
+
+- *admissible*: on a connected surface the face angle sums give, for every
+  proper subset, ``slack(I; K(u)) = sum over faces with two vertices in I
+  of the outer angle + sum over faces with one vertex in I of
+  (pi - Phi_opp - inner angle)``, so ``slack(I; target) >= g(u) -
+  ||K(u) - target||_1`` with ``g(u)`` the smallest such corner term.  The
+  bound must beat the tolerance plus a rounding allowance that covers the
+  per-face angle-sum error.
+- *inadmissible* (meshes above ``SIZE_GUARD`` only): the inequality fails
+  on some prefix of the vertices sorted by ``u``; all ``N - 1`` prefixes
+  are evaluated at once from cumulative sums.
+
+A target the solve cannot decide falls back to an exhaustive scan over all
+``2^N - 2`` subsets in (size, lexicographic) order with early exit, so a
+reported violator is minimal in that order; the scan is refused above
+``SIZE_GUARD`` vertices unless forced.  On meshes within the guard every
+inadmissible target is reported by the scan.  Borderline subsets (strict
+inequality holds but by no more than the tolerance) are conservatively
+reported as violations and flagged, since the admissible set is open.
 """
 
 from __future__ import annotations
@@ -22,10 +42,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse.linalg as sparse_linalg
 
 from . import _kernels
 from .errors import DomainError, EnumerationSizeError
-from .geometry import Weight
+from .geometry import Weight, _mesh_arrays
+from .laplacian import DualLaplacian
 from .mesh import (
     Triangulation,
     VertexSubset,
@@ -48,10 +70,23 @@ SIZE_GUARD = 24
 VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
+# The Newton solve stops, undecided, after NEWTON_STEPS steps or when
+# NEWTON_HALVINGS halvings of a step do not lower |K - target|.
+NEWTON_STEPS = 50
+NEWTON_HALVINGS = 30
+# rounding allowance of the admissible certificate, on top of the measured
+# per-face angle-sum error: it covers the rounding of the curvature and
+# norm sums, a few ulps per vertex (below 1e-9 up to about 1e5 vertices)
+CERTIFICATE_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    """Outcome of the exhaustive subset scan."""
+    """Outcome of an admissibility check.
+
+    ``subsets_checked`` counts the subsets the fallback scan evaluated; it
+    is 0 when the Newton solve decided the verdict.
+    """
 
     verdict: str  # admissible | inadmissible | gauss_bonnet_violation
     subset: Optional[tuple[int, ...]]
@@ -107,26 +142,143 @@ def _explicit_target(t: Triangulation, target) -> np.ndarray:
     return resolve_target(t, target)
 
 
+def _connected(t: Triangulation) -> bool:
+    """True iff the edge graph of ``t`` is connected: each vertex takes the
+    smallest label among its neighbours, with pointer jumping, until no
+    label changes."""
+    ea, eb = t.edges[:, 0], t.edges[:, 1]
+    labels = np.arange(t.n_vertices)
+    while True:
+        low = np.minimum(labels[ea], labels[eb])
+        new = labels.copy()
+        np.minimum.at(new, ea, low)
+        np.minimum.at(new, eb, low)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return not labels.any()
+        labels = new
+
+
+def _slack_bound(ang, pmp_f, dev) -> float:
+    """``g(u) - ||K(u) - target||_1``, a lower bound on the slack of every
+    nonempty proper subset on a connected surface.
+
+    ``ang`` are the corner angles (F, 3), ``pmp_f`` the ``pi - Phi`` of the
+    edge opposite each corner and ``dev = K(u) - target``; ``g(u)`` is the
+    smallest of ``theta`` and ``pi - Phi_opp - theta`` over all corners.
+    """
+    g = min(float(ang.min()), float((pmp_f - ang).min()))
+    return g - float(np.abs(dev).sum())
+
+
+def _prefix_violation(t: Triangulation, pmp, target, u):
+    """The first prefix of the vertices sorted by ``u`` that violates its
+    inequality, as ``(members, lhs, rhs)``, or None.
+
+    All ``N - 1`` prefixes are evaluated at once: a prefix of size ``k``
+    holds the vertices of rank below ``k``, so it spans an edge or face
+    whose largest rank is below ``k``, and a face with sorted ranks
+    ``r0 < r1 < r2`` is in its link for ``k`` in ``(r0, r1]``.
+    """
+    n = t.n_vertices
+    order = np.argsort(u, kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    lhs = np.cumsum(target[order])[:-1]
+    e_in = np.cumsum(np.bincount(rank[t.edges].max(axis=1), minlength=n))[:-1]
+    fr = rank[t.faces]
+    f_in = np.cumsum(np.bincount(fr.max(axis=1), minlength=n))[:-1]
+    link = pmp[t.face_edges[np.arange(t.n_faces), fr.argmin(axis=1)]]
+    r0, r1 = np.sort(fr, axis=1)[:, :2].T
+    diff = np.bincount(r0 + 1, link, minlength=n + 1) - np.bincount(
+        r1 + 1, link, minlength=n + 1
+    )
+    lk = np.cumsum(diff)[1:n]
+    sizes = np.arange(1, n)
+    rhs = -lk + 2.0 * math.pi * (sizes - e_in + f_in)
+    hits = np.flatnonzero(lhs <= rhs + VIOLATION_TOL)
+    if not hits.size:
+        return None
+    k = int(hits[0])
+    members = tuple(sorted(int(v) for v in order[: k + 1]))
+    return members, float(lhs[k]), float(rhs[k])
+
+
+def _newton_verdict(t: Triangulation, w: Weight, target):
+    """Decide admissibility by a damped Newton solve of ``K(u) = target``.
+
+    Each step solves ``L delta = -(K - target)`` and halves ``delta`` until
+    ``||K - target||_2`` falls.  Returns ``("admissible", None)`` or
+    ``("inadmissible", (members, lhs, rhs))`` once a certificate (see the
+    module docstring) holds at an iterate, and None when the solve stops
+    undecided.  Within ``SIZE_GUARD`` a violated prefix ends the solve
+    undecided, since the scan reports the canonical violator there.
+    Only valid on a connected surface.
+    """
+    n = t.n_vertices
+    mesh = _mesh_arrays(t, w)
+    pmp = math.pi - w.phi
+    pmp_f = pmp[t.face_edges]
+    u = np.zeros(n)
+    _, ang, _, K, B, _, err = _kernels.state(np.ones(n), *mesh)
+    if err != _kernels.ERR_OK:
+        return None
+    for step in range(NEWTON_STEPS + 1):
+        dev = K - target
+        # the bound holds for corner values whose face sums are exactly pi;
+        # moving each face's computed angles by a third of its sum's error
+        # changes g and |K - target|_1 by at most the summed error
+        allowance = float(np.abs(ang.sum(axis=1) - math.pi).sum()) + CERTIFICATE_SLACK
+        if _slack_bound(ang, pmp_f, dev) > VIOLATION_TOL + allowance:
+            return "admissible", None
+        found = _prefix_violation(t, pmp, target, u)
+        if found is not None:
+            return ("inadmissible", found) if n > SIZE_GUARD else None
+        if step == NEWTON_STEPS:
+            return None
+        lap = DualLaplacian(n, t.edges, B)
+        if lap.is_dense:
+            delta = np.linalg.solve(lap.matrix + 1.0 / n, -dev)
+        else:
+            # vertex 0 pinned: L is singular only along the constants
+            delta = np.zeros(n)
+            delta[1:] = sparse_linalg.spsolve(lap.matrix[1:, 1:].tocsc(), -dev[1:])
+        norm = float(np.linalg.norm(dev))
+        for _ in range(NEWTON_HALVINGS):
+            # radii that overflow are reported by the error code
+            with np.errstate(all="ignore"):
+                r = np.exp(u + delta)
+            _, ang_t, _, K_t, B_t, _, err = _kernels.state(r, *mesh)
+            if err == _kernels.ERR_OK and float(np.linalg.norm(K_t - target)) < norm:
+                u = u + delta
+                ang, K, B = ang_t, K_t, B_t
+                break
+            delta = 0.5 * delta
+        else:
+            return None
+
+
 def check_admissible(
     t: Triangulation,
     w: Weight,
     target,
     force: bool = False,
 ) -> AdmissibilityReport:
-    """Scan every nonempty proper vertex subset for a violated inequality.
+    """Decide whether ``target`` is realizable, with a certificate.
 
-    Refuses meshes with more than 24 vertices (an exponential enumeration
-    of over 1.6e7 subsets) unless ``force`` is true.
+    A target off the Gauss-Bonnet hyperplane is reported as such.  Then,
+    on a connected surface, a Newton solve tries to certify the verdict
+    (see the module docstring); a certified verdict reports
+    ``subsets_checked = 0``.  A target the solve leaves undecided, and
+    every inadmissible target within ``SIZE_GUARD`` vertices, goes to the
+    exhaustive subset scan, whose violator is minimal in (size,
+    lexicographic) order.  Above 24 vertices (an enumeration of over
+    1.6e7 subsets) an undecided target raises ``EnumerationSizeError``
+    unless ``force`` is true.
     """
     tgt = _explicit_target(t, target)
     if w.phi.shape[0] != t.n_edges:
         raise DomainError("weight does not match the mesh")
-    if t.n_vertices > SIZE_GUARD and not force:
-        raise EnumerationSizeError(
-            f"admissibility scan over {t.n_vertices} vertices means checking "
-            f"2^{t.n_vertices} - 2 subsets (exponential enumeration); pass "
-            "force=True to run it anyway"
-        )
     start = time.perf_counter()
     if not check_gauss_bonnet(tgt, t.chi):
         return AdmissibilityReport(
@@ -137,6 +289,25 @@ def check_admissible(
             borderline=False,
             subsets_checked=0,
             elapsed_s=time.perf_counter() - start,
+        )
+    solved = _newton_verdict(t, w, tgt) if _connected(t) else None
+    if solved is not None:
+        verdict, certificate = solved
+        members, lhs, rhs = certificate or (None, None, None)
+        return AdmissibilityReport(
+            verdict=verdict,
+            subset=members,
+            lhs=lhs,
+            rhs=rhs,
+            borderline=lhs is not None and lhs > rhs,
+            subsets_checked=0,
+            elapsed_s=time.perf_counter() - start,
+        )
+    if t.n_vertices > SIZE_GUARD and not force:
+        raise EnumerationSizeError(
+            f"the Newton solve left admissibility over {t.n_vertices} vertices "
+            f"undecided, and the fallback scan checks 2^{t.n_vertices} - 2 "
+            "subsets (exponential enumeration); pass force=True to run it anyway"
         )
     pmp = math.pi - w.phi
     found, members, lhs, rhs, checked = _kernels.scan_subsets(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import cli
+from calabiflow import cli, thurston
 from calabiflow.cli import main
 from calabiflow.meshes import subdivide
 from _util import mesh, zero_weight
@@ -170,7 +170,7 @@ def test_check_exit_codes_and_dump(capsys, tmp_path, bad_target_file):
     assert code == 0
     doc = json.loads(out)
     assert doc["verdict"] == "admissible"
-    assert doc["subsets_checked"] == 14
+    assert doc["subsets_checked"] == 0  # the Newton solve decided
 
     code2, out2, _ = run(
         capsys, "check", "--mesh", "tetrahedron", "--target", bad_target_file
@@ -236,6 +236,16 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert doc2["seed"] == 11
 
 
+def test_config_route_sets_the_laplacian_route(capsys, tmp_path):
+    cfg = tmp_path / "route.cfg"
+    cfg.write_text("route = dual\n")
+    argv = ("curvature", "--mesh", "octahedron", "--dump-laplacian")
+    via_config = run(capsys, *argv, "--config", str(cfg))
+    via_flag = run(capsys, *argv, "--route", "dual")
+    assert via_config == via_flag and via_config[0] == 0
+    assert via_config[1] != run(capsys, *argv)[1]  # the analytic route's bytes
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -278,6 +288,7 @@ FOREIGN_FLAGS = [
     ("potential-probe", "--tol", "1e-3"),
     ("potential-probe", "--starts", "2"),
     ("check", "CONFIG", "tol = 1e-3"),
+    ("validate", "CONFIG", "command = flow"),
 ]
 
 
@@ -315,24 +326,26 @@ def test_help_exits_0(capsys, argv):
     assert "usage:" in capsys.readouterr().out
 
 
-def test_size_guard_exit_1(capsys):
-    # 66 vertices exceed the subset enumeration guard
-    code, _, err = run(capsys, "check", "--mesh", "icosahedron")
-    assert code == 0  # 12 vertices is fine
+def test_size_guard_exit_1(capsys, tmp_path, monkeypatch):
+    # 66 vertices exceed the subset enumeration guard, which only an
+    # undecided Newton solve meets
     big = subdivide(subdivide(mesh("octahedron")))
-    lines = [f"{big.n_vertices} {big.n_faces}"]
-    lines += [f"{a} {b} {c}" for a, b, c in big.faces]
-    import tempfile, os
-
-    with tempfile.NamedTemporaryFile("w", suffix=".mesh", delete=False) as fh:
-        fh.write("\n".join(lines) + "\n")
-        path = fh.name
-    try:
-        code2, _, err2 = run(capsys, "check", "--mesh", path)
-        assert code2 == 1
-        assert "error:" in err2
-    finally:
-        os.unlink(path)
+    path = tmp_path / "big.mesh"
+    path.write_text(
+        f"{big.n_vertices} {big.n_faces}\n"
+        + "".join(f"{a} {b} {c}\n" for a, b, c in big.faces)
+    )
+    code, out, _ = run(capsys, "check", "--mesh", str(path))
+    assert code == 0
+    assert json.loads(out)["subsets_checked"] == 0
+    monkeypatch.setattr(thurston, "_newton_verdict", lambda t, w, target: None)
+    code2, out2, err2 = run(capsys, "check", "--mesh", str(path))
+    assert code2 == 1 and out2 == ""
+    assert "error:" in err2
+    # 12 vertices is within the guard: the scan decides
+    code3, out3, _ = run(capsys, "check", "--mesh", "icosahedron")
+    assert code3 == 0
+    assert json.loads(out3)["subsets_checked"] == 2**12 - 2
 
 
 def _phi_file(tmp_path, rows):

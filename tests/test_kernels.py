@@ -255,4 +255,14 @@ def test_scan_subsets_result_layout():
     )
     assert res[0] is False
     assert res[4] == 2**t.n_vertices - 2
-    assert res[4] == cf.check_admissible(t, w, target).subsets_checked
+    # check_admissible reports that count when the scan decides: a violated
+    # target within the size guard
+    bad = target.copy()
+    bad[0] -= 8.0
+    bad[1:] += 8.0 / (t.n_vertices - 1)
+    res = _kernels.scan_subsets(
+        t.n_vertices, bad, t.edges[:, 0], t.edges[:, 1], t.faces,
+        t.face_edges, math.pi - w.phi, 1e-12,
+    )
+    assert res[0] is True and res[1] == [0]
+    assert res[4] == cf.check_admissible(t, w, bad).subsets_checked

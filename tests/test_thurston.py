@@ -7,9 +7,16 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow.thurston import SIZE_GUARD, enumerate_rows, subset_inequality
+from calabiflow import _kernels, thurston
+from calabiflow.geometry import _mesh_arrays
+from calabiflow.thurston import (
+    SIZE_GUARD,
+    VIOLATION_TOL,
+    enumerate_rows,
+    subset_inequality,
+)
 from calabiflow.meshes import subdivide
-from _util import gb_target, mesh, random_weight, zero_weight
+from _util import gb_target, mesh, random_metric, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
 TOL = 1e-12
@@ -44,6 +51,34 @@ def _oracle_scan(t, w, target):
             if lhs <= rhs + TOL:
                 return comb, lhs, rhs
     return None
+
+
+def _scan(t, w, target):
+    """``_kernels.scan_subsets`` as ``check_admissible`` calls it."""
+    return _kernels.scan_subsets(
+        t.n_vertices, target, t.edges[:, 0], t.edges[:, 1], t.faces,
+        t.face_edges, math.pi - w.phi, VIOLATION_TOL,
+    )
+
+
+def _realizable_target(rng, t, w):
+    """The curvature of a random metric: admissible by construction."""
+    return cf.compute_geometry(t, w, random_metric(rng, t)).curvatures
+
+
+def _violating_target(rng, t, w, members=None):
+    """A Gauss-Bonnet target whose inequality fails by 0.5 on ``members``,
+    by default a random subset of 1 to 3 vertices."""
+    target = _realizable_target(rng, t, w)
+    if members is None:
+        members = rng.choice(t.n_vertices, int(rng.integers(1, 4)), replace=False)
+    lhs, rhs = subset_inequality(t, w, target, cf.VertexSubset.of(t, members))
+    inside = np.zeros(t.n_vertices, dtype=bool)
+    inside[members] = True
+    shift = lhs - rhs + 0.5
+    target[inside] -= shift / inside.sum()
+    target[~inside] += shift / (~inside).sum()
+    return target
 
 
 # the torus needs wider draws: its vertices have degree six, which pushes
@@ -100,9 +135,12 @@ def test_average_curvature_admissible_on_builtins(name):
     rep = cf.check_admissible(t, w, k_av)
     assert rep.verdict == "admissible"
     assert rep.admissible
-    assert rep.subsets_checked == 2**t.n_vertices - 2
+    assert rep.subsets_checked == 0  # the Newton solve decided
     assert cf.constant_curvature_exists(t, w)
     assert rep.elapsed_s >= 0.0
+    found, _, _, _, checked = _scan(t, w, k_av)
+    assert not found
+    assert checked == 2**t.n_vertices - 2
 
 
 def test_known_inadmissible_target():
@@ -150,23 +188,34 @@ def test_borderline_annotation():
     assert not rep2.borderline
 
 
-def test_size_guard_and_force():
+def test_size_guard_and_force(monkeypatch):
     big = subdivide(subdivide(mesh("octahedron")))
     assert big.n_vertices == 66 > SIZE_GUARD
     w = zero_weight(big)
     k_av = np.full(66, TWO_PI * 2 / 66)
-    with pytest.raises(cf.EnumerationSizeError):
-        cf.check_admissible(big, w, k_av)
-    # force works when an early violator cuts the enumeration short
+    rep = cf.check_admissible(big, w, k_av)
+    assert rep.verdict == "admissible" and rep.subsets_checked == 0
     tor = subdivide(mesh("torus"))
     assert tor.n_vertices == 28 > SIZE_GUARD
     wt = zero_weight(tor)
     bad = np.zeros(28)
     bad[0] = -4 * TWO_PI
     bad[1:] += (0.0 - bad.sum()) / 27.0
+    rep = cf.check_admissible(tor, wt, bad)
+    assert rep.verdict == "inadmissible" and rep.subsets_checked == 0
+    lhs, rhs = subset_inequality(tor, wt, bad, cf.VertexSubset.of(tor, rep.subset))
+    assert lhs <= rhs + VIOLATION_TOL
+    # an undecided solve meets the guard; force runs the scan, which an
+    # early violator cuts short
+    monkeypatch.setattr(thurston, "_newton_verdict", lambda t, w, target: None)
+    with pytest.raises(cf.EnumerationSizeError):
+        cf.check_admissible(big, w, k_av)
+    with pytest.raises(cf.EnumerationSizeError):
+        cf.check_admissible(tor, wt, bad)
     rep = cf.check_admissible(tor, wt, bad, force=True)
     assert rep.verdict == "inadmissible"
     assert rep.subset == (0,)
+    assert rep.subsets_checked == 1
 
 
 def test_input_validation():
@@ -193,3 +242,142 @@ def test_report_determinism_and_dict():
     d = r1.as_dict()
     assert "elapsed_s" not in d  # timing is not part of the comparable payload
     assert set(d) == {"verdict", "subset", "lhs", "rhs", "borderline", "subsets_checked"}
+
+
+@pytest.mark.parametrize(
+    "t",
+    [mesh(name) for name in ("tetrahedron", "octahedron", "icosahedron", "torus")]
+    + [subdivide(mesh("octahedron"))],
+    ids=lambda t: f"N={t.n_vertices}",
+)
+def test_solve_matches_scan_on_seeded_targets(t):
+    # a certified admissible verdict never contradicts the scan, and every
+    # other target within the guard gets the scan's report unchanged
+    rng = np.random.default_rng(50 + t.n_vertices)
+    spread = 6.0 if t.chi == 0 else 2.0
+    solved = 0
+    for k in range(18):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        make = (_realizable_target, _violating_target, None)[k % 3]
+        target = make(rng, t, w) if make else gb_target(rng, t, spread=spread)
+        rep = cf.check_admissible(t, w, target)
+        if make is _realizable_target:
+            assert rep.verdict == "admissible"
+        if rep.admissible:
+            assert rep.subsets_checked == 0
+            solved += 1
+            if t.n_vertices > 16:
+                continue  # a full 2^18 scan is too long for a unit test
+        found, members, lhs, rhs, checked = _scan(t, w, target)
+        assert rep.admissible == (not found)
+        if found:
+            assert rep.subset == tuple(members)
+            assert (rep.lhs, rep.rhs, rep.subsets_checked) == (lhs, rhs, checked)
+            assert rep.borderline == (lhs > rhs)
+    assert solved >= 6
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron", "torus"])
+def test_slack_bound_below_every_subset_slack(name):
+    # g(u) - |K(u) - target|_1 <= lhs - rhs for every subset, at targets
+    # near and far from K(u)
+    t = mesh(name)
+    rng = np.random.default_rng(60 + t.n_vertices)
+    for k in range(3):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        # lhs is linear in the target and rhs does not depend on it
+        zero = np.zeros(t.n_vertices)
+        rows = [(list(m), rhs) for m, _, rhs in enumerate_rows(t, w, zero)]
+        u = rng.uniform(-1.0, 1.0, t.n_vertices)
+        _, ang, _, K, _, _, err = _kernels.state(np.exp(u), *_mesh_arrays(t, w))
+        assert err == _kernels.ERR_OK
+        pmp_f = (math.pi - w.phi)[t.face_edges]
+        for eps in (0.0, 1e-3, 0.3):
+            noise = rng.normal(0.0, eps, t.n_vertices)
+            target = K + noise - noise.mean()
+            bound = thurston._slack_bound(ang, pmp_f, K - target)
+            slack = min(float(np.sum(target[m])) - rhs for m, rhs in rows)
+            assert bound <= slack + 1e-12
+        # at target = K(u), each subset's slack is the sum of its corner
+        # terms, and the bound is the smallest corner term
+        terms = [
+            [(float(ang[f, c]), float(pmp_f[f, c] - ang[f, c])) for c in range(3)]
+            for f in range(t.n_faces)
+        ]
+        g = min(min(pair) for face in terms for pair in face)
+        assert thurston._slack_bound(ang, pmp_f, 0.0 * K) == g > 0.0
+        for members, rhs in rows:
+            inside = set(members)
+            total = 0.0
+            for f, face in enumerate(terms):
+                ins = [c for c in range(3) if int(t.faces[f, c]) in inside]
+                if len(ins) == 1:
+                    total += face[ins[0]][1]  # pi - Phi_opp - theta_in
+                elif len(ins) == 2:
+                    total += face[3 - sum(ins)][0]  # theta_out
+            assert float(np.sum(K[members])) - rhs == pytest.approx(total, abs=1e-12)
+
+
+def test_prefix_violation_is_the_first_violated_prefix():
+    t = mesh("icosahedron")
+    rng = np.random.default_rng(70)
+    hits = 0
+    for k in range(12):
+        w = random_weight(rng, t)
+        u = rng.normal(0.0, 1.0, t.n_vertices)
+        order = np.argsort(u, kind="stable")
+        if k % 2:
+            target = _violating_target(rng, t, w, order[: 1 + k % 5])
+        else:
+            target = _realizable_target(rng, t, w)
+        expected = None
+        for size in range(1, t.n_vertices):
+            members = tuple(sorted(int(v) for v in order[:size]))
+            lhs, rhs = subset_inequality(t, w, target, cf.VertexSubset.of(t, members))
+            if lhs <= rhs + VIOLATION_TOL:
+                expected = members, lhs, rhs
+                break
+        got = thurston._prefix_violation(t, math.pi - w.phi, target, u)
+        if expected is None:
+            assert got is None
+        else:
+            hits += 1
+            assert got[0] == expected[0]
+            assert got[1:] == pytest.approx(expected[1:], abs=1e-12)
+    assert hits == 6
+
+
+def test_disconnected_mesh_keeps_scan_verdict():
+    # on two disjoint tetrahedra the slack bound does not hold: no face
+    # has one or two vertices in one tetrahedron's vertex set, so its slack
+    # has no corner terms, and K = pi everywhere meets its inequality with
+    # equality
+    faces = [tuple(f) for f in cf.meshes.TETRAHEDRON]
+    t = cf.Triangulation(8, faces + [tuple(v + 4 for v in f) for f in faces])
+    assert not thurston._connected(t)
+    assert thurston._connected(mesh("torus"))
+    w = zero_weight(t)
+    target = np.full(8, math.pi)
+    assert thurston._newton_verdict(t, w, target) == ("admissible", None)
+    rep = cf.check_admissible(t, w, target)
+    assert rep.verdict == "inadmissible"
+    assert rep.subset == (0, 1, 2, 3)
+    assert rep.subsets_checked == _scan(t, w, target)[4]
+
+
+def test_solve_decides_n66_without_force():
+    t = subdivide(subdivide(mesh("octahedron")))
+    rng = np.random.default_rng(80)
+    for k in range(8):
+        w = random_weight(rng, t)
+        make = _violating_target if k % 2 else _realizable_target
+        target = make(rng, t, w)
+        rep = cf.check_admissible(t, w, target)
+        assert rep.subsets_checked == 0
+        if make is _realizable_target:
+            assert rep.verdict == "admissible"
+            continue
+        assert rep.verdict == "inadmissible"
+        lhs, rhs = subset_inequality(t, w, target, cf.VertexSubset.of(t, rep.subset))
+        assert lhs <= rhs + VIOLATION_TOL
+        assert (rep.lhs, rep.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
