@@ -8,9 +8,9 @@ when a target curvature is attainable (Thurston's condition), and finds
 the realizing metric by integrating the combinatorial Calabi flow or the
 combinatorial Ricci flow.
 
-The hot loops (geometry evaluation, the guarded flow step, the Simpson
-segment of the Ricci potential and the admissibility scan) are vectorized
-numpy kernels; :func:`active_backend` names that backend, ``"numpy"``.
+The hot loops (geometry evaluation, the guarded flow step, the
+Gauss-Legendre segment of the Ricci potential and the admissibility scan)
+are vectorized numpy kernels; :func:`active_backend` names that backend, ``"numpy"``.
 """
 
 from ._kernels import active_backend

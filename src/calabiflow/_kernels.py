@@ -18,8 +18,8 @@ Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
 on one mesh, and returns curvatures of shape (m, n).  Each row is computed
 by the same elementwise operations, in the same accumulation order, as a
 call on that row alone, so every row equals the one-metric result bit for
-bit.  :func:`segment_potential` evaluates its Simpson nodes this way, in
-row blocks (see ``BLOCK_FACES``).
+bit.  :func:`segment_potential` evaluates its Gauss-Legendre nodes this
+way, in row blocks (see ``BLOCK_FACES``).
 
 Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
@@ -33,6 +33,7 @@ a failing row does not change the values of the other rows.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,12 +56,12 @@ ADV_CONVERGED = 1
 ADV_DIVERGED = 2
 ADV_STEP_COLLAPSE = 3
 
-# Simpson nodes are evaluated in row blocks of at most BLOCK_FACES // F
+# Quadrature nodes are evaluated in row blocks of at most BLOCK_FACES // F
 # metrics per curvature call (F faces).  A block saves the per-call overhead
 # that dominates on small meshes.  Past about 2**12 faces per block the
 # time per node rose again on subdivided octahedra (N = 6 ... 1026), as a
 # block's temporaries outgrow the caches; the bound also keeps a block's
-# memory a few hundred kB at any panel count.
+# memory a few hundred kB at any quadrature order.
 BLOCK_FACES = 2**12
 
 # margin (in log-radius units) past the divergence guard inside which trial
@@ -238,36 +239,39 @@ def _energy_noise(K, kn, target, energy):
     return float(np.sum((2.0 * w + kn) * kn)) + 32.0 * EPS * energy
 
 
-def _segment_potential(u0, du, target, panels, fv, fe, ea, eb, cphi):
-    """Composite Simpson quadrature of the curvature one-form on a segment.
+@functools.lru_cache(maxsize=32)
+def _gauss_legendre(order):
+    """Nodes and weights of ``order``-point Gauss-Legendre on [0, 1], cached
+    because ``leggauss`` solves an eigenproblem."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
-    Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with
-    ``panels`` Simpson panels (2*panels + 1 nodes).  The nodes are
-    evaluated in row blocks of at most ``max(1, BLOCK_FACES // F)``
-    metrics, one curvature call per block, and the weighted terms are
-    summed in node order.  Returns ``(value, err)``; on a failed evaluation
-    the value is NaN and ``err`` the code of the first failing node.
+
+def _segment_potential(u0, du, target, order, fv, fe, ea, eb, cphi):
+    """Gauss-Legendre quadrature of the curvature one-form on a segment.
+
+    Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with the
+    ``order``-point rule.  The nodes are evaluated in row blocks of at most
+    ``max(1, BLOCK_FACES // F)`` metrics, one curvature call per block, and
+    the weighted terms are summed in node order.  Returns ``(value, err)``;
+    on a failed evaluation the value is NaN and ``err`` the code of the
+    first failing node.
     """
-    m2 = 2 * panels
+    nodes, weights = _gauss_legendre(order)
     rows = max(1, BLOCK_FACES // fv.shape[0])
     total = 0.0
-    for k in range(0, m2 + 1, rows):
-        s = np.arange(k, min(k + rows, m2 + 1)) / m2
+    for k in range(0, order, rows):
         # radii that overflow to inf are reported by the error code
         with np.errstate(all="ignore"):
-            r = np.exp(u0 + s[:, None] * du)
+            r = np.exp(u0 + nodes[k : k + rows, None] * du)
         Kb, err = _curvatures(r, fv, fe, ea, eb, cphi)
         if err != ERR_OK:
             return math.nan, err
-        for j, d in enumerate(Kb - target, k):
-            if j == 0 or j == m2:
-                w = 1.0
-            elif j % 2 == 1:
-                w = 4.0
-            else:
-                w = 2.0
-            total += w * float(np.dot(d, du))
-    return total / (3.0 * m2), ERR_OK
+        for wj, d in zip(weights[k : k + rows], Kb - target):
+            total += float(wj) * float(np.dot(d, du))
+    return total, ERR_OK
 
 
 def advance(

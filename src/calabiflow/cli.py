@@ -6,8 +6,8 @@ config file (``--config``); flags win.  All floating point output is
 printed with 17 significant digits so identical runs produce
 byte-identical CSV/JSON, and the RNG seed is recorded in every output.
 
-Exit codes: 0 converged/valid, 1 input error, 2 diverged/inadmissible,
-3 internal invariant violation.
+Exit codes: 0 converged/valid, 1 input error, 2 diverged/inadmissible (or
+no constant-curvature metric), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .errors import (
     EnumerationSizeError,
     InternalConsistencyError,
     MeshError,
+    NoConstantCurvatureMetric,
     QuadratureError,
     StepCollapseError,
 )
@@ -594,6 +595,9 @@ def main(argv=None) -> int:
     except (MeshError, DomainError, EnumerationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except NoConstantCurvatureMetric as exc:
+        print(f"no constant-curvature metric: {exc}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except (InternalConsistencyError, StepCollapseError, QuadratureError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

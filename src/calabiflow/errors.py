@@ -38,7 +38,8 @@ class QuadratureError(RuntimeError):
 
 
 class NoConstantCurvatureMetric(RuntimeError):
-    """Raised when the constant-curvature metric does not exist (flow diverged)."""
+    """Raised when the Newton solve for the constant-curvature metric ends
+    without reaching it (as it does when no such metric exists)."""
 
 
 class EnumerationSizeError(ValueError):

@@ -8,11 +8,13 @@ subset ``I``, satisfies the strict inequality
 
 where ``F_I`` is the subcomplex spanned by ``I`` and ``Lk(I)`` its link.
 
-A check first runs a damped Newton solve of ``K(u) = target``: the Ricci
-potential is convex with Hessian ``L`` (Chow-Luo, J. Diff. Geom. 2003),
-so the solve runs toward a realizing metric when one exists and off to
-infinity when none does.  The line search only steers the solve; the
-verdict comes from one of two certificates, checked at every iterate:
+A check first runs a damped Newton solve of ``K(u) = target``
+(:func:`_newton`, which also finds the constant-curvature metric in
+``potential``): the Ricci potential is convex with Hessian ``L``
+(Chow-Luo, J. Diff. Geom. 2003), so the solve runs toward a realizing
+metric when one exists and off to infinity when none does.  The line
+search only steers the solve; the verdict comes from one of two
+certificates, checked at every iterate:
 
 - *admissible*: on a connected surface the face angle sums give, for every
   proper subset, ``slack(I; K(u)) = sum over faces with two vertices in I
@@ -70,8 +72,8 @@ SIZE_GUARD = 24
 VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
-# The Newton solve stops, undecided, after NEWTON_STEPS steps or when
-# NEWTON_HALVINGS halvings of a step do not lower |K - target|.
+# The Newton solve stops after NEWTON_STEPS steps or when NEWTON_HALVINGS
+# halvings of a step do not lower |K - target|.
 NEWTON_STEPS = 50
 NEWTON_HALVINGS = 30
 # rounding allowance of the admissible certificate, on top of the measured
@@ -204,26 +206,64 @@ def _prefix_violation(t: Triangulation, pmp, target, u):
     return members, float(lhs[k]), float(rhs[k])
 
 
-def _newton_verdict(t: Triangulation, w: Weight, target):
-    """Decide admissibility by a damped Newton solve of ``K(u) = target``.
+def _newton(t: Triangulation, w: Weight, target, u):
+    """Damped Newton iterates of ``K(u) = target``, starting from ``u``.
 
-    Each step solves ``L delta = -(K - target)`` and halves ``delta`` until
-    ``||K - target||_2`` falls.  Returns ``("admissible", None)`` or
-    ``("inadmissible", (members, lhs, rhs))`` once a certificate (see the
-    module docstring) holds at an iterate, and None when the solve stops
-    undecided.  Within ``SIZE_GUARD`` a violated prefix ends the solve
-    undecided, since the scan reports the canonical violator there.
-    Only valid on a connected surface.
+    Yields ``(u, ang, K, kn)`` at the start and after each step: the
+    log radii, corner angles, curvatures and curvature noise bounds.  Each
+    step solves ``L delta = -(K - target)`` and halves ``delta`` until
+    ``||K - target||_2`` falls.  The iteration ends after ``NEWTON_STEPS``
+    steps, when ``NEWTON_HALVINGS`` halvings of a step do not lower the
+    norm, or at once when the geometry at ``u`` does not evaluate.  Only
+    valid on a connected surface.
     """
     n = t.n_vertices
     mesh = _mesh_arrays(t, w)
+    # radii that overflow are reported by the error code
+    with np.errstate(all="ignore"):
+        r = np.exp(u)
+    _, ang, _, K, B, kn, err = _kernels.state(r, *mesh)
+    if err != _kernels.ERR_OK:
+        return
+    for _ in range(NEWTON_STEPS):
+        yield u, ang, K, kn
+        dev = K - target
+        lap = DualLaplacian(n, t.edges, B)
+        if lap.is_dense:
+            delta = np.linalg.solve(lap.matrix + 1.0 / n, -dev)
+        else:
+            # vertex 0 pinned: L is singular only along the constants
+            delta = np.zeros(n)
+            delta[1:] = sparse_linalg.spsolve(lap.matrix[1:, 1:].tocsc(), -dev[1:])
+        norm = float(np.linalg.norm(dev))
+        for _ in range(NEWTON_HALVINGS):
+            with np.errstate(all="ignore"):
+                r = np.exp(u + delta)
+            _, ang_t, _, K_t, B_t, kn_t, err = _kernels.state(r, *mesh)
+            if err == _kernels.ERR_OK and float(np.linalg.norm(K_t - target)) < norm:
+                u = u + delta
+                ang, K, B, kn = ang_t, K_t, B_t, kn_t
+                break
+            delta = 0.5 * delta
+        else:
+            return
+    yield u, ang, K, kn
+
+
+def _newton_verdict(t: Triangulation, w: Weight, target):
+    """Decide admissibility by the Newton solve :func:`_newton` from ``u = 0``.
+
+    Returns ``("admissible", None)`` or ``("inadmissible", (members, lhs,
+    rhs))`` once a certificate (see the module docstring) holds at an
+    iterate, and None when the solve ends undecided.  Within
+    ``SIZE_GUARD`` a violated prefix ends the solve undecided, since the
+    scan reports the canonical violator there.  Only valid on a connected
+    surface.
+    """
+    n = t.n_vertices
     pmp = math.pi - w.phi
     pmp_f = pmp[t.face_edges]
-    u = np.zeros(n)
-    _, ang, _, K, B, _, err = _kernels.state(np.ones(n), *mesh)
-    if err != _kernels.ERR_OK:
-        return None
-    for step in range(NEWTON_STEPS + 1):
+    for u, ang, K, _ in _newton(t, w, target, np.zeros(n)):
         dev = K - target
         # the bound holds for corner values whose face sums are exactly pi;
         # moving each face's computed angles by a third of its sum's error
@@ -234,28 +274,7 @@ def _newton_verdict(t: Triangulation, w: Weight, target):
         found = _prefix_violation(t, pmp, target, u)
         if found is not None:
             return ("inadmissible", found) if n > SIZE_GUARD else None
-        if step == NEWTON_STEPS:
-            return None
-        lap = DualLaplacian(n, t.edges, B)
-        if lap.is_dense:
-            delta = np.linalg.solve(lap.matrix + 1.0 / n, -dev)
-        else:
-            # vertex 0 pinned: L is singular only along the constants
-            delta = np.zeros(n)
-            delta[1:] = sparse_linalg.spsolve(lap.matrix[1:, 1:].tocsc(), -dev[1:])
-        norm = float(np.linalg.norm(dev))
-        for _ in range(NEWTON_HALVINGS):
-            # radii that overflow are reported by the error code
-            with np.errstate(all="ignore"):
-                r = np.exp(u + delta)
-            _, ang_t, _, K_t, B_t, _, err = _kernels.state(r, *mesh)
-            if err == _kernels.ERR_OK and float(np.linalg.norm(K_t - target)) < norm:
-                u = u + delta
-                ang, K, B = ang_t, K_t, B_t
-                break
-            delta = 0.5 * delta
-        else:
-            return None
+    return None
 
 
 def check_admissible(

@@ -28,3 +28,24 @@ def gb_target(rng, t, spread=1.0):
     x = rng.normal(0.0, spread, t.n_vertices)
     x += (2.0 * np.pi * t.chi - x.sum()) / t.n_vertices
     return x
+
+
+def stellar_text(t, face=0):
+    """Mesh text of ``t`` with a vertex added inside face ``face`` and joined
+    to its three corners.  On the icosahedron with every weight pi/2 the new
+    degree-3 vertex fails its own inequality (4 pi / 13 < 2 pi - 3 pi / 2),
+    so no constant-curvature metric exists."""
+    n = t.n_vertices
+    a, b, c = (int(v) for v in t.faces[face])
+    faces = [tuple(int(v) for v in f) for i, f in enumerate(t.faces) if i != face]
+    faces += [(a, b, n), (b, c, n), (c, a, n)]
+    return f"{n + 1} {len(faces)}\n" + "".join(f"{x} {y} {z}\n" for x, y, z in faces)
+
+
+def disjoint_text(*ts):
+    """Mesh text of the disjoint union of the triangulations ``ts``."""
+    faces, offset = [], 0
+    for t in ts:
+        faces += [tuple(int(v) + offset for v in f) for f in t.faces]
+        offset += t.n_vertices
+    return f"{offset} {len(faces)}\n" + "".join(f"{x} {y} {z}\n" for x, y, z in faces)

@@ -14,7 +14,7 @@ import calabiflow as cf
 from calabiflow import cli, thurston
 from calabiflow.cli import main
 from calabiflow.meshes import subdivide
-from _util import mesh, zero_weight
+from _util import disjoint_text, mesh, stellar_text, zero_weight
 
 TWO_PI = 2 * math.pi
 
@@ -219,6 +219,53 @@ def test_potential_probe(capsys):
     assert len(doc["rows"]) == 4 * 4
     for row in doc["rows"]:
         assert row["f"] >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "spec, phi, seed",
+    [
+        ("icosahedron", "0.06959289942176623", "1834057403"),
+        ("OCT18", "0.9475156294292302", "1673986006"),
+    ],
+)
+def test_potential_probe_path_residual(capsys, tmp_path, spec, phi, seed):
+    # a Simpson rule with a Richardson stop left these two probes at path
+    # residuals 9.4e-7 and 5.0e-7, above the CLI's 1e-7, so they exited 3
+    if spec == "OCT18":
+        t = subdivide(mesh("octahedron"))
+        path = tmp_path / "octahedron-18.mesh"
+        path.write_text(
+            f"{t.n_vertices} {t.n_faces}\n"
+            + "".join(f"{a} {b} {c}\n" for a, b, c in t.faces)
+        )
+        spec = str(path)
+    code, out, _ = run(
+        capsys, "potential-probe", "--mesh", spec, "--phi", phi, "--seed", seed
+    )
+    doc = json.loads(out)
+    assert code == 0 and doc["ok"] is True
+    assert doc["path_independence_residual"] < 1e-10
+
+
+@pytest.mark.parametrize(
+    "parts", [("tetrahedron", "octahedron"), ("tetrahedron", "tetrahedron")]
+)
+def test_potential_probe_disconnected_mesh_exits_1(capsys, tmp_path, parts):
+    path = tmp_path / "disjoint.mesh"
+    path.write_text(disjoint_text(*(mesh(name) for name in parts)))
+    code, out, err = run(capsys, "potential-probe", "--mesh", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_potential_probe_without_constant_curvature_exits_2(capsys, tmp_path):
+    path = tmp_path / "stellar.mesh"
+    path.write_text(stellar_text(mesh("icosahedron")))
+    code, out, err = run(
+        capsys, "potential-probe", "--mesh", str(path), "--phi", repr(math.pi / 2)
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("no constant-curvature metric:") and err.count("\n") == 1
 
 
 def test_config_file_and_flag_precedence(capsys, tmp_path):

@@ -1,6 +1,7 @@
 """numpy kernels: error codes, the energy-noise bound, the batch axis of
-the curvature kernel, the work and memory of the Simpson segment, the
-Ricci descent guard, and the result layouts that callers index into."""
+the curvature kernel, the work, accuracy and memory of the Gauss-Legendre
+segment, the Ricci descent guard, and the result layouts that callers
+index into."""
 
 import functools
 import math
@@ -30,25 +31,17 @@ def _mesh(name):
     return t
 
 
-def _node_loop_segment(u0, du, target, panels, fv, fe, ea, eb, cphi):
-    """The Simpson segment as one curvature call per node: the reference
-    the blocked kernel must match bit for bit."""
-    m2 = 2 * panels
+def _node_loop_segment(u0, du, target, order, fv, fe, ea, eb, cphi):
+    """The Gauss-Legendre segment as one curvature call per node: the
+    reference the blocked kernel must match bit for bit."""
+    x, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
-    for k in range(m2 + 1):
-        s = k / m2
+    for s, wk in zip(0.5 * (x + 1.0), 0.5 * w):
         K, err = _kernels.curvatures(np.exp(u0 + s * du), fv, fe, ea, eb, cphi)
         if err != _kernels.ERR_OK:
             return math.nan, err
-        g = float(np.dot(K - target, du))
-        if k == 0 or k == m2:
-            w = 1.0
-        elif k % 2 == 1:
-            w = 4.0
-        else:
-            w = 2.0
-        total += w * g
-    return total / (3.0 * m2), _kernels.ERR_OK
+        total += float(wk) * float(np.dot(K - target, du))
+    return total, _kernels.ERR_OK
 
 
 def _arrays(name, seed):
@@ -133,10 +126,10 @@ def test_batched_curvatures_first_failing_row(name):
 
 
 @pytest.mark.parametrize("rows", [None, 3])
-@pytest.mark.parametrize("panels", [1, 4, 16])
+@pytest.mark.parametrize("order", [1, 4, 16])
 @pytest.mark.parametrize("name", BATCH_MESHES)
-def test_segment_potential_matches_node_loop(monkeypatch, name, panels, rows):
-    # rows=3: blocks whose edges fall anywhere in the Simpson pattern
+def test_segment_potential_matches_node_loop(monkeypatch, name, order, rows):
+    # rows=3: block edges fall both at and inside the node list
     t = _mesh(name)
     if rows is not None:
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
@@ -145,14 +138,14 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, panels, rows):
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.5, t.n_vertices)
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    got = _kernels.segment_potential(u0, du, target, panels, *args)
-    assert got == _node_loop_segment(u0, du, target, panels, *args)
+    got = _kernels.segment_potential(u0, du, target, order, *args)
+    assert got == _node_loop_segment(u0, du, target, order, *args)
     assert got[1] == _kernels.ERR_OK
     # radii overflow to inf part way along: same first failing node
     du[0] = 1000.0
     with np.errstate(over="ignore"):
-        value, err = _kernels.segment_potential(u0, du, target, panels, *args)
-        ref_value, ref_err = _node_loop_segment(u0, du, target, panels, *args)
+        value, err = _kernels.segment_potential(u0, du, target, order, *args)
+        ref_value, ref_err = _node_loop_segment(u0, du, target, order, *args)
     assert err == ref_err == _kernels.ERR_NONFINITE
     assert math.isnan(value) and math.isnan(ref_value)
 
@@ -209,17 +202,37 @@ def test_ricci_steps_lower_the_potential(name, kind):
             assert err == _kernels.ERR_OK and df <= 0.0
 
 
+@pytest.mark.parametrize("name", MESH_NAMES + ("oct18", "oct66"))
+def test_segment_potential_converges(name):
+    # the integrand is analytic on [0, 1], so a low order already agrees
+    # with order 256 to rounding
+    t = _mesh(name)
+    rng = np.random.default_rng(62)
+    args = _mesh_arrays(t, random_weight(rng, t))
+    u0 = rng.normal(0.0, 0.3, t.n_vertices)
+    du = rng.normal(0.0, 0.5, t.n_vertices)
+    target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
+    ref, err = _kernels.segment_potential(u0, du, target, 256, *args)
+    assert err == _kernels.ERR_OK
+    for order, tol in ((8, 1e-10), (16, 1e-12)):
+        value, err = _kernels.segment_potential(u0, du, target, order, *args)
+        assert err == _kernels.ERR_OK
+        assert abs(value - ref) < tol * (1.0 + abs(ref))
+
+
 def test_segment_potential_memory_bounded():
-    # 8193 nodes at N=66: one block of them all would peak near 190 MB
+    # 1024 nodes at N=66: one block of them all would peak near 24 MB
     t = _mesh("oct66")
     rng = np.random.default_rng(63)
     args = _mesh_arrays(t, random_weight(rng, t))
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.3, t.n_vertices)
     target = np.full(t.n_vertices, 4 * math.pi / t.n_vertices)
+    # the first call builds and caches the rule, an 8 MB eigenproblem
+    _kernels.segment_potential(u0, du, target, 2**10, *args)
     tracemalloc.start()
     try:
-        _, err = _kernels.segment_potential(u0, du, target, 2**12, *args)
+        _, err = _kernels.segment_potential(u0, du, target, 2**10, *args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

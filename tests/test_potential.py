@@ -8,7 +8,15 @@ import pytest
 
 import calabiflow as cf
 import calabiflow.potential as potential_mod
-from _util import mesh, random_metric, random_weight, zero_weight
+from _util import (
+    MESH_NAMES,
+    disjoint_text,
+    mesh,
+    random_metric,
+    random_weight,
+    stellar_text,
+    zero_weight,
+)
 
 
 def test_calabi_energy_zero_at_constant_curvature():
@@ -144,32 +152,80 @@ def test_constant_curvature_log_metric_properties():
     w = zero_weight(t)
     rng = np.random.default_rng(34)
     seed = cf.PackingMetric.from_radii(rng.uniform(0.5, 2.0, 4))
-    m = cf.constant_curvature_log_metric(
-        t, w, seed_metric=seed, opts=cf.IntegratorOptions(curvature_tol=1e-11)
-    )
+    m = cf.constant_curvature_log_metric(t, w, seed_metric=seed)
     g = cf.compute_geometry(t, w, m)
     assert np.max(np.abs(g.curvatures - g.avg_curvature)) < 1e-10
     # the seed's log-radius sum is preserved
     assert m.u.sum() == pytest.approx(seed.u.sum(), abs=1e-9)
 
 
+@pytest.mark.parametrize("name", MESH_NAMES)
+def test_constant_curvature_log_metric_is_the_calabi_limit(name):
+    # the Newton solve cross-checked against the Calabi flow, which
+    # conserves sum u, so its limit is the metric of the seed's class
+    t = mesh(name)
+    rng = np.random.default_rng(35)
+    w = random_weight(rng, t)
+    seed = random_metric(rng, t)
+    m = cf.constant_curvature_log_metric(t, w, seed_metric=seed)
+    trace = cf.integrate(
+        cf.FlowKind.calabi(), t, w, seed, cf.IntegratorOptions(curvature_tol=1e-12)
+    )
+    assert trace.status == "converged"
+    u = trace.final_metric.u
+    u = u - (u.sum() - seed.u.sum()) / t.n_vertices
+    assert np.max(np.abs(m.u - u)) < 1e-10
+
+
 def test_constant_curvature_failure_raises():
-    t = mesh("tetrahedron")
-    w = zero_weight(t)
-    seed = cf.PackingMetric.from_radii([2.0, 1.0, 1.0, 1.0])
+    # the constant curvature is not admissible here, so the solve cannot
+    # reach it
+    t = cf.parse_mesh(stellar_text(mesh("icosahedron")))
+    w = cf.Weight.uniform(t, math.pi / 2)
+    assert not cf.constant_curvature_exists(t, w).admissible
     with pytest.raises(cf.NoConstantCurvatureMetric):
-        cf.constant_curvature_log_metric(
-            t, w, seed_metric=seed,
-            opts=cf.IntegratorOptions(curvature_tol=1e-12, max_steps=50),
-        )  # the budget is exhausted long before the tolerance is met
+        cf.constant_curvature_log_metric(t, w)
 
 
-def test_quadrature_error_at_panel_cap(monkeypatch):
+def test_constant_curvature_refuses_disconnected_surface():
+    t = cf.parse_mesh(disjoint_text(mesh("tetrahedron"), mesh("octahedron")))
+    with pytest.raises(cf.DomainError):
+        cf.constant_curvature_log_metric(t, zero_weight(t))
+
+
+def test_quadrature_error_at_node_cap(monkeypatch):
     t = mesh("tetrahedron")
     w = zero_weight(t)
-    monkeypatch.setattr(potential_mod, "MAX_PANELS", 8)
+    monkeypatch.setattr(potential_mod, "MAX_NODES", 16)
     with pytest.raises(cf.QuadratureError):
-        cf.ricci_potential(t, w, np.zeros(4), np.array([2.0, -1.0, -0.5, -0.5]), tol=1e-16)
+        cf.ricci_potential(t, w, np.zeros(4), np.array([2.0, -1.0, -0.5, -0.5]), tol=1e-300)
+
+
+def test_ricci_potential_rejects_bad_tol_and_endpoints():
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    u1 = np.array([0.5, -0.5, 0.0, 0.0])
+    for tol in (0.0, math.nan, -1.0, math.inf):
+        with pytest.raises(cf.DomainError):
+            cf.ricci_potential(t, w, np.zeros(4), u1, tol=tol)
+    for bad in (math.nan, math.inf):
+        u = u1.copy()
+        u[0] = bad
+        with pytest.raises(cf.DomainError):
+            cf.ricci_potential(t, w, np.zeros(4), u)
+        with pytest.raises(cf.DomainError):
+            cf.ricci_potential(t, w, u, np.zeros(4))
+
+
+def test_properness_probe_rejects_bad_radii():
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    base = cf.constant_curvature_log_metric(t, w)
+    for radii in ((1.0, math.inf), (1.0, math.nan), (0.0,), (-1.0,)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cf.DomainError):
+                cf.properness_probe(t, w, base, radii=radii)
 
 
 def test_ricci_potential_overflow_raises_without_warning():
