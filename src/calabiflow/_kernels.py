@@ -1,18 +1,33 @@
 """Hot numeric kernels, vectorized with numpy.
 
-The geometry kernels are array-in / array-out.  The step controller
-:func:`advance` takes the flow state as arrays, the mesh as the 5-tuple
-``(fv, fe, ea, eb, cphi)`` described in :func:`_state`, and the settings
-callers vary as one options object (``flows.IntegratorOptions``); its
-fixed settings are the module constants below.  The public names are
-``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
-``advance`` and ``scan_subsets``.  Kernels call each other by their private
-names, so rebinding a public name (to time it, say) sees only outside
-callers.
+The geometry kernels are array-in / array-out.  They take the mesh as one
+:class:`Mesh` tuple of static index arrays and weight cosines, built by
+``geometry._mesh_arrays``.  The step controller :func:`advance` takes the
+flow state as arrays, that mesh, and the settings callers vary as one
+options object (``flows.IntegratorOptions``); its fixed settings are the
+module constants below.  The public names are ``state``, ``curvatures``,
+``lap_apply``, ``segment_potential``, ``advance`` and ``scan_subsets``.
+Kernels call each other by their private names, so rebinding a public name
+(to time it, say) sees only outside callers.
 
-Accumulation orders are fixed (face-major for curvatures and edge weights,
-two passes over edges for Laplacian application), so repeated runs are
-deterministic.
+Rolled corners: every per-corner quantity is one elementwise expression on
+contiguous (F, 3) arrays, whose entry ``[f, m]`` belongs to corner ``m`` of
+face ``f``.  The values at corners ``(m + 1) % 3`` and ``(m + 2) % 3`` that
+the expression needs are gathered through rolled index arrays
+(``faces[:, [1, 2, 0]]``, ``faces[:, [2, 0, 1]]``, the same for
+``face_edges``, and flat corner indices for per-corner values), which each
+``Triangulation`` builds once.  A rolled gather only moves values, and each
+expression applies the same operations to the same operands in the same
+order as a loop over ``m`` would (an in-place ``a += b`` rounds as
+``a + b``), so the results are those of that loop bit for bit; the tests
+keep the loop as their reference.
+
+Accumulation orders are fixed: face-major for curvatures, noise bounds and
+edge weights, two passes over edges for Laplacian application.  The
+curvature sum starts from ``2 pi`` and subtracts angles in face order
+(``x - a`` rounds as ``x + (-a)``); edge weights and noise bounds are
+summed by ``np.bincount``, which adds in input order from zero, as
+``np.add.at`` into zeros does.  Repeated runs are deterministic.
 
 Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
 on one mesh, and returns curvatures of shape (m, n).  Each row is computed
@@ -35,12 +50,14 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InternalConsistencyError
 
 SQRT3 = math.sqrt(3.0)
+TWO_PI = 2.0 * math.pi
 TWO_SQRT3 = 2.0 * SQRT3
 CLAMP_TOL = 1e-9
 
@@ -58,11 +75,13 @@ ADV_STEP_COLLAPSE = 3
 
 # Quadrature nodes are evaluated in row blocks of at most BLOCK_FACES // F
 # metrics per curvature call (F faces).  A block saves the per-call overhead
-# that dominates on small meshes.  Past about 2**12 faces per block the
-# time per node rose again on subdivided octahedra (N = 6 ... 1026), as a
-# block's temporaries outgrow the caches; the bound also keeps a block's
-# memory a few hundred kB at any quadrature order.
-BLOCK_FACES = 2**12
+# that dominates on small meshes.  Past about 2**11 faces per block the
+# time per node rose again on subdivided octahedra (N = 18 ... 1026): a
+# block's per-corner temporaries then pass 64 kB each, and freeing chunks
+# that large lets the C allocator return the heap top to the system, so the
+# next block pays page faults again.  The bound also keeps a block's memory
+# a few hundred kB at any quadrature order.
+BLOCK_FACES = 2**11
 
 # margin (in log-radius units) past the divergence guard inside which trial
 # steps are still evaluated; beyond it they are rejected unevaluated so that
@@ -111,132 +130,171 @@ def raise_state_error(err: int):
         raise InternalConsistencyError(f"unknown kernel error code {err}")
 
 
+class Mesh(NamedTuple):
+    """Static arrays of one weighted mesh, as the geometry kernels read them.
+
+    ``fv`` holds the faces (F, 3), ``fe`` the edge opposite each corner
+    (F, 3), ``ea``/``eb`` the contiguous edge endpoints (E,) and ``cphi``
+    the per-edge weight cosines (E,).  ``fv1``/``fe1`` and ``fv2``/``fe2``
+    are ``fv``/``fe`` rolled by one and by two corners: entry ``[f, m]``
+    belongs to corner ``(m + 1) % 3``, resp. ``(m + 2) % 3``.  ``c1``/``c2``
+    are the flat indices of those corners in a C-contiguous (F, 3) array.
+    ``cphi_f``/``cphi_f1`` hold ``cphi`` at ``fe`` and at ``fe1``.  The
+    index arrays come from ``Triangulation.kernel_index``.
+    """
+
+    fv: np.ndarray
+    fe: np.ndarray
+    ea: np.ndarray
+    eb: np.ndarray
+    cphi: np.ndarray
+    fv1: np.ndarray
+    fv2: np.ndarray
+    fe1: np.ndarray
+    fe2: np.ndarray
+    c1: np.ndarray
+    c2: np.ndarray
+    cphi_f: np.ndarray
+    cphi_f1: np.ndarray
+
+
 def _cosine_error(c):
     """Error code of one metric's corner cosines ``c`` (F, 3): a non-finite
-    value takes precedence over a value past the clamp tolerance."""
+    value takes precedence over a value past the clamp tolerance.  Clean
+    cosines cost one reduction: NaN fails the comparison as well."""
+    if float(np.abs(c).max()) - 1.0 <= CLAMP_TOL:
+        return ERR_OK
     if not np.all(np.isfinite(c)):
         return ERR_NONFINITE
-    if c.size and float(np.max(np.abs(c))) - 1.0 > CLAMP_TOL:
-        return ERR_CLAMP
-    return ERR_OK
+    return ERR_CLAMP
 
 
-def _corners(r, fv, fe, ea, eb, cphi):
-    """Edge lengths, per-face lengths, clamped corner cosines, corner angles,
-    curvatures and error code: the part :func:`_state`, :func:`_curvatures`
+def _corners(r, mesh, kappa=False):
+    """Per-corner geometry: the part :func:`_state`, :func:`_curvatures`
     and the dual route of ``laplacian`` share.  Call under
     ``np.errstate(all="ignore")``.
+
+    Returns ``(lens, L, L1, L2, cc, ang, kap, K, err)``: edge lengths, the
+    lengths of the edges opposite corners ``m``, ``m + 1`` and ``m + 2`` of
+    every corner ``m``, clamped corner cosines and angles, the cosine-law
+    conditioning ``(L1^2 + L2^2 + L^2) / (2 L1 L2)`` when ``kappa`` is set
+    (else None), curvatures and the error code.
 
     ``r`` is one metric (n,) or a batch of metrics (m, n); every array
     returned gains the same leading axis, and the error code is that of
     the first row that fails (see the module docstring).
     """
+    fv, fe, ea, eb, cphi, _, _, fe1, fe2, *_ = mesh
     n = r.shape[-1]
     # take() keeps a batch C-contiguous; fancy indexing after an ellipsis
-    # would make the batch axis the innermost in memory
+    # would make the batch axis the innermost in memory.  The in-place
+    # updates below keep few temporaries alive; each computes what the
+    # written-out expression in its comment would, bit for bit.
     ra = r.take(ea, axis=-1)
     rb = r.take(eb, axis=-1)
-    lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
+    # lens = sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
+    lens = ra * ra
+    lens += rb * rb
+    ra *= 2.0
+    ra *= rb
+    ra *= cphi
+    lens += ra
+    np.sqrt(lens, out=lens)
     L = lens.take(fe, axis=-1)
-    c = np.empty_like(L)
-    for m in range(3):
-        p = (m + 1) % 3
-        q = (m + 2) % 3
-        c[..., m] = (
-            L[..., p] * L[..., p] + L[..., q] * L[..., q] - L[..., m] * L[..., m]
-        ) / (2.0 * L[..., p] * L[..., q])
+    L1 = lens.take(fe1, axis=-1)
+    L2 = lens.take(fe2, axis=-1)
+    # c = (L1 * L1 + L2 * L2 - L * L) / (2.0 * L1 * L2), and with
+    # ``kappa`` the conditioning (L1 * L1 + L2 * L2 + L * L) / (2.0 * L1 * L2)
+    c = L1 * L1
+    c += L2 * L2
+    sq = L * L
+    den = 2.0 * L1
+    den *= L2
+    kap = None
+    if kappa:
+        kap = c + sq
+        kap /= den
+    c -= sq
+    c /= den
+    del sq, den
     corners = fv.ravel()
     if r.ndim == 1:
         err = _cosine_error(c)
     else:
         # a row fails exactly when its largest |cosine| is past the clamp
-        # tolerance or NaN (np.max propagates NaN); that row then gets the
+        # tolerance or NaN (max() propagates NaN); that row then gets the
         # one-metric verdict
-        worst = np.max(np.abs(c).reshape(r.shape[0], -1), axis=1)
+        worst = np.abs(c).reshape(r.shape[0], -1).max(axis=1)
         bad = np.flatnonzero(~(worst - 1.0 <= CLAMP_TOL))
         err = _cosine_error(c[bad[0]]) if bad.size else ERR_OK
         corners = (np.arange(r.shape[0])[:, None] * n + corners).ravel()
-    cc = np.clip(c, -1.0, 1.0)
+    # cc = np.clip(c, -1.0, 1.0), without clip()'s Python-level overhead
+    cc = np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)
     ang = np.arccos(cc)
-    K = np.full(r.shape, 2.0 * math.pi)
-    np.add.at(K.reshape(-1), corners, -ang.ravel())
-    return lens, L, cc, ang, K, err
+    K = np.empty(r.shape)
+    K.fill(TWO_PI)
+    np.subtract.at(K.reshape(-1), corners, ang.ravel())
+    return lens, L, L1, L2, cc, ang, kap, K, err
 
 
-def _state(r, fv, fe, ea, eb, cphi):
+def _state(r, mesh):
     """Lengths, angles, half weights, curvatures, edge weights and curvature
-    noise bounds of a metric.
-
-    Parameters are the radii ``r`` plus static mesh arrays: faces ``fv``
-    (F, 3), per-face opposite-edge ids ``fe`` (F, 3), edge endpoint arrays
-    ``ea``/``eb`` (E,), and per-edge weight cosines ``cphi`` (E,).
+    noise bounds of one metric ``r`` (n,) on a :class:`Mesh`.
 
     Non-finite intermediates are reported through the returned error code,
     so floating point warnings are suppressed for the whole evaluation.
+    Once the cosines are finite the curvatures are, so the weights'
+    extremes decide the remaining checks.
     """
+    fv, fe, ea, _, _, fv1, fv2, _, _, c1, c2, cphi_f, cphi_f1 = mesh
     with np.errstate(all="ignore"):
-        lens, L, cc, ang, K, err = _corners(r, fv, fe, ea, eb, cphi)
-        kappa = np.empty_like(L)
-        for m in range(3):
-            p = (m + 1) % 3
-            q = (m + 2) % 3
-            kappa[:, m] = (
-                L[:, p] * L[:, p] + L[:, q] * L[:, q] + L[:, m] * L[:, m]
-            ) / (2.0 * L[:, p] * L[:, q])
+        lens, L, L1, L2, cc, ang, kappa, K, err = _corners(r, mesh, True)
         sin = np.sqrt(1.0 - cc * cc)
         corner_noise = NOISE_ULPS * EPS * (kappa / np.maximum(sin, 1e-300) + 4.0)
 
-        # Half weight of the edge opposite corner m (joining corners p and q):
-        # the derivative of the angle at p with respect to the log-radius at q.
-        halves = np.empty_like(L)
-        rv = r[fv]
-        cphi_f = cphi[fe]
-        for m in range(3):
-            p = (m + 1) % 3
-            q = (m + 2) % 3
-            r_c = rv[:, p]
-            r_m = rv[:, q]
-            r_o = rv[:, m]
-            l_cm = L[:, m]
-            l_co = L[:, q]
-            l_mo = L[:, p]
-            bracket = (r_m + r_o * cphi_f[:, p]) - (l_mo * cc[:, q] / l_cm) * (
-                r_m + r_c * cphi_f[:, m]
-            )
-            halves[:, m] = r_m / (l_cm * l_co * sin[:, p]) * bracket
+        # Half weight of the edge opposite corner m, which joins corners
+        # m + 1 and m + 2: the derivative of the angle at m + 1 with respect
+        # to the log-radius at m + 2.
+        r_o = r.take(fv)
+        r_c = r.take(fv1)
+        r_m = r.take(fv2)
+        bracket = (r_m + r_o * cphi_f1) - (L1 * cc.take(c2) / L) * (
+            r_m + r_c * cphi_f
+        )
+        halves = r_m / (L * L2 * sin.take(c1)) * bracket
 
-        kn = np.zeros(r.shape[0])
-        np.add.at(kn, fv.ravel(), corner_noise.ravel())
-        B = np.zeros(ea.shape[0])
-        np.add.at(B, fe.ravel(), halves.ravel())
+        kn = np.bincount(fv.ravel(), corner_noise.ravel(), minlength=r.shape[0])
+        B = np.bincount(fe.ravel(), halves.ravel(), minlength=ea.shape[0])
         if err == ERR_OK:
-            if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
-                err = ERR_NONFINITE
-            elif float(B.min()) <= 0.0 or float(B.max()) >= TWO_SQRT3:
-                err = ERR_WEIGHT_BOUNDS
+            lo = float(B.min())
+            hi = float(B.max())
+            if not (lo > 0.0 and hi < TWO_SQRT3):
+                finite = math.isfinite(lo) and math.isfinite(hi)
+                err = ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE
     return lens, ang, halves, K, B, kn, err
 
 
-def _curvatures(r, fv, fe, ea, eb, cphi):
+def _curvatures(r, mesh):
     """Curvatures only; the cheap evaluation of one metric or a batch."""
     with np.errstate(all="ignore"):
-        _, _, _, _, K, err = _corners(r, fv, fe, ea, eb, cphi)
+        *_, K, err = _corners(r, mesh)
     return K, err
 
 
 def _lap_apply(weights, ea, eb, x):
     """Discrete Laplacian: (apply)_i = sum_j B_ij (x_j - x_i)."""
     d = weights * (x[eb] - x[ea])
-    out = np.zeros(x.shape[0])
-    np.add.at(out, ea, d)
-    np.add.at(out, eb, -d)
+    # bincount adds in edge order from zero, as add.at into zeros does
+    out = np.bincount(ea, d, minlength=x.shape[0])
+    np.subtract.at(out, eb, d)
     return out
 
 
-def _energy_noise(K, kn, target, energy):
-    """Roundoff bound for the energy sum(K - target)^2 given curvature noise."""
-    w = np.abs(K - target)
-    return float(np.sum((2.0 * w + kn) * kn)) + 32.0 * EPS * energy
+def _energy_noise(dev, kn, energy):
+    """Roundoff bound for the energy sum(dev^2), dev = K - target, given
+    curvature noise."""
+    w = np.abs(dev)
+    return float(((2.0 * w + kn) * kn).sum()) + 32.0 * EPS * energy
 
 
 @functools.lru_cache(maxsize=32)
@@ -249,7 +307,7 @@ def _gauss_legendre(order):
     return nodes, weights
 
 
-def _segment_potential(u0, du, target, order, fv, fe, ea, eb, cphi):
+def _segment_potential(u0, du, target, order, mesh):
     """Gauss-Legendre quadrature of the curvature one-form on a segment.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with the
@@ -260,13 +318,13 @@ def _segment_potential(u0, du, target, order, fv, fe, ea, eb, cphi):
     first failing node.
     """
     nodes, weights = _gauss_legendre(order)
-    rows = max(1, BLOCK_FACES // fv.shape[0])
+    rows = max(1, BLOCK_FACES // mesh.fv.shape[0])
     total = 0.0
     for k in range(0, order, rows):
         # radii that overflow to inf are reported by the error code
         with np.errstate(all="ignore"):
             r = np.exp(u0 + nodes[k : k + rows, None] * du)
-        Kb, err = _curvatures(r, fv, fe, ea, eb, cphi)
+        Kb, err = _curvatures(r, mesh)
         if err != ERR_OK:
             return math.nan, err
         for wj, d in zip(weights[k : k + rows], Kb - target):
@@ -279,8 +337,8 @@ def advance(
 ):
     """Advance the flow by up to ``n_accept`` accepted explicit Euler steps.
 
-    ``mesh`` is the 5-tuple ``(fv, fe, ea, eb, cphi)`` of :func:`_state`,
-    and ``opts`` an ``IntegratorOptions``, of which the controller reads
+    ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
+    ``IntegratorOptions``, of which the controller reads
     ``curvature_tol``, ``u_max`` and ``max_step``; the rest of its settings
     are the constants ``MAX_HALVINGS``, ``GROWTH_FACTOR`` and
     ``GROWTH_INTERVAL``.  The caller supplies the current state quantities
@@ -295,28 +353,23 @@ def advance(
     Invent. Math. 1991; Chow-Luo, J. Diff. Geom. 2003), so
     g(s) = <K(u + s h v) - target, h v> is nondecreasing in s; g(1) <= 0
     then gives g <= 0 on [0, 1], and the step does not raise the potential.
+    What the accepted trial computed (its deviation ``K - target``, its
+    energy noise and its distance from ``u_ref``) serves the next step and
+    the stopping tests unchanged.
     Returns ``(status, done, u, h, t, streak, K, B, kn, energy)``.
     """
-    _, _, ea, eb, _ = mesh
+    ea, eb = mesh.ea, mesh.eb
+    dev = K - target
+    noise = _energy_noise(dev, kn, energy) if lap_kind else 0.0
     done = 0
     while done < n_accept:
-        w = K - target
-        if lap_kind:
-            v = _lap_apply(B, ea, eb, w)
-            noise = _energy_noise(K, kn, target, energy)
-        else:
-            v = -w
-            noise = 0.0
+        v = _lap_apply(B, ea, eb, dev) if lap_kind else -dev
         accepted = False
-        u_new = u
-        K_new = K
-        B_new = B
-        kn_new = kn
-        e_new = energy
         for _ in range(MAX_HALVINGS + 1):
             du = h * v
             u_new = u + du
-            if float(np.max(np.abs(u_new - u_ref))) > opts.u_max + TRIAL_MARGIN:
+            drift = float(np.abs(u_new - u_ref).max())
+            if drift > opts.u_max + TRIAL_MARGIN:
                 h *= 0.5
                 streak = 0
                 continue
@@ -330,19 +383,20 @@ def advance(
             with np.errstate(all="ignore"):
                 r_new = np.exp(u_new)
             if lap_kind:
-                _, _, _, K_new, B_new, kn_new, err = _state(r_new, *mesh)
+                _, _, _, K_new, B_new, kn_new, err = _state(r_new, mesh)
             else:
-                K_new, err = _curvatures(r_new, *mesh)
+                K_new, err = _curvatures(r_new, mesh)
             if err != ERR_OK:
                 h *= 0.5
                 streak = 0
                 continue
-            e_new = float(np.sum((K_new - target) ** 2))
+            dev_new = K_new - target
+            e_new = float((dev_new**2).sum())
             if lap_kind:
-                allow = noise + _energy_noise(K_new, kn_new, target, e_new)
-                ok = e_new <= energy + allow
+                noise_new = _energy_noise(dev_new, kn_new, e_new)
+                ok = e_new <= energy + (noise + noise_new)
             else:
-                ok = float(np.dot(K_new - target, du)) <= 0.0
+                ok = float(np.dot(dev_new, du)) <= 0.0
             if ok:
                 accepted = True
                 break
@@ -353,18 +407,21 @@ def advance(
         t += h
         u = u_new
         K = K_new
-        B = B_new
-        kn = kn_new
+        dev = dev_new
         energy = e_new
+        if lap_kind:
+            B = B_new
+            kn = kn_new
+            noise = noise_new
         done += 1
         streak += 1
         if streak >= GROWTH_INTERVAL:
             grown = h * GROWTH_FACTOR
             h = grown if grown < opts.max_step else opts.max_step
             streak = 0
-        if float(np.max(np.abs(K - target))) < opts.curvature_tol:
+        if float(np.abs(dev).max()) < opts.curvature_tol:
             return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy
-        if float(np.max(np.abs(u - u_ref))) > opts.u_max:
+        if drift > opts.u_max:
             return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy
     return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy
 

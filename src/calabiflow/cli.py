@@ -31,7 +31,8 @@ from .errors import (
     StepCollapseError,
 )
 from .flows import KIND_NAMES, FlowKind, FlowTrace, IntegratorOptions, integrate
-from .geometry import PackingMetric, Weight, compute_geometry
+from . import _kernels
+from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
@@ -380,6 +381,17 @@ def cmd_potential_probe(args) -> int:
         norm = float(np.linalg.norm(d))
         if norm > 1e-6:
             dirs.append(d / norm)
+    # far out along a ray the radii span so many orders of magnitude that
+    # the cosine law fails in floating point (radius 40 on the tetrahedron);
+    # a far endpoint that does not evaluate is refused before any quadrature
+    far = max(radii)
+    with np.errstate(all="ignore"):
+        ends = np.exp(base.u + far * np.array(dirs))
+    if _kernels.curvatures(ends, _mesh_arrays(t, w))[1] != _kernels.ERR_OK:
+        raise DomainError(
+            f"--probe-radii: the geometry does not evaluate in floating point "
+            f"at radius {far!r} from the base metric"
+        )
     rows = []
     ok = lam > 0.0
     for idx, d in enumerate(dirs):

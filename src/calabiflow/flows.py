@@ -27,7 +27,12 @@ Calabi kinds to repair floating point drift.
 
 Cost of a trial step: a Calabi trial evaluates the full geometry (lengths,
 angles, curvatures, dual weights) once.  A Ricci trial evaluates only the
-curvatures, once, at the trial point.
+curvatures, once, at the trial point.  Either evaluation is a fixed number
+of numpy calls whatever the mesh size: every per-corner quantity is one
+elementwise expression over all corners (see ``_kernels``).  The deviation
+``K - target``, the energy noise and the distance from the start that an
+accepted trial computed serve the next step and the stopping tests, so
+accepting a step costs no further evaluation.
 """
 
 from __future__ import annotations
@@ -144,7 +149,7 @@ class FlowSample:
     @cached_property
     def lambda1(self) -> float:
         _, _, _, _, b, _, err = _kernels.state(
-            np.exp(self.u), *_mesh_arrays(self.mesh, self.weight)
+            np.exp(self.u), _mesh_arrays(self.mesh, self.weight)
         )
         if err != _kernels.ERR_OK:
             return float("nan")
@@ -177,7 +182,7 @@ class FlowTrace:
 
 
 def _state_of(u, t, w):
-    _, _, _, curv, b, kn, err = _kernels.state(np.exp(u), *_mesh_arrays(t, w))
+    _, _, _, curv, b, kn, err = _kernels.state(np.exp(u), _mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return curv, b, kn
 
@@ -307,7 +312,7 @@ def curvature_derivative_check(
     mesh = _mesh_arrays(t, w)
 
     def curv_at(u):
-        k, err = _kernels.curvatures(np.exp(u), *mesh)
+        k, err = _kernels.curvatures(np.exp(u), mesh)
         _kernels.raise_state_error(err)
         return k
 

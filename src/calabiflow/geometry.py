@@ -93,10 +93,20 @@ class Weight:
         return np.cos(self.phi)
 
 
-def _mesh_arrays(t: Triangulation, w: Weight):
-    """The kernels' mesh tuple ``(fv, fe, ea, eb, cphi)`` (see
-    ``_kernels._state``)."""
-    return t.faces, t.face_edges, t.edges[:, 0], t.edges[:, 1], w.cos_phi
+def _mesh_arrays(t: Triangulation, w: Weight) -> _kernels.Mesh:
+    """The kernels' :class:`_kernels.Mesh` of a weighted mesh.
+
+    Only the weight cosines are computed here.  The faces, the opposite
+    edges and the rolled index arrays through which the kernels gather the
+    values at corners ``(m + 1) % 3`` and ``(m + 2) % 3`` come from
+    ``t.kernel_index``, built once with the triangulation.
+    """
+    ea, eb, fv1, fv2, fe1, fe2, c1, c2 = t.kernel_index
+    cphi = w.cos_phi
+    return _kernels.Mesh(
+        t.faces, t.face_edges, ea, eb, cphi, fv1, fv2, fe1, fe2, c1, c2,
+        cphi.take(t.face_edges), cphi.take(fe1),
+    )
 
 
 class PackingMetric:
@@ -237,7 +247,7 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
         )
     if m.n != t.n_vertices:
         raise DomainError(f"metric has {m.n} radii for {t.n_vertices} vertices")
-    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, *_mesh_arrays(t, w))
+    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, _mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return GeometryState(
         lengths=lens,

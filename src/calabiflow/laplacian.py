@@ -132,31 +132,30 @@ def half_weight_dual(r, phi, corner: int, moving: int) -> float:
 
 
 def _dual_halves(t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
-    """Vectorized dual-route half-contributions, aligned like face_edges."""
+    """Vectorized dual-route half-contributions, aligned like face_edges.
+
+    Column ``m`` is the half weight of the edge opposite corner ``m``, with
+    corner ``m + 1`` as ``corner`` and ``m + 2`` as ``moving`` in
+    :func:`half_weight_dual`; the kernels' rolled index arrays supply both.
+    """
     r = m.r
+    mesh = _mesh_arrays(t, w)
     # lengths and clamped corner cosines come from the kernels' cosine law;
     # only the dual-length formula below is this route's own
     with np.errstate(all="ignore"):
-        _, L, cc, _, _, err = _kernels._corners(r, *_mesh_arrays(t, w))
+        _, l_cm, l_mo, _, cc, _, _, _, err = _kernels._corners(r, mesh)
     if err == _kernels.ERR_CLAMP:
         raise InternalConsistencyError("cosine-law value left [-1, 1]")
-    sn = np.sqrt(1.0 - cc * cc)
-    rv = r[t.faces]
-    halves = np.empty_like(L)
-    for mm in range(3):
-        p = (mm + 1) % 3
-        q = (mm + 2) % 3
-        r_c, r_m, r_o = rv[:, p], rv[:, q], rv[:, mm]
-        l_cm, l_mo = L[:, mm], L[:, p]
-        aux1 = (r_m * r_m + l_mo * l_mo - r_o * r_o) / (2.0 * r_m * l_mo)
-        aux2 = (r_m * r_m + l_cm * l_cm - r_c * r_c) / (2.0 * r_m * l_cm)
-        for aux in (aux1, aux2):
-            if float(np.max(np.abs(aux))) - 1.0 > _kernels.CLAMP_TOL:
-                raise InternalConsistencyError("auxiliary triangle degenerate")
-        aux1 = np.clip(aux1, -1.0, 1.0)
-        aux2 = np.clip(aux2, -1.0, 1.0)
-        halves[:, mm] = r_m * (aux1 - cc[:, q] * aux2) / (sn[:, q] * l_cm)
-    return halves
+    r_c, r_m, r_o = r.take(mesh.fv1), r.take(mesh.fv2), r.take(mesh.fv)
+    cos_m = cc.take(mesh.c2)
+    aux1 = (r_m * r_m + l_mo * l_mo - r_o * r_o) / (2.0 * r_m * l_mo)
+    aux2 = (r_m * r_m + l_cm * l_cm - r_c * r_c) / (2.0 * r_m * l_cm)
+    for aux in (aux1, aux2):
+        if float(np.max(np.abs(aux))) - 1.0 > _kernels.CLAMP_TOL:
+            raise InternalConsistencyError("auxiliary triangle degenerate")
+    aux1 = np.clip(aux1, -1.0, 1.0)
+    aux2 = np.clip(aux2, -1.0, 1.0)
+    return r_m * (aux1 - cos_m * aux2) / (np.sqrt(1.0 - cos_m * cos_m) * l_cm)
 
 
 class DualLaplacian:
@@ -310,7 +309,7 @@ def assemble(
     if m.n != t.n_vertices or w.phi.shape[0] != t.n_edges:
         raise DomainError("mesh, weight and metric sizes are inconsistent")
     if route == "analytic":
-        _, _, _, _, b, _, err = _kernels.state(m.r, *_mesh_arrays(t, w))
+        _, _, _, _, b, _, err = _kernels.state(m.r, _mesh_arrays(t, w))
         _kernels.raise_state_error(err)
     elif route == "dual":
         halves = _dual_halves(t, w, m)

@@ -53,6 +53,11 @@ class Triangulation:
         ``m`` of face ``f`` (i.e. the edge joining the other two corners).
     edge_faces : (E, 2) int64 array
         The two face ids incident to each edge, in face order.
+    kernel_index : tuple of int64 arrays
+        ``(ea, eb, fv1, fv2, fe1, fe2, c1, c2)``, the index arrays the
+        geometry kernels gather through (see ``_kernels.Mesh``): the edge
+        endpoints as contiguous arrays, then ``faces``, ``face_edges`` and
+        the flat corner index ``3 f + m`` rolled by one corner and by two.
     degrees : (N,) int64 array
         Vertex degrees (number of incident edges).
     chi : int
@@ -123,6 +128,23 @@ class Triangulation:
             fe[f, 2] = self.edge_index[(min(a, b), max(a, b))]
         self.face_edges = fe
         self.face_edges.setflags(write=False)
+
+        # entry [f, m] of a rolled array belongs to corner (m + k) % 3
+        roll1, roll2 = [1, 2, 0], [2, 0, 1]
+        corner = 3 * np.arange(self.n_faces)[:, None]
+        index = (
+            self.edges[:, 0].copy(),
+            self.edges[:, 1].copy(),
+            fa[:, roll1],
+            fa[:, roll2],
+            fe[:, roll1],
+            fe[:, roll2],
+            corner + roll1,
+            corner + roll2,
+        )
+        for arr in index:
+            arr.setflags(write=False)
+        self.kernel_index = index
 
         deg = np.zeros(self.n_vertices, dtype=np.int64)
         for a, b in self.edges:

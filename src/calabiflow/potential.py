@@ -68,7 +68,7 @@ def energy_gradient(
 
 
 def _segment(t, w, u0, du, tgt, order):
-    val, err = _kernels.segment_potential(u0, du, tgt, order, *_mesh_arrays(t, w))
+    val, err = _kernels.segment_potential(u0, du, tgt, order, _mesh_arrays(t, w))
     _kernels.raise_state_error(err)
     return val
 

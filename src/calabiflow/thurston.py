@@ -222,7 +222,7 @@ def _newton(t: Triangulation, w: Weight, target, u):
     # radii that overflow are reported by the error code
     with np.errstate(all="ignore"):
         r = np.exp(u)
-    _, ang, _, K, B, kn, err = _kernels.state(r, *mesh)
+    _, ang, _, K, B, kn, err = _kernels.state(r, mesh)
     if err != _kernels.ERR_OK:
         return
     for _ in range(NEWTON_STEPS):
@@ -239,7 +239,7 @@ def _newton(t: Triangulation, w: Weight, target, u):
         for _ in range(NEWTON_HALVINGS):
             with np.errstate(all="ignore"):
                 r = np.exp(u + delta)
-            _, ang_t, _, K_t, B_t, kn_t, err = _kernels.state(r, *mesh)
+            _, ang_t, _, K_t, B_t, kn_t, err = _kernels.state(r, mesh)
             if err == _kernels.ERR_OK and float(np.linalg.norm(K_t - target)) < norm:
                 u = u + delta
                 ang, K, B, kn = ang_t, K_t, B_t, kn_t

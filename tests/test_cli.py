@@ -268,6 +268,21 @@ def test_potential_probe_without_constant_curvature_exits_2(capsys, tmp_path):
     assert err.startswith("no constant-curvature metric:") and err.count("\n") == 1
 
 
+def test_potential_probe_unevaluable_radius_exits_1(capsys):
+    # at radius 40 the tetrahedron's far endpoints leave the range where the
+    # cosine law holds in floating point; radius 20 still evaluates
+    code, out, err = run(
+        capsys, "potential-probe", "--mesh", "tetrahedron", "--probe-radii", "1,40"
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "radius 40.0" in err
+    code, _, _ = run(
+        capsys, "potential-probe", "--mesh", "tetrahedron", "--probe-radii", "20"
+    )
+    assert code == 0
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh = octahedron\nseed = 9\nkind = ricci_normalized\n")

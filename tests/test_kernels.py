@@ -1,4 +1,5 @@
-"""numpy kernels: error codes, the energy-noise bound, the batch axis of
+"""numpy kernels: error codes, the energy-noise bound, the rolled-gather
+kernels against the loop over corners they replaced, the batch axis of
 the curvature kernel, the work, accuracy and memory of the Gauss-Legendre
 segment, the Ricci descent guard, and the result layouts that callers
 index into."""
@@ -31,17 +32,102 @@ def _mesh(name):
     return t
 
 
-def _node_loop_segment(u0, du, target, order, fv, fe, ea, eb, cphi):
+def _node_loop_segment(u0, du, target, order, mesh):
     """The Gauss-Legendre segment as one curvature call per node: the
     reference the blocked kernel must match bit for bit."""
     x, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for s, wk in zip(0.5 * (x + 1.0), 0.5 * w):
-        K, err = _kernels.curvatures(np.exp(u0 + s * du), fv, fe, ea, eb, cphi)
+        K, err = _kernels.curvatures(np.exp(u0 + s * du), mesh)
         if err != _kernels.ERR_OK:
             return math.nan, err
         total += float(wk) * float(np.dot(K - target, du))
     return total, _kernels.ERR_OK
+
+
+def _loop_corners(r, fv, fe, ea, eb, cphi):
+    """The corner kernel as a loop over corners ``m``, the form it had
+    before the rolled gathers: the reference they must match bit for bit.
+    Returns ``(lens, L, cc, ang, K, err)``."""
+    n = r.shape[-1]
+    ra = r.take(ea, axis=-1)
+    rb = r.take(eb, axis=-1)
+    lens = np.sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
+    L = lens.take(fe, axis=-1)
+    c = np.empty_like(L)
+    for m in range(3):
+        p = (m + 1) % 3
+        q = (m + 2) % 3
+        c[..., m] = (
+            L[..., p] * L[..., p] + L[..., q] * L[..., q] - L[..., m] * L[..., m]
+        ) / (2.0 * L[..., p] * L[..., q])
+
+    def verdict(c):
+        if not np.all(np.isfinite(c)):
+            return _kernels.ERR_NONFINITE
+        if float(np.max(np.abs(c))) - 1.0 > _kernels.CLAMP_TOL:
+            return _kernels.ERR_CLAMP
+        return _kernels.ERR_OK
+
+    corners = fv.ravel()
+    if r.ndim == 1:
+        err = verdict(c)
+    else:
+        errs = [verdict(row) for row in c]
+        err = next((e for e in errs if e != _kernels.ERR_OK), _kernels.ERR_OK)
+        corners = (np.arange(r.shape[0])[:, None] * n + corners).ravel()
+    cc = np.clip(c, -1.0, 1.0)
+    ang = np.arccos(cc)
+    K = np.full(r.shape, 2.0 * math.pi)
+    np.add.at(K.reshape(-1), corners, -ang.ravel())
+    return lens, L, cc, ang, K, err
+
+
+def _loop_state(r, fv, fe, ea, eb, cphi):
+    """``_kernels.state`` as a loop over corners (see :func:`_loop_corners`)."""
+    lens, L, cc, ang, K, err = _loop_corners(r, fv, fe, ea, eb, cphi)
+    kappa = np.empty_like(L)
+    for m in range(3):
+        p = (m + 1) % 3
+        q = (m + 2) % 3
+        kappa[:, m] = (
+            L[:, p] * L[:, p] + L[:, q] * L[:, q] + L[:, m] * L[:, m]
+        ) / (2.0 * L[:, p] * L[:, q])
+    sin = np.sqrt(1.0 - cc * cc)
+    eps, ulps = _kernels.EPS, _kernels.NOISE_ULPS
+    corner_noise = ulps * eps * (kappa / np.maximum(sin, 1e-300) + 4.0)
+    halves = np.empty_like(L)
+    rv = r[fv]
+    cphi_f = cphi[fe]
+    for m in range(3):
+        p = (m + 1) % 3
+        q = (m + 2) % 3
+        r_c, r_m, r_o = rv[:, p], rv[:, q], rv[:, m]
+        l_cm, l_co, l_mo = L[:, m], L[:, q], L[:, p]
+        bracket = (r_m + r_o * cphi_f[:, p]) - (l_mo * cc[:, q] / l_cm) * (
+            r_m + r_c * cphi_f[:, m]
+        )
+        halves[:, m] = r_m / (l_cm * l_co * sin[:, p]) * bracket
+    kn = np.zeros(r.shape[0])
+    np.add.at(kn, fv.ravel(), corner_noise.ravel())
+    B = np.zeros(ea.shape[0])
+    np.add.at(B, fe.ravel(), halves.ravel())
+    if err == _kernels.ERR_OK:
+        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
+            err = _kernels.ERR_NONFINITE
+        elif float(B.min()) <= 0.0 or float(B.max()) >= _kernels.TWO_SQRT3:
+            err = _kernels.ERR_WEIGHT_BOUNDS
+    return lens, ang, halves, K, B, kn, err
+
+
+def _same(got, want):
+    """Equal codes and bit-equal arrays (NaN where the reference has NaN)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
+        else:
+            assert g == w
 
 
 def _arrays(name, seed):
@@ -49,7 +135,7 @@ def _arrays(name, seed):
     rng = np.random.default_rng(seed)
     w = random_weight(rng, t)
     m = random_metric(rng, t)
-    return (t, m.r, *_mesh_arrays(t, w))
+    return t, m.r, _mesh_arrays(t, w)
 
 
 def test_active_backend_is_numpy():
@@ -67,22 +153,22 @@ def test_error_codes_and_raise_mapping():
 
 
 def test_energy_noise_bound_scales():
-    t, r, fv, fe, ea, eb, cphi = _arrays("tetrahedron", 58)
-    _, _, _, K, B, kn, err = _kernels.state(r, fv, fe, ea, eb, cphi)
+    t, r, args = _arrays("tetrahedron", 58)
+    _, _, _, K, B, kn, err = _kernels.state(r, args)
     assert err == _kernels.ERR_OK
     assert np.all(kn >= 0)
     # healthy metrics have curvature noise near machine precision
     assert np.max(kn) < 1e-12
     target = np.full(4, math.pi)
     energy = float(np.sum((K - target) ** 2))
-    noise = _kernels._energy_noise(K, kn, target, energy)
+    noise = _kernels._energy_noise(K - target, kn, energy)
     assert 0 <= noise < 1e-10
 
 
 def test_curvatures_match_state():
-    t, r, fv, fe, ea, eb, cphi = _arrays("icosahedron", 51)
-    k_state = _kernels.state(r, fv, fe, ea, eb, cphi)[3]
-    k_only, err = _kernels.curvatures(r, fv, fe, ea, eb, cphi)
+    t, r, args = _arrays("icosahedron", 51)
+    k_state = _kernels.state(r, args)[3]
+    k_only, err = _kernels.curvatures(r, args)
     assert err == _kernels.ERR_OK
     assert np.array_equal(k_only, k_state)
 
@@ -93,10 +179,10 @@ def test_batched_curvatures_match_rows(name):
     rng = np.random.default_rng(60)
     args = _mesh_arrays(t, random_weight(rng, t))
     radii = rng.uniform(0.5, 2.0, (5, t.n_vertices))
-    kb, err = _kernels.curvatures(radii, *args)
+    kb, err = _kernels.curvatures(radii, args)
     assert err == _kernels.ERR_OK and kb.shape == radii.shape
     for r, k in zip(radii, kb):
-        k1, err1 = _kernels.curvatures(r, *args)
+        k1, err1 = _kernels.curvatures(r, args)
         assert err1 == _kernels.ERR_OK
         assert np.array_equal(k, k1)
 
@@ -113,16 +199,54 @@ def test_batched_curvatures_first_failing_row(name):
     clamp[0] = -0.5
     nonfinite = np.ones(t.n_vertices)
     nonfinite[1] = np.nan
-    assert _kernels.curvatures(clamp, *args)[1] == _kernels.ERR_CLAMP
-    assert _kernels.curvatures(nonfinite, *args)[1] == _kernels.ERR_NONFINITE
+    assert _kernels.curvatures(clamp, args)[1] == _kernels.ERR_CLAMP
+    assert _kernels.curvatures(nonfinite, args)[1] == _kernels.ERR_NONFINITE
     for rows, code in (
         ([good[0], clamp, nonfinite, good[1]], _kernels.ERR_CLAMP),
         ([good[0], nonfinite, clamp, good[1]], _kernels.ERR_NONFINITE),
     ):
-        kb, err = _kernels.curvatures(np.array(rows), *args)
+        kb, err = _kernels.curvatures(np.array(rows), args)
         assert err == code
         for i in (0, 3):
-            assert np.array_equal(kb[i], _kernels.curvatures(rows[i], *args)[0])
+            assert np.array_equal(kb[i], _kernels.curvatures(rows[i], args)[0])
+
+
+@pytest.mark.parametrize("name", BATCH_MESHES)
+def test_rolled_kernels_match_corner_loop(name):
+    # random weights and radii: state, one-metric and batched curvatures
+    with np.errstate(all="ignore"):
+        t = _mesh(name)
+        rng = np.random.default_rng(65)
+        mesh = _mesh_arrays(t, random_weight(rng, t))
+        old = mesh[:5]  # (fv, fe, ea, eb, cphi)
+        radii = rng.uniform(0.5, 2.0, (4, t.n_vertices))
+        for r in radii:
+            _same(_kernels.state(r, mesh), _loop_state(r, *old))
+            _same(_kernels.curvatures(r, mesh), _loop_corners(r, *old)[4:])
+        _same(_kernels.curvatures(radii, mesh), _loop_corners(radii, *old)[4:])
+
+
+@pytest.mark.parametrize("name", BATCH_MESHES)
+def test_rolled_kernels_match_corner_loop_on_failing_rows(name):
+    # the rows of test_batched_curvatures_first_failing_row, alone and in a
+    # batch, with their error codes
+    with np.errstate(all="ignore"):
+        t = _mesh(name)
+        mesh = _mesh_arrays(t, cf.Weight(np.zeros(t.n_edges)))
+        old = mesh[:5]
+        good = np.random.default_rng(61).uniform(0.5, 2.0, (2, t.n_vertices))
+        clamp = np.ones(t.n_vertices)
+        clamp[0] = -0.5
+        nonfinite = np.ones(t.n_vertices)
+        nonfinite[1] = np.nan
+        codes = {_kernels.ERR_CLAMP: clamp, _kernels.ERR_NONFINITE: nonfinite}
+        for code, r in codes.items():
+            assert _kernels.state(r, mesh)[-1] == code
+            _same(_kernels.state(r, mesh), _loop_state(r, *old))
+            _same(_kernels.curvatures(r, mesh), _loop_corners(r, *old)[4:])
+        for middle in ([clamp, nonfinite], [nonfinite, clamp]):
+            batch = np.array([good[0], *middle, good[1]])
+            _same(_kernels.curvatures(batch, mesh), _loop_corners(batch, *old)[4:])
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -138,14 +262,14 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, order, rows):
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.5, t.n_vertices)
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    got = _kernels.segment_potential(u0, du, target, order, *args)
-    assert got == _node_loop_segment(u0, du, target, order, *args)
+    got = _kernels.segment_potential(u0, du, target, order, args)
+    assert got == _node_loop_segment(u0, du, target, order, args)
     assert got[1] == _kernels.ERR_OK
     # radii overflow to inf part way along: same first failing node
     du[0] = 1000.0
     with np.errstate(over="ignore"):
-        value, err = _kernels.segment_potential(u0, du, target, order, *args)
-        ref_value, ref_err = _node_loop_segment(u0, du, target, order, *args)
+        value, err = _kernels.segment_potential(u0, du, target, order, args)
+        ref_value, ref_err = _node_loop_segment(u0, du, target, order, args)
     assert err == ref_err == _kernels.ERR_NONFINITE
     assert math.isnan(value) and math.isnan(ref_value)
 
@@ -161,7 +285,7 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     u0 = np.log(random_metric(rng, t).r)
-    _, _, _, K, B, kn, _ = _kernels.state(np.exp(u0), *args)
+    _, _, _, K, B, kn, _ = _kernels.state(np.exp(u0), args)
     energy = float(np.sum((K - target) ** 2))
     calls = []
     corners = _kernels._corners
@@ -198,7 +322,7 @@ def test_ricci_steps_lower_the_potential(name, kind):
         args = _mesh_arrays(t, w)
         us = [s.u for s in trace.samples]
         for ua, ub in zip(us, us[1:]):
-            df, err = _kernels.segment_potential(ua, ub - ua, trace.target, 4, *args)
+            df, err = _kernels.segment_potential(ua, ub - ua, trace.target, 4, args)
             assert err == _kernels.ERR_OK and df <= 0.0
 
 
@@ -212,10 +336,10 @@ def test_segment_potential_converges(name):
     u0 = rng.normal(0.0, 0.3, t.n_vertices)
     du = rng.normal(0.0, 0.5, t.n_vertices)
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    ref, err = _kernels.segment_potential(u0, du, target, 256, *args)
+    ref, err = _kernels.segment_potential(u0, du, target, 256, args)
     assert err == _kernels.ERR_OK
     for order, tol in ((8, 1e-10), (16, 1e-12)):
-        value, err = _kernels.segment_potential(u0, du, target, order, *args)
+        value, err = _kernels.segment_potential(u0, du, target, order, args)
         assert err == _kernels.ERR_OK
         assert abs(value - ref) < tol * (1.0 + abs(ref))
 
@@ -229,10 +353,10 @@ def test_segment_potential_memory_bounded():
     du = rng.normal(0.0, 0.3, t.n_vertices)
     target = np.full(t.n_vertices, 4 * math.pi / t.n_vertices)
     # the first call builds and caches the rule, an 8 MB eigenproblem
-    _kernels.segment_potential(u0, du, target, 2**10, *args)
+    _kernels.segment_potential(u0, du, target, 2**10, args)
     tracemalloc.start()
     try:
-        _, err = _kernels.segment_potential(u0, du, target, 2**10, *args)
+        _, err = _kernels.segment_potential(u0, du, target, 2**10, args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -243,13 +367,13 @@ def test_segment_potential_memory_bounded():
 @pytest.mark.parametrize("lap_kind", [True, False])
 def test_advance_result_layout(lap_kind):
     # the accepted-step count sits at index 1 of a 10-tuple
-    t, r, fv, fe, ea, eb, cphi = _arrays("octahedron", 56)
+    t, r, args = _arrays("octahedron", 56)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     u0 = np.log(r)
-    _, _, _, K, B, kn, err = _kernels.state(r, fv, fe, ea, eb, cphi)
+    _, _, _, K, B, kn, err = _kernels.state(r, args)
     energy = float(np.sum((K - target) ** 2))
     res = _kernels.advance(
-        u0.copy(), 1e-2, 0.0, 0, 5, (fv, fe, ea, eb, cphi), target, lap_kind,
+        u0.copy(), 1e-2, 0.0, 0, 5, args, target, lap_kind,
         u0.copy(), cf.IntegratorOptions(), K, B, kn, energy,
     )
     assert len(res) == 10

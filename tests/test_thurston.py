@@ -289,7 +289,7 @@ def test_slack_bound_below_every_subset_slack(name):
         zero = np.zeros(t.n_vertices)
         rows = [(list(m), rhs) for m, _, rhs in enumerate_rows(t, w, zero)]
         u = rng.uniform(-1.0, 1.0, t.n_vertices)
-        _, ang, _, K, _, _, err = _kernels.state(np.exp(u), *_mesh_arrays(t, w))
+        _, ang, _, K, _, _, err = _kernels.state(np.exp(u), _mesh_arrays(t, w))
         assert err == _kernels.ERR_OK
         pmp_f = (math.pi - w.phi)[t.face_edges]
         for eps in (0.0, 1e-3, 0.3):
