@@ -33,8 +33,14 @@ Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
 on one mesh, and returns curvatures of shape (m, n).  Each row is computed
 by the same elementwise operations, in the same accumulation order, as a
 call on that row alone, so every row equals the one-metric result bit for
-bit.  :func:`segment_potential` evaluates its Gauss-Legendre nodes this
-way, in row blocks (see ``BLOCK_FACES``).
+bit.  :func:`segment_potential` has a batch axis too: it takes one segment
+(n,) or m segments (m, n), lays their Gauss-Legendre nodes out as rows,
+segment-major and node-minor, and evaluates them this way in row blocks
+(see ``BLOCK_FACES``) that may span segments.  Its row dots are one
+stacked ``matmul`` of (1, n) by (n, 1) matrices, which rounds as
+``np.dot`` on each row does (``einsum`` does not), and ``np.add.at`` sums
+each segment's terms in node order, so every segment's value equals that
+of a call on it alone, bit for bit.
 
 Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
@@ -308,28 +314,47 @@ def _gauss_legendre(order):
 
 
 def _segment_potential(u0, du, target, order, mesh):
-    """Gauss-Legendre quadrature of the curvature one-form on a segment.
+    """Gauss-Legendre quadrature of the curvature one-form on segments.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with the
-    ``order``-point rule.  The nodes are evaluated in row blocks of at most
-    ``max(1, BLOCK_FACES // F)`` metrics, one curvature call per block, and
-    the weighted terms are summed in node order.  Returns ``(value, err)``;
-    on a failed evaluation the value is NaN and ``err`` the code of the
-    first failing node.
+    ``order``-point rule.  ``u0`` and ``du`` are one segment (n,) or a batch
+    of segments (m, n), broadcast against each other.  The rows to evaluate
+    are laid out segment-major and node-minor, and evaluated in row blocks
+    of at most ``max(1, BLOCK_FACES // F)`` metrics, one curvature call per
+    block; a block may hold the end of one segment and the start of the
+    next.  Each row's dot with its ``du`` is one stacked ``matmul`` of a
+    (1, n) by an (n, 1) matrix, which rounds as ``np.dot`` does, and each
+    segment sums its weighted terms in node order (``np.add.at`` adds in
+    index order), so every segment's value equals that of a call on it
+    alone, bit for bit.
+
+    Returns ``(value, err)``, the value a float for one segment and an (m,)
+    array for a batch.  On a failed evaluation every value is NaN and
+    ``err`` is the code of the first failing row in row order: for one
+    segment, its first failing node.
     """
     nodes, weights = _gauss_legendre(order)
+    u0, du = np.broadcast_arrays(u0, du)
+    single = du.ndim == 1
+    n = du.shape[-1]
+    u0 = u0.reshape(-1, n)
+    du = du.reshape(-1, n)
+    total = np.zeros(du.shape[0])
+    n_rows = total.shape[0] * order
     rows = max(1, BLOCK_FACES // mesh.fv.shape[0])
-    total = 0.0
-    for k in range(0, order, rows):
+    for k in range(0, n_rows, rows):
+        seg, node = np.divmod(np.arange(k, min(k + rows, n_rows)), order)
+        du_rows = du.take(seg, axis=0)
         # radii that overflow to inf are reported by the error code
         with np.errstate(all="ignore"):
-            r = np.exp(u0 + nodes[k : k + rows, None] * du)
+            r = np.exp(u0.take(seg, axis=0) + nodes[node, None] * du_rows)
         Kb, err = _curvatures(r, mesh)
         if err != ERR_OK:
-            return math.nan, err
-        for wj, d in zip(weights[k : k + rows], Kb - target):
-            total += float(wj) * float(np.dot(d, du))
-    return total, ERR_OK
+            total.fill(math.nan)
+            return (math.nan if single else total), err
+        dots = np.matmul((Kb - target)[:, None, :], du_rows[:, :, None])
+        np.add.at(total, seg, weights[node] * dots.ravel())
+    return (float(total[0]) if single else total), ERR_OK
 
 
 def advance(

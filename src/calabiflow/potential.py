@@ -67,12 +67,6 @@ def energy_gradient(
     return -2.0 * lap.apply(geo.curvatures - tgt)
 
 
-def _segment(t, w, u0, du, tgt, order):
-    val, err = _kernels.segment_potential(u0, du, tgt, order, _mesh_arrays(t, w))
-    _kernels.raise_state_error(err)
-    return val
-
-
 def ricci_potential(
     t: Triangulation,
     w: Weight,
@@ -80,42 +74,60 @@ def ricci_potential(
     u_to: np.ndarray,
     target=None,
     tol: float = 1e-8,
-) -> float:
-    """Line integral of ``<K - target, du>`` along the straight segment.
+) -> float | np.ndarray:
+    """Line integral of ``<K - target, du>`` along straight segments.
 
-    For weights in [0, pi/2] no triangle degenerates at any radii, so the
-    integrand is analytic in the segment parameter and Gauss-Legendre
-    quadrature converges exponentially.  Orders 8, 16, ... are tried until
-    two consecutive values agree within ``tol * (1 + |value|)``; past
-    ``MAX_NODES`` nodes a :class:`QuadratureError` is raised.  Path
-    independence (integrating via any intermediate point gives the same
-    value) follows from closedness of the form and is what the
-    ``potential-probe`` CLI verifies.
+    ``u_from`` and ``u_to`` are log-radius vectors (n,) or batches of them
+    (m, n), broadcast against each other; the result is a float for one
+    segment and an (m,) array for a batch, 0.0 for a segment of zero
+    length.  For weights in [0, pi/2] no triangle degenerates at any
+    radii, so the integrand is analytic in the segment parameter and
+    Gauss-Legendre quadrature converges exponentially.  Every segment
+    tries orders 8, 16, ... and stops at the first order that agrees with
+    the one before within ``tol * (1 + |value|)``; each order is one
+    batched kernel call over the segments still open, so a segment's value
+    is that of a call on it alone, bit for bit.  Past ``MAX_NODES`` nodes
+    a :class:`QuadratureError` is raised.  Path independence (integrating
+    via any intermediate point gives the same value) follows from
+    closedness of the form and is what the ``potential-probe`` CLI
+    verifies.
     """
     tgt = resolve_target(t, target)
     if not 0.0 < tol < math.inf:
         raise DomainError("tol must be positive and finite")
-    u_from = np.ascontiguousarray(u_from, dtype=np.float64)
-    u_to = np.ascontiguousarray(u_to, dtype=np.float64)
-    if u_from.shape != (t.n_vertices,) or u_to.shape != (t.n_vertices,):
+    u_from = np.asarray(u_from, dtype=np.float64)
+    u_to = np.asarray(u_to, dtype=np.float64)
+    n = t.n_vertices
+    shapes = (u_from.shape, u_to.shape)
+    if not all(len(s) in (1, 2) and s[-1] == n for s in shapes):
         raise DomainError("segment endpoints must be log-radius vectors")
+    try:
+        u_from, u_to = np.broadcast_arrays(u_from, u_to)
+    except ValueError:
+        raise DomainError(f"segment endpoint shapes {shapes} do not match") from None
     if not (np.all(np.isfinite(u_from)) and np.all(np.isfinite(u_to))):
         raise DomainError("segment endpoints must be finite")
-    du = u_to - u_from
-    if not np.any(du):
-        return 0.0
-    order = 8
-    prev = _segment(t, w, u_from, du, tgt, order)
-    while 2 * order <= MAX_NODES:
-        order *= 2
-        cur = _segment(t, w, u_from, du, tgt, order)
-        if abs(cur - prev) < tol * (1.0 + abs(cur)):
-            return float(cur)
+    du = (u_to - u_from).reshape(-1, n)
+    u0 = u_from.reshape(-1, n)
+    mesh = _mesh_arrays(t, w)
+    values = np.zeros(du.shape[0])
+    todo = np.flatnonzero(du.any(axis=1))
+    order, prev = 8, None
+    while todo.size:
+        if order > MAX_NODES:
+            raise QuadratureError(
+                f"Gauss-Legendre orders did not agree within {tol!r} by "
+                f"{MAX_NODES} nodes"
+            )
+        cur, err = _kernels.segment_potential(u0[todo], du[todo], tgt, order, mesh)
+        _kernels.raise_state_error(err)
+        if prev is not None:
+            done = np.abs(cur - prev) < tol * (1.0 + np.abs(cur))
+            values[todo[done]] = cur[done]
+            todo, cur = todo[~done], cur[~done]
         prev = cur
-    raise QuadratureError(
-        f"Gauss-Legendre orders did not agree within {tol!r} by "
-        f"{MAX_NODES} nodes"
-    )
+        order *= 2
+    return values if u_to.ndim == 2 else float(values[0])
 
 
 def restricted_hessian_check(
@@ -142,12 +154,17 @@ def properness_probe(
     """Sample the Ricci potential along rays off a base metric.
 
     Directions must be orthogonal to the constant vectors (the potential
-    is flat along scaling); they are normalized here.  Returns rows
-    ``(direction_index, radius, f)``.  When the base is the
-    constant-curvature metric, each row's value must be positive and
-    increase with radius — that growth is the properness that forces
+    is flat along scaling); they are normalized here.  All radii and
+    directions are checked before any integration, and every row is then
+    one segment of a single batched :func:`ricci_potential` call.  Returns
+    rows ``(direction_index, radius, f)``, direction-major.  When the base
+    is the constant-curvature metric, each row's value must be positive
+    and increase with radius — that growth is the properness that forces
     existence of the minimum.
     """
+    radii = [float(s) for s in radii]
+    if not all(0.0 < s < math.inf for s in radii):
+        raise DomainError("probe radii must be positive and finite")
     if directions is None:
         n = t.n_vertices
         directions = np.zeros((n - 1, n))
@@ -158,7 +175,7 @@ def properness_probe(
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if directions.shape[1] != t.n_vertices:
         raise DomainError("each direction must have one entry per vertex")
-    rows: list[tuple[int, float, float]] = []
+    dirs = []
     for idx, d in enumerate(directions):
         norm = float(np.linalg.norm(d))
         if norm == 0.0:
@@ -168,15 +185,17 @@ def properness_probe(
             raise DomainError(
                 f"direction {idx} has a component along the constant vectors"
             )
-        for s in radii:
-            s = float(s)
-            if not 0.0 < s < math.inf:
-                raise DomainError("probe radii must be positive and finite")
-            val = ricci_potential(
-                t, w, base.u, base.u + s * d, target=target, tol=tol
-            )
-            rows.append((idx, s, float(val)))
-    return rows
+        dirs.append(d)
+    dirs = np.reshape(dirs, (-1, t.n_vertices))
+    ends = base.u + np.array(radii)[:, None] * dirs[:, None, :]
+    vals = ricci_potential(
+        t, w, base.u, ends.reshape(-1, t.n_vertices), target=target, tol=tol
+    )
+    return [
+        (idx, s, float(v))
+        for idx, ray in enumerate(vals.reshape(len(dirs), len(radii)))
+        for s, v in zip(radii, ray)
+    ]
 
 
 def constant_curvature_log_metric(

@@ -14,7 +14,7 @@ import calabiflow as cf
 from calabiflow import cli, thurston
 from calabiflow.cli import main
 from calabiflow.meshes import subdivide
-from _util import disjoint_text, mesh, stellar_text, zero_weight
+from _util import MESH_NAMES, disjoint_text, mesh, stellar_text, zero_weight
 
 TWO_PI = 2 * math.pi
 
@@ -283,6 +283,22 @@ def test_potential_probe_unevaluable_radius_exits_1(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("name", MESH_NAMES)
+def test_potential_probe_decreasing_radii_exits_1(capsys, name):
+    # the rays are walked outwards and the last radius is the far one, so a
+    # decreasing list used to fail the probe's own checks and exit 3
+    for argv in (("--probe-radii", "8,4"), ("--rays", "3", "--probe-radii", "2,1")):
+        code, out, err = run(capsys, "potential-probe", "--mesh", name, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--probe-radii" in err
+    # equal radii are not decreasing
+    code, out, _ = run(
+        capsys, "potential-probe", "--mesh", name, "--probe-radii", "1,1"
+    )
+    assert code == 0 and json.loads(out)["ok"] is True
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh = octahedron\nseed = 9\nkind = ricci_normalized\n")
@@ -325,6 +341,7 @@ def test_config_route_sets_the_laplacian_route(capsys, tmp_path):
         ("potential-probe", "--mesh", "tetrahedron", "--rays", "a"),
         ("flow", "--mesh", "tetrahedron", "--initial-step", "inf"),
         ("flow", "--mesh", "tetrahedron", "--tol", "inf"),
+        ("potential-probe", "--mesh", "tetrahedron", "--probe-radii", "8,4"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):

@@ -1,8 +1,8 @@
 """numpy kernels: error codes, the energy-noise bound, the rolled-gather
-kernels against the loop over corners they replaced, the batch axis of
-the curvature kernel, the work, accuracy and memory of the Gauss-Legendre
-segment, the Ricci descent guard, and the result layouts that callers
-index into."""
+kernels against the loop over corners they replaced, the batch axes of
+the curvature and quadrature kernels, the work, accuracy and memory of
+the Gauss-Legendre segments, the Ricci descent guard, and the result
+layouts that callers index into."""
 
 import functools
 import math
@@ -13,6 +13,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow import _kernels
+from calabiflow.cli import main
 from calabiflow.flows import SAMPLE_TARGET
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.meshes import subdivide
@@ -275,6 +276,37 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, order, rows):
 
 
 @pytest.mark.parametrize("rows", [None, 3])
+@pytest.mark.parametrize("name", BATCH_MESHES)
+def test_batched_segment_potential_matches_node_loop(monkeypatch, name, rows):
+    # rows=3 with order 4: blocks straddle the boundaries between segments
+    t = _mesh(name)
+    if rows is not None:
+        monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
+    rng = np.random.default_rng(65)
+    args = _mesh_arrays(t, random_weight(rng, t))
+    u0 = rng.normal(0.0, 0.3, (4, t.n_vertices))
+    du = rng.normal(0.0, 0.5, (4, t.n_vertices))
+    target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
+    for order in (1, 4, 16):
+        values, err = _kernels.segment_potential(u0, du, target, order, args)
+        assert err == _kernels.ERR_OK and values.shape == (4,)
+        for v, a, d in zip(values, u0, du):
+            assert (v, err) == _node_loop_segment(a, d, target, order, args)
+        # one start broadcast against every step
+        values, _ = _kernels.segment_potential(u0[0], du, target, order, args)
+        for v, d in zip(values, du):
+            assert v == _node_loop_segment(u0[0], d, target, order, args)[0]
+    # radii overflow to inf part way along the third segment: every value
+    # is NaN, and the code is that of the first failing row
+    du[2, 0] = 1000.0
+    with np.errstate(over="ignore"):
+        values, err = _kernels.segment_potential(u0, du, target, 4, args)
+        ref_err = _node_loop_segment(u0[2], du[2], target, 4, args)[1]
+    assert err == ref_err == _kernels.ERR_NONFINITE
+    assert values.shape == (4,) and np.all(np.isnan(values))
+
+
+@pytest.mark.parametrize("rows", [None, 3])
 def test_ricci_trial_geometry_calls(monkeypatch, rows):
     # one accepted Ricci step, no halving: the convexity guard reads the
     # curvatures at the trial point, one curvature call whatever the block
@@ -298,6 +330,24 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
     )
     assert res[1] == 1 and res[4] == 1e-2  # accepted at full size
     assert len(calls) == 1
+
+
+def test_potential_probe_curvature_calls(monkeypatch, capsys):
+    # every segment of the probe (8 rays x 4 radii, and the three of the
+    # path test) is one batched quadrature: one curvature call per row
+    # block of each order tried.  Orders 8, 16 and 32 cover 35, 35 and 10
+    # segments, in blocks of at most 512 rows on the tetrahedron's 4 faces.
+    # The per-segment loop made 80 calls here.
+    rows = []
+    curvatures = _kernels._curvatures
+    monkeypatch.setattr(
+        _kernels,
+        "_curvatures",
+        lambda r, m: rows.append(r.shape[0]) or curvatures(r, m),
+    )
+    assert main(["potential-probe", "--mesh", "tetrahedron", "--seed", "3"]) == 0
+    capsys.readouterr()
+    assert rows == [280, 512, 48, 320]
 
 
 @pytest.mark.parametrize("kind", ["ricci_normalized", "ricci_prescribed"])

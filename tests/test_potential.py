@@ -233,7 +233,83 @@ def test_ricci_potential_overflow_raises_without_warning():
     # it through its error code, and numpy prints no RuntimeWarning first
     t = mesh("octahedron")
     u_to = np.array([800.0, 0.0, 0.0, 0.0, 0.0, -800.0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(cf.InternalConsistencyError):
-            cf.ricci_potential(t, zero_weight(t), np.zeros(6), u_to)
+    # alone, and as the middle row of a batch
+    batch = np.zeros((3, 6))
+    batch[0, :2] = (0.5, -0.5)
+    batch[1] = u_to
+    for end in (u_to, batch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cf.InternalConsistencyError):
+                cf.ricci_potential(t, zero_weight(t), np.zeros(6), end)
+
+
+@pytest.mark.parametrize("name", MESH_NAMES)
+def test_batched_ricci_potential_matches_scalar_calls(name):
+    # each segment stops at the order a call on it alone stops at, so
+    # every value equals the scalar call's bit for bit
+    t = mesh(name)
+    rng = np.random.default_rng(36)
+    w = random_weight(rng, t)
+    u_from = rng.uniform(-0.7, 0.7, (5, t.n_vertices))
+    u_to = rng.uniform(-0.7, 0.7, (5, t.n_vertices))
+    u_to[2] = u_from[2]  # zero length inside the batch
+    u_to[4] = u_from[4] + 0.5 * u_to[4]  # a shorter segment stops sooner
+    vals = cf.ricci_potential(t, w, u_from, u_to)
+    assert isinstance(vals, np.ndarray) and vals.shape == (5,)
+    assert vals[2] == 0.0
+    for v, a, b in zip(vals, u_from, u_to):
+        assert v == cf.ricci_potential(t, w, a, b)
+    # one start broadcast against a batch of ends, and a batch of one
+    vals = cf.ricci_potential(t, w, u_from[0], u_to)
+    for v, b in zip(vals, u_to):
+        assert v == cf.ricci_potential(t, w, u_from[0], b)
+    one = cf.ricci_potential(t, w, u_from[:1], u_to[0])
+    scalar = cf.ricci_potential(t, w, u_from[0], u_to[0])
+    assert isinstance(scalar, float) and one.shape == (1,) and one[0] == scalar
+
+
+def test_ricci_potential_rejects_bad_shapes():
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    for u_from, u_to in (
+        (np.zeros((3, 4)), np.ones((2, 4))),  # batches that do not broadcast
+        (np.zeros(4), np.ones((2, 2, 4))),  # 3-D
+        (np.zeros((2, 2, 4)), np.ones(4)),
+        (np.zeros(4), np.ones(5)),  # wrong vertex count
+        (np.zeros((2, 5)), np.ones((2, 5))),
+        (np.zeros(()), np.ones(4)),  # 0-D
+    ):
+        with pytest.raises(cf.DomainError):
+            cf.ricci_potential(t, w, u_from, u_to)
+
+
+def test_properness_probe_validates_before_integrating(monkeypatch):
+    # a bad radius or direction behind good ones is refused before any
+    # quadrature; good input is one batched call whose rows equal the
+    # scalar calls
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    base = cf.constant_curvature_log_metric(t, w)
+    calls = []
+    ricci = potential_mod.ricci_potential
+    monkeypatch.setattr(
+        potential_mod,
+        "ricci_potential",
+        lambda *a, **k: calls.append(1) or ricci(*a, **k),
+    )
+    good = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+    for directions, radii in (
+        (good, (1.0, 2.0, -1.0)),
+        (np.vstack([good, np.ones(4)]), (1.0, 2.0)),
+        (np.vstack([good, np.zeros(4)]), (1.0, 2.0)),
+    ):
+        with pytest.raises(cf.DomainError):
+            cf.properness_probe(t, w, base, directions=directions, radii=radii)
+    assert calls == []
+    rows = cf.properness_probe(t, w, base, directions=good, radii=(1.0, 3.0))
+    assert len(calls) == 1
+    assert [(i, s) for i, s, _ in rows] == [(0, 1.0), (0, 3.0), (1, 1.0), (1, 3.0)]
+    for i, s, f in rows:
+        d = good[i] / np.linalg.norm(good[i])
+        assert f == ricci(t, w, base.u, base.u + s * d)
