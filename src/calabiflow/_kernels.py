@@ -2,13 +2,15 @@
 
 The geometry kernels are array-in / array-out.  They take the mesh as one
 :class:`Mesh` tuple of static index arrays and weight cosines, built by
-``geometry._mesh_arrays``.  The step controller :func:`advance` takes the
-flow state as arrays, that mesh, and the settings callers vary as one
-options object (``flows.IntegratorOptions``); its fixed settings are the
-module constants below.  The public names are ``state``, ``curvatures``,
-``lap_apply``, ``segment_potential``, ``advance`` and ``scan_subsets``.
-Kernels call each other by their private names, so rebinding a public name
-(to time it, say) sees only outside callers.
+``geometry._mesh_arrays``.  The run loop :func:`advance` takes the start
+log radii, that mesh, the settings callers vary as one options object
+(``flows.IntegratorOptions``) and a callback that records samples; its
+fixed settings are the module constants below.  The public names are
+``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
+``advance`` and ``scan_subsets``.  Kernels call each other by their
+private names, so rebinding a public name (to time it, say) sees only
+outside callers, and the evaluations of a run's start and re-centered
+states, which ``advance`` makes through ``state``.
 
 Rolled corners: every per-corner quantity is one elementwise expression on
 contiguous (F, 3) arrays, whose entry ``[f, m]`` belongs to corner ``m`` of
@@ -46,7 +48,8 @@ Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
 whose geometry does not evaluate cleanly as one more rejected trial, not as
 a failure of the run.  Callers outside the controller translate nonzero
-codes via :func:`raise_state_error`.  A non-finite corner cosine takes
+codes via :func:`raise_state_error`, as :func:`advance` does for the
+states it evaluates between steps.  A non-finite corner cosine takes
 precedence over one past the clamp tolerance.  On a batch every row has
 its own code, and the call reports the code of the first row that fails;
 a failing row does not change the values of the other rows.
@@ -73,12 +76,6 @@ ERR_CLAMP = 1
 ERR_WEIGHT_BOUNDS = 2
 ERR_NONFINITE = 3
 
-# advance termination codes
-ADV_CHUNK_DONE = 0
-ADV_CONVERGED = 1
-ADV_DIVERGED = 2
-ADV_STEP_COLLAPSE = 3
-
 # Quadrature nodes are evaluated in row blocks of at most BLOCK_FACES // F
 # metrics per curvature call (F faces).  A block saves the per-call overhead
 # that dominates on small meshes.  Past about 2**11 faces per block the
@@ -98,6 +95,10 @@ TRIAL_MARGIN = 5.0
 MAX_HALVINGS = 60
 GROWTH_FACTOR = 1.2
 GROWTH_INTERVAL = 10
+# accepted steps between re-centerings of sum u (Calabi kinds)
+RECENTER_INTERVAL = 1000
+# sets the stride between recorded samples
+SAMPLE_TARGET = 1000
 
 # The energy guard accepts a trial step when the new energy does not exceed
 # the current one beyond a certified roundoff allowance.  The allowance must
@@ -357,39 +358,66 @@ def _segment_potential(u0, du, target, order, mesh):
     return (float(total[0]) if single else total), ERR_OK
 
 
-def advance(
-    u, h, t, streak, n_accept, mesh, target, lap_kind, u_ref, opts, K, B, kn, energy
-):
-    """Advance the flow by up to ``n_accept`` accepted explicit Euler steps.
+def advance(u, mesh, target, lap_kind, opts, record):
+    """Run a flow from the log radii ``u`` until it stops.
 
     ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
-    ``IntegratorOptions``, of which the controller reads
-    ``curvature_tol``, ``u_max`` and ``max_step``; the rest of its settings
-    are the constants ``MAX_HALVINGS``, ``GROWTH_FACTOR`` and
-    ``GROWTH_INTERVAL``.  The caller supplies the current state quantities
-    (K, B, kn, energy) consistent with ``u`` and receives the updated ones
-    back.
+    ``IntegratorOptions``; the fixed settings are the module constants.
+    The start and each re-centering are evaluated by :func:`state`, and
+    raise if they do not evaluate cleanly; a trial that does not is
+    rejected.
 
-    A Calabi trial makes one geometry call (:func:`_state`) and passes when
-    the energy does not rise beyond its roundoff allowance.  A Ricci trial
-    makes one curvature call (:func:`_curvatures`) at the trial point
-    ``u + h v`` and passes when ``<K(u + h v) - target, h v> <= 0``.  For
-    weights in [0, pi/2] the Ricci potential is convex (Colin de Verdiere,
-    Invent. Math. 1991; Chow-Luo, J. Diff. Geom. 2003), so
-    g(s) = <K(u + s h v) - target, h v> is nondecreasing in s; g(1) <= 0
-    then gives g <= 0 on [0, 1], and the step does not raise the potential.
-    What the accepted trial computed (its deviation ``K - target``, its
-    energy noise and its distance from ``u_ref``) serves the next step and
-    the stopping tests unchanged.
-    Returns ``(status, done, u, h, t, streak, K, B, kn, energy)``.
+    Each step is explicit Euler with a descent guard: a trial that fails it
+    is halved and retried, up to ``MAX_HALVINGS`` times, and the step grows
+    by ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after every
+    ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial makes one
+    geometry call (:func:`_state`) and passes when the energy does not rise
+    beyond its roundoff allowance.  A Ricci trial makes one curvature call
+    (:func:`_curvatures`) at the trial point ``u + h v`` and passes when
+    ``<K(u + h v) - target, h v> <= 0``.  For weights in [0, pi/2] the Ricci
+    potential is convex (Colin de Verdiere, Invent. Math. 1991; Chow-Luo,
+    J. Diff. Geom. 2003), so g(s) = <K(u + s h v) - target, h v> is
+    nondecreasing in s; g(1) <= 0 then gives g <= 0 on [0, 1], and the step
+    does not raise the potential.  What the accepted trial computed (its
+    deviation ``K - target``, its energy noise and its distance from the
+    start) serves the next step and the stopping tests unchanged.
+
+    The run converges when ``max |K - target| < opts.curvature_tol`` (the
+    start included), diverges when some ``|u_i - u_i(0)|`` exceeds
+    ``opts.u_max``, and otherwise stops after ``opts.max_steps`` accepted
+    steps.  For the Calabi kinds, which conserve ``sum u`` in exact
+    arithmetic, ``sum u`` is re-centered every ``RECENTER_INTERVAL`` steps
+    that did not stop the run.  ``record(t, h, u, K, energy)`` is called at
+    the start, then whenever ``stride`` steps have passed since the last
+    record, and at the end.  ``stride`` is ``max(1, k // SAMPLE_TARGET)``
+    (``k`` the step count) as of the start, the last record or the last
+    re-centering, whichever came last.
+    Returns ``(status, steps, u, t)``, the status one of ``"converged"``,
+    ``"diverged"``, ``"step_limit"`` and ``"collapsed"``; a collapsed run is
+    not recorded at its end.
     """
     ea, eb = mesh.ea, mesh.eb
-    dev = K - target
-    noise = _energy_noise(dev, kn, energy) if lap_kind else 0.0
-    done = 0
-    while done < n_accept:
+    u_ref = u
+    sum_u0 = float(u.sum())
+
+    def evaluate(u):
+        _, _, _, K, B, kn, err = state(np.exp(u), mesh)
+        raise_state_error(err)
+        dev = K - target
+        energy = float((dev**2).sum())
+        noise = _energy_noise(dev, kn, energy) if lap_kind else 0.0
+        return K, B, dev, energy, noise
+
+    K, B, dev, energy, noise = evaluate(u)
+    h = opts.initial_step
+    t = 0.0
+    streak = steps = last = 0
+    stride = 1
+    record(t, h, u, K, energy)
+    if float(np.abs(dev).max()) < opts.curvature_tol:
+        return "converged", steps, u, t
+    while steps < opts.max_steps:
         v = _lap_apply(B, ea, eb, dev) if lap_kind else -dev
-        accepted = False
         for _ in range(MAX_HALVINGS + 1):
             du = h * v
             u_new = u + du
@@ -423,12 +451,11 @@ def advance(
             else:
                 ok = float(np.dot(dev_new, du)) <= 0.0
             if ok:
-                accepted = True
                 break
             h *= 0.5
             streak = 0
-        if not accepted:
-            return ADV_STEP_COLLAPSE, done, u, h, t, streak, K, B, kn, energy
+        else:
+            return "collapsed", steps, u, t
         t += h
         u = u_new
         K = K_new
@@ -436,19 +463,31 @@ def advance(
         energy = e_new
         if lap_kind:
             B = B_new
-            kn = kn_new
             noise = noise_new
-        done += 1
+        steps += 1
         streak += 1
         if streak >= GROWTH_INTERVAL:
             grown = h * GROWTH_FACTOR
             h = grown if grown < opts.max_step else opts.max_step
             streak = 0
         if float(np.abs(dev).max()) < opts.curvature_tol:
-            return ADV_CONVERGED, done, u, h, t, streak, K, B, kn, energy
+            record(t, h, u, K, energy)
+            return "converged", steps, u, t
         if drift > opts.u_max:
-            return ADV_DIVERGED, done, u, h, t, streak, K, B, kn, energy
-    return ADV_CHUNK_DONE, done, u, h, t, streak, K, B, kn, energy
+            record(t, h, u, K, energy)
+            return "diverged", steps, u, t
+        recenter = lap_kind and steps % RECENTER_INTERVAL == 0
+        if recenter:
+            u = u - (u.sum() - sum_u0) / u.shape[0]
+            K, B, dev, energy, noise = evaluate(u)
+        if steps - last >= stride:
+            record(t, h, u, K, energy)
+            last = steps
+        if recenter or last == steps:
+            stride = max(1, steps // SAMPLE_TARGET)
+    if last != steps:
+        record(t, h, u, K, energy)
+    return "step_limit", steps, u, t
 
 
 def scan_subsets(n, target, ea, eb, fv, fe, pmp, tol):

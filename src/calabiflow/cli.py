@@ -137,11 +137,11 @@ def _load_phi(spec: str | None, t: Triangulation) -> Weight:
     return Weight.uniform(t, value)
 
 
-def _load_radii(spec: str | None, t: Triangulation, seed: int) -> PackingMetric:
+def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> PackingMetric:
     if spec is None or spec == "random":
         rng = np.random.default_rng(seed)
-        return PackingMetric.from_radii(rng.uniform(0.5, 2.0, t.n_vertices))
-    if os.path.exists(spec):
+        m = PackingMetric.from_radii(rng.uniform(0.5, 2.0, t.n_vertices))
+    elif os.path.exists(spec):
         values = []
         for lineno, raw, line in _data_lines(spec):
             try:
@@ -154,16 +154,24 @@ def _load_radii(spec: str | None, t: Triangulation, seed: int) -> PackingMetric:
             raise DomainError(
                 f"{spec}: {len(values)} radii for {t.n_vertices} vertices"
             )
-        return PackingMetric.from_radii(np.array(values))
-    try:
-        value = float(spec)
-    except ValueError:
+        m = PackingMetric.from_radii(np.array(values))
+    else:
+        try:
+            value = float(spec)
+        except ValueError:
+            raise DomainError(
+                f"radii spec {spec!r} is not a file, a number, or 'random'"
+            )
+        if value <= 0:
+            raise DomainError("radii must be positive")
+        m = PackingMetric.from_radii(np.full(t.n_vertices, value))
+    # radii near the ends of the float range overflow or underflow the
+    # cosine law (1e300, 1e-320); such a start is refused, not run
+    if _kernels.state(m.r, _mesh_arrays(t, w))[-1] != _kernels.ERR_OK:
         raise DomainError(
-            f"radii spec {spec!r} is not a file, a number, or 'random'"
+            f"--radii {spec!r}: the geometry does not evaluate in floating point"
         )
-    if value <= 0:
-        raise DomainError("radii must be positive")
-    return PackingMetric.from_radii(np.full(t.n_vertices, value))
+    return m
 
 
 def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
@@ -259,7 +267,7 @@ def cmd_validate(args) -> int:
 def cmd_curvature(args) -> int:
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
-    m = _load_radii(args.radii, t, args.seed)
+    m = _load_radii(args.radii, t, w, args.seed)
     geo = compute_geometry(t, w, m)
     dev = geo.curvatures - geo.avg_curvature
     report = {
@@ -318,7 +326,7 @@ def cmd_flow(args) -> int:
     worst = EXIT_OK
     for start in range(args.starts):
         seed = args.seed + start
-        m = _load_radii(args.radii, t, seed)
+        m = _load_radii(args.radii, t, w, seed)
         suffix = f"_{start}" if args.starts > 1 else ""
         summary, code = _run_one(kind, t, w, m, opts, seed, args, suffix)
         if args.starts > 1:
@@ -374,7 +382,7 @@ def cmd_potential_probe(args) -> int:
         raise DomainError(f"--probe-radii {args.probe_radii!r} must not decrease")
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
-    seed_metric = _load_radii(args.radii, t, args.seed)
+    seed_metric = _load_radii(args.radii, t, w, args.seed)
     base = constant_curvature_log_metric(t, w, seed_metric)
     lam = restricted_hessian_check(t, w, base)
     rng = np.random.default_rng(args.seed)
@@ -616,6 +624,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_glue_negative_target(argv))
         _apply_config(args)
+        if getattr(args, "seed", 0) < 0:
+            raise DomainError(f"--seed must be >= 0, got {args.seed}")
         return COMMANDS[args.command][0](args)
     except (MeshError, DomainError, EnumerationSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,26 +13,10 @@ kinds are the negative gradient flow of the energy ``sum (K_i - Kbar_i)^2``
 and conserve ``sum u_i`` exactly in continuous time; the Ricci kinds are
 the negative gradient flow of the Ricci potential.
 
-Integration is explicit Euler with a descent guard: a trial step that
-increases the energy (for Calabi kinds) or may increase the Ricci potential
-(for Ricci kinds) is halved and retried, up to ``_kernels.MAX_HALVINGS``
-times.  The Ricci guard is a convexity test: for weights in [0, pi/2] the
-Ricci potential is convex (Colin de Verdiere, Invent. Math. 1991; Chow-Luo,
-J. Diff. Geom. 2003), so a step ``du`` from ``u`` that satisfies
-``<K(u + du) - Kbar, du> <= 0`` does not raise it.  The step grows again by
-``_kernels.GROWTH_FACTOR`` after every ``_kernels.GROWTH_INTERVAL``
-consecutive accepted steps, capped at ``IntegratorOptions.max_step``.
-``sum u`` is re-centered every ``RECENTER_INTERVAL`` accepted steps for
-Calabi kinds to repair floating point drift.
-
-Cost of a trial step: a Calabi trial evaluates the full geometry (lengths,
-angles, curvatures, dual weights) once.  A Ricci trial evaluates only the
-curvatures, once, at the trial point.  Either evaluation is a fixed number
-of numpy calls whatever the mesh size: every per-corner quantity is one
-elementwise expression over all corners (see ``_kernels``).  The deviation
-``K - target``, the energy noise and the distance from the start that an
-accepted trial computed serve the next step and the stopping tests, so
-accepting a step costs no further evaluation.
+Integration is explicit Euler with a descent guard on the energy (Calabi
+kinds) or the Ricci potential (Ricci kinds); :func:`_kernels.advance` runs
+the whole loop, and its docstring describes the step controller, the
+stopping tests, the re-centering of ``sum u`` and the sample schedule.
 """
 
 from __future__ import annotations
@@ -60,11 +44,6 @@ __all__ = [
 ]
 
 KIND_NAMES = ("calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescribed")
-
-# accepted steps between re-centerings of sum u (Calabi kinds)
-RECENTER_INTERVAL = 1000
-# sets the stride between recorded samples (see FlowTrace)
-SAMPLE_TARGET = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +83,9 @@ class IntegratorOptions:
     removes the cap, which divergent runs need to reach the ``u_max``
     guard quickly.  Pass a small cap (e.g. ``0.02``) when the measured
     decay rate of a converging run should track continuous time.  ``u_max``
-    and ``max_step`` may be infinite.  The other settings are constants:
-    ``RECENTER_INTERVAL``, ``SAMPLE_TARGET`` and ``_kernels.MAX_HALVINGS``,
-    ``GROWTH_FACTOR`` and ``GROWTH_INTERVAL``.
+    and ``max_step`` may be infinite.  The other settings are constants of
+    ``_kernels``: ``MAX_HALVINGS``, ``GROWTH_FACTOR``, ``GROWTH_INTERVAL``,
+    ``RECENTER_INTERVAL`` and ``SAMPLE_TARGET``.
     """
 
     initial_step: float = 1e-2
@@ -161,8 +140,8 @@ class FlowTrace:
     """Full record of a flow run.
 
     ``samples`` holds the initial state, every
-    ``max(1, k // SAMPLE_TARGET)``-th accepted step (``k`` the running
-    count), and the final state.  For
+    ``max(1, k // _kernels.SAMPLE_TARGET)``-th accepted step (``k`` the
+    running count; see ``_kernels.advance``), and the final state.  For
     Calabi kinds every accepted step satisfied the energy guard, so the
     recorded energies are non-increasing.  Each sample's ``lambda1`` is
     computed when it is first read, not during the run.
@@ -181,16 +160,11 @@ class FlowTrace:
         return float(np.max(np.abs(last.curvatures - self.target)))
 
 
-def _state_of(u, t, w):
-    _, _, _, curv, b, kn, err = _kernels.state(np.exp(u), _mesh_arrays(t, w))
-    _kernels.raise_state_error(err)
-    return curv, b, kn
-
-
 def velocity(kind: FlowKind, t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
     """The right-hand side du/dt at a metric."""
     target = resolve_target(t, kind.target)
-    curv, b, _ = _state_of(m.u, t, w)
+    _, _, _, curv, b, _, err = _kernels.state(np.exp(m.u), _mesh_arrays(t, w))
+    _kernels.raise_state_error(err)
     dev = curv - target
     if kind.uses_laplacian:
         return _kernels.lap_apply(b, t.edges[:, 0], t.edges[:, 1], dev)
@@ -217,14 +191,6 @@ def integrate(
     if m0.n != t.n_vertices:
         raise DomainError("metric size does not match the mesh")
 
-    u = m0.u.copy()
-    u_ref = m0.u.copy()
-    sum_u0 = float(u.sum())
-    curv, b, kn = _state_of(u, t, w)
-    energy = float(np.sum((curv - target) ** 2))
-    # the Calabi kinds conserve sum u in exact arithmetic; repair the drift
-    recenter = kind.uses_laplacian
-
     samples: list[FlowSample] = []
 
     def record(t_now, h_now, u_now, curv_now, energy_now):
@@ -240,55 +206,20 @@ def integrate(
             )
         )
 
-    h = opts.initial_step
-    t_now = 0.0
-    accepted = 0
-    streak = 0
-    record(t_now, h, u, curv, energy)
-
-    status = "step_limit"
-    if float(np.max(np.abs(curv - target))) < opts.curvature_tol:
-        status = "converged"
-    last_recorded = 0
-    while status == "step_limit" and accepted < opts.max_steps:
-        stride = max(1, accepted // SAMPLE_TARGET)
-        boundaries = [last_recorded + stride - accepted, opts.max_steps - accepted]
-        if recenter:
-            next_recenter = ((accepted // RECENTER_INTERVAL) + 1) * RECENTER_INTERVAL
-            boundaries.append(next_recenter - accepted)
-        n_chunk = max(1, min(boundaries))
-        adv_status, done, u, h, t_now, streak, curv, b, kn, energy = _kernels.advance(
-            u, h, t_now, streak, n_chunk, mesh, target, kind.uses_laplacian, u_ref,
-            opts, curv, b, kn, energy,
+    status, steps, u, t_final = _kernels.advance(
+        m0.u.copy(), mesh, target, kind.uses_laplacian, opts, record
+    )
+    if status == "collapsed":
+        raise StepCollapseError(
+            f"step collapsed after {_kernels.MAX_HALVINGS} halvings at "
+            f"t={t_final!r} (step {steps})"
         )
-        accepted += done
-        if adv_status == _kernels.ADV_STEP_COLLAPSE:
-            raise StepCollapseError(
-                f"step collapsed after {_kernels.MAX_HALVINGS} halvings at "
-                f"t={t_now!r} (step {accepted})"
-            )
-        if adv_status == _kernels.ADV_CONVERGED:
-            status = "converged"
-        elif adv_status == _kernels.ADV_DIVERGED:
-            status = "diverged"
-        terminal = status != "step_limit"
-        if recenter and not terminal and accepted % RECENTER_INTERVAL == 0:
-            u = u - (u.sum() - sum_u0) / t.n_vertices
-            curv, b, kn = _state_of(u, t, w)
-            energy = float(np.sum((curv - target) ** 2))
-        if accepted - last_recorded >= stride or terminal:
-            record(t_now, h, u, curv, energy)
-            last_recorded = accepted
-
-    if status == "step_limit" and last_recorded != accepted:
-        record(t_now, h, u, curv, energy)
-
     return FlowTrace(
         kind_name=kind.name,
         target=target,
         status=status,
-        accepted_steps=accepted,
-        t_final=t_now,
+        accepted_steps=steps,
+        t_final=t_final,
         final_metric=PackingMetric.from_log_radii(u),
         samples=samples,
     )

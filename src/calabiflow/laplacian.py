@@ -198,7 +198,6 @@ class DualLaplacian:
             self.matrix = sparse.csr_matrix(
                 (vals, (rows, cols)), shape=(self.n, self.n)
             )
-        self.row_sum_residuals = self.matrix @ np.ones(self.n)
 
     @property
     def is_dense(self) -> bool:

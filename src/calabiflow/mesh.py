@@ -320,7 +320,9 @@ def resolve_target(t: Triangulation, target) -> np.ndarray:
     """A target curvature vector, checked against the mesh.
 
     ``None`` means the average curvature ``K_av = 2 pi chi / N`` at every
-    vertex.  Anything else must be ``N`` finite numbers.
+    vertex.  Anything else must be ``N`` finite numbers whose sum of
+    squares is finite too: the flows' energy and the admissibility check
+    sum such squares.
     """
     if target is None:
         return np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
@@ -329,6 +331,8 @@ def resolve_target(t: Triangulation, target) -> np.ndarray:
         raise DomainError(
             f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
         )
-    if not np.all(np.isfinite(tgt)):
-        raise DomainError("target curvature must be finite")
+    with np.errstate(all="ignore"):
+        squares = float(np.sum(tgt * tgt))
+    if not math.isfinite(squares):
+        raise DomainError("target curvature and its sum of squares must be finite")
     return tgt

@@ -342,16 +342,46 @@ def test_config_route_sets_the_laplacian_route(capsys, tmp_path):
         ("flow", "--mesh", "tetrahedron", "--initial-step", "inf"),
         ("flow", "--mesh", "tetrahedron", "--tol", "inf"),
         ("potential-probe", "--mesh", "tetrahedron", "--probe-radii", "8,4"),
+        ("curvature", "--mesh", "tetrahedron", "--seed", "-1"),
+        ("flow", "--mesh", "tetrahedron", "--seed", "-1"),
+        ("check", "--mesh", "tetrahedron", "--seed", "-1"),
+        ("potential-probe", "--mesh", "tetrahedron", "--seed", "-1"),
+        ("flow", "--mesh", "tetrahedron", "--config", "NEGATIVE_SEED_CONFIG"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):
-    if "BAD_SEED_CONFIG" in argv:
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("seed = abc\n")
-        argv = tuple(str(cfg) if a == "BAD_SEED_CONFIG" else a for a in argv)
+    configs = {"BAD_SEED_CONFIG": "seed = abc\n", "NEGATIVE_SEED_CONFIG": "seed = -1\n"}
+    for marker, text in configs.items():
+        if marker in argv:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(text)
+            argv = tuple(str(cfg) if a == marker else a for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        *(
+            ((command, "--radii", radii), "--radii")
+            for command in ("curvature", "flow", "potential-probe")
+            for radii in ("1e300", "1e-320")
+        ),
+        (("flow", "--kind", "calabi_prescribed", "--target", "1e200"), "target"),
+        (("flow", "--kind", "ricci_prescribed", "--target", "1e200"), "target"),
+        (("check", "--target", "1e308"), "target"),
+    ],
+)
+def test_out_of_range_input_exit_1(capsys, argv, named):
+    # radii that overflow or underflow the cosine law, and a target whose
+    # squares overflow, are input errors: no internal fault, no missing
+    # packing, no numpy warning
+    code, out, err = run(capsys, argv[0], "--mesh", "tetrahedron", *argv[1:])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert named in err
 
 
 # (command, flags another command reads); "CONFIG" puts them in a config file

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import flows
+from calabiflow import _kernels
 from calabiflow.mesh import resolve_target
 from _util import mesh, random_metric, random_weight, zero_weight
 
@@ -27,16 +27,19 @@ def test_kind_constructors_and_targets():
         resolve_target(t, cf.FlowKind.calabi_prescribed(np.ones(5)).target)
     with pytest.raises(cf.DomainError):
         resolve_target(t, cf.FlowKind.ricci_prescribed([np.inf, 0, 0, 0]).target)
-    # every entry point that takes a target rejects a non-finite one
+    # every entry point that takes a target rejects a non-finite one, and
+    # one whose sum of squares overflows
     w = zero_weight(t)
     m = cf.PackingMetric.from_radii(np.ones(4))
-    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1]):
+    for bad in ([np.nan, 1, 1, 1], [np.inf, 1, 1, 1], [1e200, 1, 1, 1]):
         with pytest.raises(cf.DomainError):
             cf.calabi_energy(t, w, m, target=bad)
         with pytest.raises(cf.DomainError):
             cf.ricci_potential(t, w, np.zeros(4), np.full(4, 0.1), target=bad)
         with pytest.raises(cf.DomainError):
             cf.integrate(cf.FlowKind.ricci_prescribed(bad), t, w, m)
+        with pytest.raises(cf.DomainError):
+            cf.check_admissible(t, w, bad)
 
 
 def test_velocity_closed_forms():
@@ -300,7 +303,7 @@ def test_overflowing_trials_are_rejected_quietly():
 
 def test_recenter_repairs_drift(monkeypatch):
     # Force frequent re-centering and check sum u stays pinned.
-    monkeypatch.setattr(flows, "RECENTER_INTERVAL", 10)
+    monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10)
     t = mesh("icosahedron")
     w = zero_weight(t)
     rng = np.random.default_rng(25)
@@ -308,6 +311,21 @@ def test_recenter_repairs_drift(monkeypatch):
     tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0)
     assert tr.status == "converged"
     assert abs(tr.final_metric.u.sum() - m0.u.sum()) < 1e-10
+
+
+@pytest.mark.parametrize("name, n_samples", [("calabi", 31), ("ricci_normalized", 32)])
+def test_sample_schedule(monkeypatch, name, n_samples):
+    # the stride max(1, k // SAMPLE_TARGET) is recomputed at each record and
+    # each re-centering (Calabi kinds), and nowhere else: recomputing it at
+    # records only gives 32 Calabi samples, at every step 30 and 30
+    monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10)
+    monkeypatch.setattr(_kernels, "SAMPLE_TARGET", 7)
+    t = mesh("icosahedron")
+    m0 = random_metric(np.random.default_rng(25), t)
+    opts = cf.IntegratorOptions(max_steps=100)
+    tr = cf.integrate(getattr(cf.FlowKind, name)(), t, zero_weight(t), m0, opts)
+    assert tr.status == "step_limit" and tr.accepted_steps == 100
+    assert len(tr.samples) == n_samples
 
 
 def test_options_validation():

@@ -14,7 +14,6 @@ import pytest
 import calabiflow as cf
 from calabiflow import _kernels
 from calabiflow.cli import main
-from calabiflow.flows import SAMPLE_TARGET
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.meshes import subdivide
 from _util import MESH_NAMES, mesh, random_metric, random_weight
@@ -310,6 +309,7 @@ def test_batched_segment_potential_matches_node_loop(monkeypatch, name, rows):
 def test_ricci_trial_geometry_calls(monkeypatch, rows):
     # one accepted Ricci step, no halving: the convexity guard reads the
     # curvatures at the trial point, one curvature call whatever the block
+    # (the start is evaluated by state, which makes none)
     t = _mesh("octahedron")
     rng = np.random.default_rng(56)
     args = _mesh_arrays(t, random_weight(rng, t))
@@ -317,18 +317,16 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     u0 = np.log(random_metric(rng, t).r)
-    _, _, _, K, B, kn, _ = _kernels.state(np.exp(u0), args)
-    energy = float(np.sum((K - target) ** 2))
     calls = []
-    corners = _kernels._corners
+    curvatures = _kernels._curvatures
     monkeypatch.setattr(
-        _kernels, "_corners", lambda *a: calls.append(1) or corners(*a)
+        _kernels, "_curvatures", lambda *a: calls.append(1) or curvatures(*a)
     )
     res = _kernels.advance(
-        u0.copy(), 1e-2, 0.0, 0, 1, args, target, False, u0.copy(),
-        cf.IntegratorOptions(), K, B, kn, energy,
+        u0, args, target, False, cf.IntegratorOptions(max_steps=1),
+        lambda *a: None,
     )
-    assert res[1] == 1 and res[4] == 1e-2  # accepted at full size
+    assert res[1] == 1 and res[3] == 1e-2  # accepted at full size
     assert len(calls) == 1
 
 
@@ -368,7 +366,7 @@ def test_ricci_steps_lower_the_potential(name, kind):
         trace = cf.integrate(flow, t, w, random_metric(rng, t))
         # below 2 * SAMPLE_TARGET steps every accepted state is a sample
         assert trace.status == "converged"
-        assert trace.accepted_steps < 2 * SAMPLE_TARGET
+        assert trace.accepted_steps < 2 * _kernels.SAMPLE_TARGET
         args = _mesh_arrays(t, w)
         us = [s.u for s in trace.samples]
         for ua, ub in zip(us, us[1:]):
@@ -416,19 +414,16 @@ def test_segment_potential_memory_bounded():
 
 @pytest.mark.parametrize("lap_kind", [True, False])
 def test_advance_result_layout(lap_kind):
-    # the accepted-step count sits at index 1 of a 10-tuple
+    # the accepted-step count sits at index 1 of a 4-tuple
     t, r, args = _arrays("octahedron", 56)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
-    u0 = np.log(r)
-    _, _, _, K, B, kn, err = _kernels.state(r, args)
-    energy = float(np.sum((K - target) ** 2))
     res = _kernels.advance(
-        u0.copy(), 1e-2, 0.0, 0, 5, args, target, lap_kind,
-        u0.copy(), cf.IntegratorOptions(), K, B, kn, energy,
+        np.log(r), args, target, lap_kind, cf.IntegratorOptions(max_steps=5),
+        lambda *a: None,
     )
-    assert len(res) == 10
-    assert res[0] == _kernels.ADV_CHUNK_DONE and res[1] == 5
-    assert res[4] > 0.0  # time advanced
+    assert len(res) == 4
+    assert res[0] == "step_limit" and res[1] == 5
+    assert res[3] > 0.0  # time advanced
 
 
 def test_scan_subsets_result_layout():
