@@ -90,6 +90,10 @@ BLOCK_FACES = 2**11
 # steps are still evaluated; beyond it they are rejected unevaluated so that
 # exp() cannot overflow while probing huge step sizes
 TRIAL_MARGIN = 5.0
+# exp(u) is a normal float for u >= -EXP_SAFE; below the normal range a
+# radius loses the precision its log radius has, and at 0 it is no radius
+EXP_SAFE = 708.0
+TINY = float(np.finfo(np.float64).tiny)
 
 # step controller settings (see advance)
 MAX_HALVINGS = 60
@@ -399,6 +403,8 @@ def advance(u, mesh, target, lap_kind, opts, record):
     ea, eb = mesh.ea, mesh.eb
     u_ref = u
     sum_u0 = float(u.sum())
+    # within this drift every u stays above -EXP_SAFE
+    exp_safe = EXP_SAFE - float(np.abs(u_ref).max())
 
     def evaluate(u):
         _, _, _, K, B, kn, err = state(np.exp(u), mesh)
@@ -435,6 +441,11 @@ def advance(u, mesh, target, lap_kind, opts, record):
             # escapes long before the curvature map does.
             with np.errstate(all="ignore"):
                 r_new = np.exp(u_new)
+            if drift > exp_safe and float(r_new.min()) < TINY:
+                # radii that underflow are rejected like ones that overflow
+                h *= 0.5
+                streak = 0
+                continue
             if lap_kind:
                 _, _, _, K_new, B_new, kn_new, err = _state(r_new, mesh)
             else:

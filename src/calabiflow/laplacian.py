@@ -17,6 +17,10 @@ rule through the cosine law (the default), and a ratio of dual edge length
 to primal edge length computed from two auxiliary triangles spanned by the
 circle intersection points.  The dual route exists as a cross-check and is
 exercised by the test suite and a CLI flag.
+
+scipy is needed only for spectra (``lambda1``, ``spectral_summary``), CSR
+assembly above ``DENSE_LIMIT`` and the sparse Newton solve, and it is
+loaded on first use.
 """
 
 from __future__ import annotations
@@ -25,9 +29,6 @@ import math
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as scipy_linalg
-import scipy.sparse as sparse
-import scipy.sparse.linalg as sparse_linalg
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
@@ -192,6 +193,8 @@ class DualLaplacian:
             mat[np.arange(self.n), np.arange(self.n)] = diag
             self.matrix = mat
         else:
+            import scipy.sparse as sparse
+
             rows = np.concatenate([a, b, np.arange(self.n)])
             cols = np.concatenate([b, a, np.arange(self.n)])
             vals = np.concatenate([-self.weights, -self.weights, diag])
@@ -226,6 +229,8 @@ class DualLaplacian:
         if self.is_dense:
             vals = self.eigenvalues()
             return float(vals[0]), float(vals[1]), float(vals[-1])
+        import scipy.sparse.linalg as sparse_linalg
+
         lo = self._smallest_two()[0]
         hi = sparse_linalg.eigsh(
             self.matrix, k=1, which="LA", v0=self._start_vector()
@@ -243,6 +248,8 @@ class DualLaplacian:
         then positive definite, so its factorization cannot be singular,
         and the two eigenvalues nearest ``sigma`` are still 0 and lambda1.
         """
+        import scipy.sparse.linalg as sparse_linalg
+
         sigma = -1e-3 * float(self.matrix.diagonal().max())
         vals, vecs = sparse_linalg.eigsh(
             self.matrix, k=2, sigma=sigma, which="LM", v0=self._start_vector()
@@ -261,6 +268,8 @@ class DualLaplacian:
         corresponding eigenvector.
         """
         if self.is_dense:
+            import scipy.linalg as scipy_linalg
+
             lift = 2.0 * self._norm_estimate() / self.n
             vals, vecs = scipy_linalg.eigh(
                 self.matrix + lift, subset_by_index=[0, 0]

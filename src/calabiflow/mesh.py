@@ -30,6 +30,8 @@ __all__ = [
     "resolve_target",
 ]
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
 
 class Triangulation:
     """A closed triangulated surface, given combinatorially.
@@ -48,6 +50,8 @@ class Triangulation:
     faces : (F, 3) int64 array
     edges : (E, 2) int64 array
         Each row sorted ascending; rows in lexicographic order.
+    edge_index : dict
+        ``(a, b) -> e`` for every row ``e = (a, b)`` of ``edges``.
     face_edges : (F, 3) int64 array
         ``face_edges[f, m]`` is the edge id of the edge *opposite* corner
         ``m`` of face ``f`` (i.e. the edge joining the other two corners).
@@ -66,7 +70,23 @@ class Triangulation:
     Raises
     ------
     MeshValidationError
-        If the face list is not a closed triangulated surface.
+        If the face list is not a closed triangulated surface.  The checks
+        run in this order, and each names its first offender: the first
+        face that repeats a vertex; the first face whose vertex set an
+        earlier face has, with the earliest such face; the first edge, in
+        corner order, that does not lie in exactly two faces; the smallest
+        vertex in no face; the smallest vertex whose link is not a single
+        cycle.  Corner order visits faces in order and, within face ``f``,
+        the edges opposite corners 0, 1 and 2.
+
+    Notes
+    -----
+    The tables are built with array operations.  A stable sort of the
+    corner slots by edge ``(min, max)`` gives ``edges`` in lexicographic
+    order, and each edge's two slots in face order, hence ``edge_faces``.
+    ``edge_index`` maps each edge ``(a, b)`` (``a < b``) to its row.  No
+    array of ``N`` entries is allocated before every vertex is known to
+    lie in a face, so an ``N`` beyond ``3 F`` is refused without one.
     """
 
     def __init__(self, n_vertices: int, faces: Sequence[Sequence[int]]):
@@ -82,56 +102,69 @@ class Triangulation:
             raise MeshValidationError(
                 f"face vertex index {bad} outside range [0, {n_vertices})"
             )
-        for f, (a, b, c) in enumerate(fa):
-            if a == b or b == c or a == c:
-                raise MeshValidationError(
-                    f"face {f} = ({a}, {b}, {c}) repeats a vertex"
-                )
-        seen: dict[tuple[int, int, int], int] = {}
-        for f, tri in enumerate(fa):
-            key = tuple(sorted(int(v) for v in tri))
-            if key in seen:
-                raise MeshValidationError(
-                    f"faces {seen[key]} and {f} have the same vertex set {key}"
-                )
-            seen[key] = f
+        nf = fa.shape[0]
+        a, b, c = fa.T
+        repeats = np.flatnonzero((a == b) | (b == c) | (a == c))
+        if repeats.size:
+            f = int(repeats[0])
+            raise MeshValidationError(
+                f"face {f} = ({a[f]}, {b[f]}, {c[f]}) repeats a vertex"
+            )
+        # vertex sets in a stable sort (np.unique would import numpy.ma on
+        # first use): each run of equal sets lists its faces ascending, so
+        # the first face that repeats a set is second in its run
+        sets = np.sort(fa, axis=1)
+        order = np.lexsort(sets.T[::-1])
+        sets = sets[order]
+        later = np.flatnonzero(np.all(sets[1:] == sets[:-1], axis=1)) + 1
+        if later.size:
+            k = later[np.argmin(order[later])]
+            key = tuple(int(v) for v in sets[k])
+            raise MeshValidationError(
+                f"faces {order[k - 1]} and {order[k]} have the same vertex set {key}"
+            )
 
         self.n_vertices = int(n_vertices)
         self.faces = fa
         self.faces.setflags(write=False)
-        self.n_faces = fa.shape[0]
+        self.n_faces = nf
 
-        # Edge table: sorted pairs, lexicographic; each edge must lie in
-        # exactly two faces.
-        edge_faces: dict[tuple[int, int], list[int]] = {}
-        for f, (a, b, c) in enumerate(fa):
-            for u, v in ((b, c), (c, a), (a, b)):
-                key = (int(min(u, v)), int(max(u, v)))
-                edge_faces.setdefault(key, []).append(f)
-        for key, fs in edge_faces.items():
-            if len(fs) != 2:
-                raise MeshValidationError(
-                    f"edge {key} lies in {len(fs)} face(s), expected exactly 2"
-                )
-        edge_keys = sorted(edge_faces)
-        self.edges = np.array(edge_keys, dtype=np.int64)
+        # Edge table: corner slot 3 f + m holds the edge opposite corner m,
+        # as (min, max); a stable sort by that pair gives the edges in
+        # lexicographic order, each run of slots in face order.
+        p, q = fa[:, [1, 2, 0]].ravel(), fa[:, [2, 0, 1]].ravel()
+        lo, hi = np.minimum(p, q), np.maximum(p, q)
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        run_start = np.flatnonzero(
+            np.r_[True, (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])]
+        )
+        counts = np.diff(np.r_[run_start, order.size])
+        bad = np.flatnonzero(counts != 2)
+        if bad.size:
+            k = bad[np.argmin(order[run_start[bad]])]
+            key = (int(lo[run_start[k]]), int(hi[run_start[k]]))
+            raise MeshValidationError(
+                f"edge {key} lies in {counts[k]} face(s), expected exactly 2"
+            )
+        # every run has two slots: sorted slots 2 e and 2 e + 1 are edge e
+        self.edges = np.stack([lo[0::2], hi[0::2]], axis=1)
         self.edges.setflags(write=False)
-        self.n_edges = len(edge_keys)
-        self.edge_index = {key: e for e, key in enumerate(edge_keys)}
-        self.edge_faces = np.array([edge_faces[k] for k in edge_keys], dtype=np.int64)
+        self.n_edges = self.edges.shape[0]
+        self.edge_index = dict(
+            zip(zip(lo[0::2].tolist(), hi[0::2].tolist()), range(self.n_edges))
+        )
+        self.edge_faces = (order // 3).reshape(-1, 2)
         self.edge_faces.setflags(write=False)
-
-        fe = np.empty((self.n_faces, 3), dtype=np.int64)
-        for f, (a, b, c) in enumerate(fa):
-            fe[f, 0] = self.edge_index[(min(b, c), max(b, c))]
-            fe[f, 1] = self.edge_index[(min(c, a), max(c, a))]
-            fe[f, 2] = self.edge_index[(min(a, b), max(a, b))]
+        fe = np.empty(3 * nf, dtype=np.int64)
+        fe[order] = np.arange(3 * nf) // 2
+        fe = fe.reshape(nf, 3)
         self.face_edges = fe
         self.face_edges.setflags(write=False)
 
         # entry [f, m] of a rolled array belongs to corner (m + k) % 3
         roll1, roll2 = [1, 2, 0], [2, 0, 1]
-        corner = 3 * np.arange(self.n_faces)[:, None]
+        corner = 3 * np.arange(nf)[:, None]
         index = (
             self.edges[:, 0].copy(),
             self.edges[:, 1].copy(),
@@ -146,45 +179,49 @@ class Triangulation:
             arr.setflags(write=False)
         self.kernel_index = index
 
-        deg = np.zeros(self.n_vertices, dtype=np.int64)
-        for a, b in self.edges:
-            deg[a] += 1
-            deg[b] += 1
-        self.degrees = deg
-        self.degrees.setflags(write=False)
-        if deg.min() == 0:
-            v = int(np.argmin(deg))
+        # no array of N entries before every vertex is known to lie in a
+        # face, which bounds N by 3 F
+        used = np.sort(fa, axis=None)
+        used = used[np.r_[True, used[1:] != used[:-1]]]
+        if used.size < n_vertices:
+            gaps = np.flatnonzero(used != np.arange(used.size))
+            v = int(gaps[0]) if gaps.size else used.size
             raise MeshValidationError(f"vertex {v} lies in no face")
+        self.degrees = np.bincount(self.edges.ravel(), minlength=self.n_vertices)
+        self.degrees.setflags(write=False)
 
         self._check_links()
         self.chi = self.n_vertices - self.n_edges + self.n_faces
 
     def _check_links(self):
-        # With every edge already known to lie in exactly two faces, each
-        # vertex link is a union of cycles; a surface vertex needs exactly
-        # one.  Walk the link graph of each vertex and check connectivity.
-        link: list[dict[int, list[int]]] = [dict() for _ in range(self.n_vertices)]
-        nfaces_at = np.zeros(self.n_vertices, dtype=np.int64)
-        for a, b, c in self.faces:
-            for v, (p, q) in ((a, (b, c)), (b, (c, a)), (c, (a, b))):
-                link[int(v)].setdefault(int(p), []).append(int(q))
-                link[int(v)].setdefault(int(q), []).append(int(p))
-                nfaces_at[v] += 1
-        for v in range(self.n_vertices):
-            adj = link[v]
-            start = next(iter(adj))
-            stack = [start]
-            seen = {start}
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-            if len(seen) != len(adj) or nfaces_at[v] != len(adj):
-                raise MeshValidationError(
-                    f"link of vertex {v} is not a single cycle"
-                )
+        # With every edge in exactly two faces and no two faces on one
+        # vertex set, each vertex link is a 2-regular simple graph, so it is
+        # a single cycle exactly when it is connected.  Link node 2 e + s is
+        # the far end of edge e seen from its endpoint edges[e, s]; corner m
+        # of face f joins the nodes of its two face edges (the rolled
+        # face_edges) at its vertex.  Components come from min-label
+        # hooking of roots with pointer jumping.
+        owner = self.edges.ravel()
+        v = self.faces.ravel()
+        e1, e2 = self.kernel_index[4].ravel(), self.kernel_index[5].ravel()
+        i = 2 * e1 + (self.edges[e1, 1] == v)
+        j = 2 * e2 + (self.edges[e2, 1] == v)
+        parent = np.arange(owner.size)
+        while True:
+            pi, pj = parent[i], parent[j]
+            if np.array_equal(pi, pj):
+                break
+            np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+        roots = np.flatnonzero(parent == np.arange(owner.size))
+        cycles = np.bincount(owner[roots], minlength=self.n_vertices)
+        if cycles.max() > 1:
+            v = int(np.argmax(cycles > 1))
+            raise MeshValidationError(f"link of vertex {v} is not a single cycle")
 
     def __repr__(self):
         return (
@@ -227,7 +264,8 @@ def parse_mesh(text: str) -> Triangulation:
     Raises
     ------
     MeshSyntaxError
-        On malformed text; the message includes the offending line number.
+        On malformed text, including an integer that does not fit in 64
+        bits; the message includes the offending line number.
     MeshValidationError
         If the parsed face list fails surface validation.
     """
@@ -252,6 +290,10 @@ def parse_mesh(text: str) -> Triangulation:
                 raise MeshSyntaxError(
                     f"line {ln}: token {k + 1} ({tok!r}) is not an integer"
                 ) from None
+            if not _INT64_MIN <= out[-1] <= _INT64_MAX:
+                raise MeshSyntaxError(
+                    f"line {ln}: token {k + 1} ({tok!r}) does not fit in 64 bits"
+                )
         return out
 
     ln0, head = rows[0]

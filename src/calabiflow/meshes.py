@@ -9,6 +9,8 @@ vertex link is a single cycle.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .mesh import Triangulation
 
 TETRAHEDRON = (
@@ -79,11 +81,9 @@ def subdivide(t: Triangulation) -> Triangulation:
     repeated calls grow vertex counts as N' = N + E.
     """
     n = t.n_vertices
-    faces = []
-    for a, b, c in t.faces:
-        a, b, c = int(a), int(b), int(c)
-        mab = n + t.edge_index[(min(a, b), max(a, b))]
-        mbc = n + t.edge_index[(min(b, c), max(b, c))]
-        mca = n + t.edge_index[(min(c, a), max(c, a))]
-        faces += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
+    a, b, c = t.faces.T
+    mbc, mca, mab = (n + t.face_edges).T
+    faces = np.stack(
+        [a, mab, mca, b, mbc, mab, c, mca, mbc, mab, mbc, mca], axis=1
+    ).reshape(-1, 3)
     return Triangulation(n + t.n_edges, faces)

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse.linalg as sparse_linalg
 
 from . import _kernels
 from .errors import DomainError, EnumerationSizeError
@@ -232,6 +231,8 @@ def _newton(t: Triangulation, w: Weight, target, u):
         if lap.is_dense:
             delta = np.linalg.solve(lap.matrix + 1.0 / n, -dev)
         else:
+            import scipy.sparse.linalg as sparse_linalg
+
             # vertex 0 pinned: L is singular only along the constants
             delta = np.zeros(n)
             delta[1:] = sparse_linalg.spsolve(lap.matrix[1:, 1:].tocsc(), -dev[1:])

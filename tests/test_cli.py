@@ -347,18 +347,30 @@ def test_config_route_sets_the_laplacian_route(capsys, tmp_path):
         ("check", "--mesh", "tetrahedron", "--seed", "-1"),
         ("potential-probe", "--mesh", "tetrahedron", "--seed", "-1"),
         ("flow", "--mesh", "tetrahedron", "--config", "NEGATIVE_SEED_CONFIG"),
+        ("validate", "--mesh", "HUGE_INDEX_MESH"),
+        ("curvature", "--mesh", "SPARSE_MESH"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):
-    configs = {"BAD_SEED_CONFIG": "seed = abc\n", "NEGATIVE_SEED_CONFIG": "seed = -1\n"}
-    for marker, text in configs.items():
+    files = {
+        "BAD_SEED_CONFIG": "seed = abc\n",
+        "NEGATIVE_SEED_CONFIG": "seed = -1\n",
+        # a face index past int64, and N > 3 F (a vertex in no face) with N
+        # far too large for an array of N entries
+        "HUGE_INDEX_MESH": "4 4\n0 1 2\n0 1 3\n0 2 3\n1 2 99999999999999999999\n",
+        "SPARSE_MESH": "9223372036854775807 4\n0 1 2\n0 1 3\n0 2 3\n1 2 3\n",
+    }
+    bad_mesh = any(a.endswith("_MESH") for a in argv)
+    for marker, text in files.items():
         if marker in argv:
-            cfg = tmp_path / "bad.cfg"
-            cfg.write_text(text)
-            argv = tuple(str(cfg) if a == marker else a for a in argv)
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            argv = tuple(str(path) if a == marker else a for a in argv)
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert "error:" in err
+    if bad_mesh:
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

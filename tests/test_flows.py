@@ -301,6 +301,24 @@ def test_overflowing_trials_are_rejected_quietly():
     assert tr.status == "converged"
 
 
+def test_underflowing_trials_are_rejected():
+    # with no divergence guard the inadmissible target drives u_0 towards
+    # -inf; trials whose radius leaves the normal float range are rejected,
+    # so the run ends at its step limit with a metric it can report
+    t = mesh("tetrahedron")
+    opts = cf.IntegratorOptions(u_max=np.inf, max_steps=999)
+    tr = cf.integrate(
+        cf.FlowKind.ricci_prescribed(BAD_TETRA_TARGET),
+        t,
+        zero_weight(t),
+        cf.PackingMetric.from_radii(np.ones(4)),
+        opts,
+    )
+    assert (tr.status, tr.accepted_steps) == ("step_limit", 999)
+    r = tr.final_metric.r
+    assert r[0] >= np.finfo(np.float64).tiny and r[0] < np.exp(-708.0)
+
+
 def test_recenter_repairs_drift(monkeypatch):
     # Force frequent re-centering and check sum u stays pinned.
     monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10)

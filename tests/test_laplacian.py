@@ -1,6 +1,9 @@
 """Dual Laplacian: derivative identity, weight bounds, routes, spectrum."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -236,3 +239,37 @@ def test_dual_laplacian_weight_validation():
         cf.DualLaplacian(4, t.edges, np.full(6, -1.0))
     with pytest.raises(cf.DomainError):
         cf.DualLaplacian(4, t.edges, np.full(6, 2 * SQRT3 + 1.0))
+
+
+_COLD_START = """
+import sys
+import numpy as np
+import calabiflow as cf
+import calabiflow.cli
+from calabiflow.meshes import subdivide
+t = subdivide(subdivide(cf.parse_mesh(cf.mesh_text("octahedron"))))
+assert t.n_vertices == 66
+w = cf.Weight(np.zeros(t.n_edges))
+m = cf.PackingMetric.from_radii(np.linspace(0.5, 2.0, 66))
+trace = cf.integrate(cf.FlowKind.calabi(), t, w, m, cf.IntegratorOptions(max_steps=20))
+target = np.full(66, 4.0 * np.pi / 66)
+assert cf.check_admissible(t, w, target).admissible
+assert "scipy" not in sys.modules
+lam = trace.samples[-1].lambda1
+assert np.isfinite(lam) and lam > 0.0
+assert "scipy" in sys.modules
+"""
+
+
+def test_cold_start_does_not_load_scipy():
+    # a flow and an admissibility check at N <= DENSE_LIMIT need numpy
+    # alone; the first spectrum (a sample's lambda1) loads scipy
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow.meshes import subdivide
+from _mesh_oracle import build, subdivide_faces
 from _util import MESH_NAMES, mesh
 
 
@@ -78,6 +79,7 @@ def test_parse_comments_and_blank_lines():
         ("4 1\n0 1 x\n", "not an integer"),
         ("0 1\n0 1 2\n", "must be positive"),
         ("4 2\n0 1 2\n0 1\n", "expected 3 integers"),
+        ("4 1\n0 1 -99999999999999999999\n", "line 2: token 3"),
     ],
 )
 def test_syntax_errors(text, fragment):
@@ -95,6 +97,7 @@ def test_syntax_errors(text, fragment):
         (5, [(0, 1, 2), (0, 1, 3)], "expected exactly 2"),
         (2, [(0, 1, 2)], "at least 3 vertices"),
         (4, [(0, 1, 2), (0, 1, 4)], "outside range"),
+        (2**62, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "vertex 4 lies in no face"),
     ],
 )
 def test_validation_errors(n, faces, fragment):
@@ -125,6 +128,81 @@ def test_subdivision_preserves_topology():
     assert s2.chi == 2
     tor2 = subdivide(mesh("torus"))
     assert tor2.chi == 0
+
+
+def _oracle_meshes():
+    for name in MESH_NAMES:
+        yield name, mesh(name)
+    t = mesh("octahedron")
+    while t.n_vertices < 1026:
+        yield f"octahedron N={t.n_vertices}", t
+        t = subdivide(t)
+    yield "octahedron N=1026", t
+    t = mesh("torus")
+    for level in (1, 2):
+        t = subdivide(t)
+        yield f"torus x{level}", t
+
+
+def test_tables_match_the_loop_oracle():
+    for label, t in _oracle_meshes():
+        ref = build(t.n_vertices, t.faces)
+        for name in ("edges", "edge_faces", "face_edges", "degrees"):
+            got, want = getattr(t, name), ref[name]
+            assert got.dtype == want.dtype and np.array_equal(got, want), (label, name)
+        for got, want in zip(t.kernel_index, ref["kernel_index"], strict=True):
+            assert np.array_equal(got, want), label
+        assert t.edge_index == ref["edge_index"] and t.chi == ref["chi"], label
+        # midpoint refinement emits the oracle's faces in the oracle's order
+        assert np.array_equal(
+            subdivide(t).faces, subdivide_faces(t.n_vertices, t.faces, t.edge_index)
+        ), label
+
+
+def _glued(t, shared):
+    """``(N, faces)`` of two copies of ``t``, each vertex ``v`` of the second
+    copy in ``shared`` identified with vertex ``shared[v]`` of the first.
+    Unless two shared vertices are adjacent, every edge still lies in two
+    faces, and each shared vertex has a link of two cycles."""
+    n = t.n_vertices
+    rest = iter(range(n, 2 * n))
+    label = [shared[v] if v in shared else next(rest) for v in range(n)]
+    second = [[label[int(v)] for v in f] for f in t.faces]
+    return 2 * n - len(shared), t.faces.tolist() + second
+
+
+# each corrupted mesh carries two or more faults; the message names the one
+# the documented check order finds first
+_OCTA = mesh("octahedron").faces.tolist()
+_CORRUPTED = [
+    # two faces repeat a vertex: the first is named
+    (6, _OCTA[:2] + [[1, 4, 1]] + _OCTA[3:5] + [[5, 5, 2]] + _OCTA[6:]),
+    # a repeated vertex outranks an earlier duplicate vertex set
+    (6, _OCTA + [_OCTA[0][::-1], [2, 2, 3]]),
+    # two duplicated sets: the earliest later face is named, with its first twin
+    (6, [_OCTA[4], _OCTA[1], _OCTA[4][::-1]] + _OCTA + [_OCTA[1]]),
+    # a duplicate set outranks bad edges and unused vertices
+    (9, _OCTA[:6] + [_OCTA[0][::-1]]),
+    # two open edges: the first in corner order is named, not the least
+    (6, [_OCTA[5], _OCTA[7]] + _OCTA[:5]),
+    # an edge in three faces and an unused vertex
+    (7, _OCTA + [[0, 1, 5]]),
+    # several unused vertices (3, 4, 5 and 9): the smallest is named
+    (10, [[v if v < 3 else v + 3 for v in f] for f in _OCTA]),
+    # pinched links at several vertices: the smallest is named
+    _glued(mesh("icosahedron"), {0: 11, 11: 0}),
+    # (the octahedron's own vertices are pairwise apart once subdivided)
+    _glued(subdivide(mesh("octahedron")), {0: 5, 2: 3, 4: 4}),
+]
+
+
+@pytest.mark.parametrize("n, faces", _CORRUPTED)
+def test_first_offender_matches_the_loop_oracle(n, faces):
+    with pytest.raises(cf.MeshValidationError) as want:
+        build(n, faces)
+    with pytest.raises(cf.MeshValidationError) as got:
+        cf.Triangulation(n, faces)
+    assert str(got.value) == str(want.value)
 
 
 def test_vertex_subset_canonical_form():
