@@ -44,6 +44,15 @@ stacked ``matmul`` of (1, n) by (n, 1) matrices, which rounds as
 each segment's terms in node order, so every segment's value equals that
 of a call on it alone, bit for bit.
 
+Subset scan: :func:`scan_subsets` screens a block of subsets of one size
+at a time with boolean masks of shape (faces, subsets).  Its sums run in
+other orders than a subset-by-subset evaluation would, so it flags every
+row within a rounding margin of violating, and re-evaluates the flagged
+rows in order by :func:`_subset_row`, the per-subset evaluation.  The
+first row that evaluation calls a violation is the result, with its
+values; a flagged row it clears is skipped.  So the result is that of the
+loop over subsets bit for bit; the tests keep that loop as their reference.
+
 Error reporting: the geometry kernels return an integer code instead of
 raising, because the step controller in :func:`advance` treats a trial
 whose geometry does not evaluate cleanly as one more rejected trial, not as
@@ -58,6 +67,7 @@ a failing row does not change the values of the other rows.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import NamedTuple
 
@@ -85,6 +95,11 @@ ERR_NONFINITE = 3
 # next block pays page faults again.  The bound also keeps a block's memory
 # a few hundred kB at any quadrature order.
 BLOCK_FACES = 2**11
+# The subset scan screens blocks of at most SCAN_BLOCK // F subsets, so
+# each (F, subsets) boolean mask stays at SCAN_BLOCK bytes and its cast to
+# float64 for the link dots at 1 MB.  A full N = 18 scan ran fastest at
+# 2**17 of 2**15, 2**17 and 2**20: the largest masks leave the cache.
+SCAN_BLOCK = 2**17
 
 # margin (in log-radius units) past the divergence guard inside which trial
 # steps are still evaluated; beyond it they are rejected unevaluated so that
@@ -501,44 +516,84 @@ def advance(u, mesh, target, lap_kind, opts, record):
     return "step_limit", steps, u, t
 
 
+def _subset_row(c, n, target, ea, eb, fv, fe, pmp):
+    """``(lhs, rhs)`` of the subset ``c`` (a list of vertices), evaluated on
+    its own: the reference each screened row is confirmed by."""
+    inside = np.zeros(n, dtype=np.bool_)
+    inside[c] = True
+    lhs = float(np.sum(target[c]))
+    e_in = int(np.sum(inside[ea] & inside[eb]))
+    m0 = inside[fv[:, 0]]
+    m1 = inside[fv[:, 1]]
+    m2 = inside[fv[:, 2]]
+    f_in = int(np.sum(m0 & m1 & m2))
+    lk = 0.0
+    lk += float(np.sum(pmp[fe[m0 & ~m1 & ~m2, 0]]))
+    lk += float(np.sum(pmp[fe[~m0 & m1 & ~m2, 1]]))
+    lk += float(np.sum(pmp[fe[~m0 & ~m1 & m2, 2]]))
+    return lhs, -lk + TWO_PI * (len(c) - e_in + f_in)
+
+
 def scan_subsets(n, target, ea, eb, fv, fe, pmp, tol):
     """Admissibility scan over all nonempty proper vertex subsets.
 
     Enumerates subsets by (size, lexicographic member order) and stops at
     the first violating subset, so the reported subset is minimal in that
     order.  Returns ``(found, members, lhs, rhs, checked)``.
+
+    Each size is walked in blocks of at most ``SCAN_BLOCK // F`` subsets.
+    A block is screened at once, and every row the screen flags is
+    re-evaluated in order by :func:`_subset_row`, whose verdict and values
+    are the result; a flagged row it clears is skipped.
     """
+    pf = pmp[fe]
+    p0, p1, p2 = (np.ascontiguousarray(pf[:, m]) for m in range(3))
+    nf = fv.shape[0]
+    # The screen sums the same terms as _subset_row in other orders (a row
+    # sum over the members, BLAS dots over all faces), so its lhs and rhs
+    # may differ from the reference's.  A sum of k terms in any order is
+    # within (k - 1) eps/2 times the sum of their magnitudes of the exact
+    # sum.  So lhs differs by at most n eps sum|target|, and the link sum
+    # (three sums of at most F terms, then two adds) by (F + 2) eps
+    # sum|pi - Phi|; 2 pi chi is the same float times the same integer on
+    # both sides.  Adding -lk, tol and the margin rounds by at most eps/2
+    # of |rhs| + tol + margin each, with |rhs| <= sum|pi - Phi| + 2 pi (n +
+    # F).  A margin of 8 (n + 3 F) eps times the sum of these scales covers
+    # it all, so the screen flags every row the reference calls a
+    # violation.  A non-finite input makes the margin infinite.
+    scale = float(np.abs(target).sum() + np.abs(pf).sum())
+    scale += TWO_PI * (n + nf) + abs(tol)
+    margin = 8.0 * (n + 3 * nf) * EPS * scale
+    bound = tol + margin if math.isfinite(margin) else math.inf
+    rows = max(1, SCAN_BLOCK // nf)
     checked = 0
-    two_pi = 2.0 * math.pi
-    inside = np.zeros(n, dtype=np.bool_)
     for size in range(1, n):
-        c = list(range(size))
+        combos = itertools.combinations(range(n), size)
         while True:
-            inside[:] = False
-            inside[c] = True
-            lhs = float(np.sum(target[c]))
-            e_in = int(np.sum(inside[ea] & inside[eb]))
-            m0 = inside[fv[:, 0]]
-            m1 = inside[fv[:, 1]]
-            m2 = inside[fv[:, 2]]
-            f_in = int(np.sum(m0 & m1 & m2))
-            lk = 0.0
-            lk += float(np.sum(pmp[fe[m0 & ~m1 & ~m2, 0]]))
-            lk += float(np.sum(pmp[fe[~m0 & m1 & ~m2, 1]]))
-            lk += float(np.sum(pmp[fe[~m0 & ~m1 & m2, 2]]))
-            chi_sub = size - e_in + f_in
-            rhs = -lk + two_pi * chi_sub
-            checked += 1
-            if lhs <= rhs + tol:
-                return True, list(c), lhs, rhs, checked
-            i = size - 1
-            while i >= 0 and c[i] == n - size + i:
-                i -= 1
-            if i < 0:
+            block = itertools.chain.from_iterable(itertools.islice(combos, rows))
+            c = np.fromiter(block, dtype=np.int64).reshape(-1, size)
+            m = c.shape[0]
+            if not m:
                 break
-            c[i] += 1
-            for j in range(i + 1, size):
-                c[j] = c[j - 1] + 1
+            # vertex-major masks: inside[v, i] is vertex v in subset i
+            inside = np.zeros((n, m), dtype=np.bool_)
+            inside[c.T, np.arange(m)] = True
+            lhs = target[c].sum(axis=1)
+            e_in = np.count_nonzero(inside[ea] & inside[eb], axis=0)
+            m0, m1, m2 = inside[fv[:, 0]], inside[fv[:, 1]], inside[fv[:, 2]]
+            f_in = np.count_nonzero(m0 & m1 & m2, axis=0)
+            lk = (
+                p0 @ (m0 & ~(m1 | m2))
+                + p1 @ (m1 & ~(m0 | m2))
+                + p2 @ (m2 & ~(m0 | m1))
+            )
+            rhs = -lk + TWO_PI * (size - e_in + f_in)
+            for i in np.flatnonzero(lhs <= rhs + bound).tolist():
+                members = c[i].tolist()
+                lhs_i, rhs_i = _subset_row(members, n, target, ea, eb, fv, fe, pmp)
+                if lhs_i <= rhs_i + tol:
+                    return True, members, lhs_i, rhs_i, checked + i + 1
+            checked += m
     return False, [], 0.0, 0.0, checked
 
 

@@ -52,6 +52,10 @@ TRACE_HEADER = "t,step,energy,max_curv_dev,lambda1,prod_r"
 
 ROUTES = ("analytic", "dual")
 
+# potential-probe holds N log radii per (ray, radius) endpoint, in a few
+# copies; a probe past this many entries (32 MB a copy) is refused
+PROBE_ENTRIES_MAX = 2**22
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -381,6 +385,12 @@ def cmd_potential_probe(args) -> int:
     if any(b < a for a, b in zip(radii, radii[1:])):
         raise DomainError(f"--probe-radii {args.probe_radii!r} must not decrease")
     t = _load_mesh(args.mesh)
+    entries = args.rays * len(radii) * t.n_vertices
+    if entries > PROBE_ENTRIES_MAX:
+        raise DomainError(
+            f"--rays {args.rays} with {len(radii)} probe radii on {t.n_vertices} "
+            f"vertices needs {entries} endpoint entries, more than {PROBE_ENTRIES_MAX}"
+        )
     w = _load_phi(args.phi, t)
     seed_metric = _load_radii(args.radii, t, w, args.seed)
     base = constant_curvature_log_metric(t, w, seed_metric)

@@ -4,8 +4,9 @@ A :class:`Triangulation` is a purely combinatorial object: a vertex count
 and a list of triangular faces.  Construction validates that the face list
 describes a closed surface (every edge in exactly two faces, every vertex
 link a single cycle) and derives the edge table, vertex degrees and the
-Euler characteristic.  Instances are immutable after construction and safe
-to share across threads.
+Euler characteristic.  Instances are immutable after construction (the
+``connected`` flag is computed on first access and kept) and safe to share
+across threads.
 
 Orientability is not required anywhere downstream, so face orientation is
 neither checked nor normalized.
@@ -13,6 +14,7 @@ neither checked nor normalized.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -66,6 +68,8 @@ class Triangulation:
         Vertex degrees (number of incident edges).
     chi : int
         Euler characteristic ``N - E + F``.
+    connected : bool
+        Whether the edge graph is connected; computed on first access.
 
     Raises
     ------
@@ -92,7 +96,15 @@ class Triangulation:
     def __init__(self, n_vertices: int, faces: Sequence[Sequence[int]]):
         if n_vertices < 3:
             raise MeshValidationError(f"need at least 3 vertices, got {n_vertices}")
-        fa = np.asarray(faces, dtype=np.int64)
+        try:
+            fa = np.asarray(faces, dtype=np.int64)
+        except OverflowError:
+            bad = next(
+                v for f in faces for v in f if not _INT64_MIN <= v <= _INT64_MAX
+            )
+            raise MeshValidationError(
+                f"face vertex index {bad} outside range [0, {n_vertices})"
+            ) from None
         if fa.ndim != 2 or fa.shape[1] != 3:
             raise MeshValidationError("faces must be triples of vertex indices")
         if fa.shape[0] < 2:
@@ -222,6 +234,23 @@ class Triangulation:
         if cycles.max() > 1:
             v = int(np.argmax(cycles > 1))
             raise MeshValidationError(f"link of vertex {v} is not a single cycle")
+
+    @functools.cached_property
+    def connected(self) -> bool:
+        """True iff the edge graph is connected: each vertex takes the
+        smallest label among its neighbours, with pointer jumping, until no
+        label changes."""
+        ea, eb = self.edges[:, 0], self.edges[:, 1]
+        labels = np.arange(self.n_vertices)
+        while True:
+            low = np.minimum(labels[ea], labels[eb])
+            new = labels.copy()
+            np.minimum.at(new, ea, low)
+            np.minimum.at(new, eb, low)
+            new = new[new]
+            if np.array_equal(new, labels):
+                return not labels.any()
+            labels = new
 
     def __repr__(self):
         return (

@@ -25,7 +25,7 @@ from .flows import integrate  # noqa: F401
 from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, resolve_target
-from .thurston import _connected, _newton
+from .thurston import _newton
 
 __all__ = [
     "calabi_energy",
@@ -213,7 +213,7 @@ def constant_curvature_log_metric(
     Raises :class:`NoConstantCurvatureMetric` when the solve ends first,
     as it does when the constant curvature is not admissible.
     """
-    if not _connected(t):
+    if not t.connected:
         raise DomainError("the surface is not connected")
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
     tgt = resolve_target(t, None)

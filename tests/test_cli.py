@@ -373,6 +373,18 @@ def test_input_errors_exit_1(capsys, tmp_path, argv):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_potential_probe_refuses_huge_ray_counts(capsys):
+    # refused by the size of the endpoint array before any direction is drawn
+    code, out, err = run(
+        capsys, "potential-probe", "--mesh", "tetrahedron", "--rays", "100000000000"
+    )
+    assert code == 1 and out == ""
+    assert err == (
+        "error: --rays 100000000000 with 4 probe radii on 4 vertices needs "
+        f"1600000000000 endpoint entries, more than {cli.PROBE_ENTRIES_MAX}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [

@@ -98,6 +98,7 @@ def test_syntax_errors(text, fragment):
         (2, [(0, 1, 2)], "at least 3 vertices"),
         (4, [(0, 1, 2), (0, 1, 4)], "outside range"),
         (2**62, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "vertex 4 lies in no face"),
+        (4, [(0, 1, 2), (0, 1, 10**20)], f"index {10**20} outside range [0, 4)"),
     ],
 )
 def test_validation_errors(n, faces, fragment):

@@ -9,6 +9,7 @@ import pytest
 import calabiflow as cf
 from calabiflow import _kernels, thurston
 from calabiflow.geometry import _mesh_arrays
+from calabiflow.laplacian import DENSE_LIMIT
 from calabiflow.thurston import (
     SIZE_GUARD,
     VIOLATION_TOL,
@@ -16,6 +17,7 @@ from calabiflow.thurston import (
     subset_inequality,
 )
 from calabiflow.meshes import subdivide
+from _scan_oracle import scan_subsets as loop_scan
 from _util import gb_target, mesh, random_metric, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
@@ -55,7 +57,12 @@ def _oracle_scan(t, w, target):
 
 def _scan(t, w, target):
     """``_kernels.scan_subsets`` as ``check_admissible`` calls it."""
-    return _kernels.scan_subsets(
+    return _kernels.scan_subsets(*_args(t, w, target))
+
+
+def _args(t, w, target):
+    """The arguments ``check_admissible`` passes to the scan."""
+    return (
         t.n_vertices, target, t.edges[:, 0], t.edges[:, 1], t.faces,
         t.face_edges, math.pi - w.phi, VIOLATION_TOL,
     )
@@ -354,8 +361,9 @@ def test_disconnected_mesh_keeps_scan_verdict():
     # equality
     faces = [tuple(f) for f in cf.meshes.TETRAHEDRON]
     t = cf.Triangulation(8, faces + [tuple(v + 4 for v in f) for f in faces])
-    assert not thurston._connected(t)
-    assert thurston._connected(mesh("torus"))
+    assert not t.connected
+    assert "connected" in vars(t)  # computed once per mesh
+    assert mesh("torus").connected
     w = zero_weight(t)
     target = np.full(8, math.pi)
     assert thurston._newton_verdict(t, w, target) == ("admissible", None)
@@ -381,3 +389,130 @@ def test_solve_decides_n66_without_force():
         lhs, rhs = subset_inequality(t, w, target, cf.VertexSubset.of(t, rep.subset))
         assert lhs <= rhs + VIOLATION_TOL
         assert (rep.lhs, rep.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
+
+
+def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
+    # above DENSE_LIMIT the solve pins vertex 0; unless its right-hand side
+    # is projected onto the range of L, every iterate leaves sum(K - K_av),
+    # the Gauss-Bonnet rounding, on vertex 0
+    t = mesh("octahedron")
+    while t.n_vertices <= DENSE_LIMIT:
+        t = subdivide(t)
+    assert t.n_vertices == 1026
+    target = np.full(t.n_vertices, TWO_PI * t.chi / t.n_vertices)
+    *_, (u, ang, K, kn) = thurston._newton(
+        t, zero_weight(t), target, np.zeros(t.n_vertices)
+    )
+    dev = K - target
+    assert abs(dev[0]) <= 10.0 * np.abs(dev[1:]).max()
+    assert np.abs(dev).max() < max(1e-12, kn.max())
+
+
+@pytest.mark.parametrize(
+    "name, count",
+    [("tetrahedron", 6), ("octahedron", 6), ("torus", 6), ("icosahedron", 2)],
+)
+def test_scan_equals_the_loop_on_full_scans(name, count):
+    t = mesh(name)
+    rng = np.random.default_rng(90 + t.n_vertices)
+    for k in range(count):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        args = _args(t, w, _realizable_target(rng, t, w))
+        got = _kernels.scan_subsets(*args)
+        assert got == loop_scan(*args)
+        assert got == (False, [], 0.0, 0.0, 2**t.n_vertices - 2)
+
+
+def test_scan_equals_the_loop_on_inadmissible_targets_n18():
+    t = subdivide(mesh("octahedron"))
+    rng = np.random.default_rng(91)
+    for k in range(8):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        members = rng.choice(t.n_vertices, 2 + k % 2, replace=False)
+        args = _args(t, w, _violating_target(rng, t, w, members))
+        got = _kernels.scan_subsets(*args)
+        assert got[0] and got == loop_scan(*args)
+
+
+@pytest.mark.parametrize("name", ["octahedron", "torus"])
+def test_scan_equals_the_loop_on_random_targets(name):
+    # the screen sums the link in another order than the loop, so on a few
+    # rows its values differ in the last bits; the reported values must
+    # be the loop's (among these draws one torus violator is such a row)
+    t = mesh(name)
+    spread = 6.0 if t.chi == 0 else 2.0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w = random_weight(rng, t)
+        args = _args(t, w, gb_target(rng, t, spread=spread))
+        assert _kernels.scan_subsets(*args) == loop_scan(*args)
+
+
+def _borderline_targets(t, w, rng, ulps):
+    """Targets on which the loop's ``lhs - (rhs + tol)`` for one subset ``S``
+    of size 2 or 3 is each of ``ulps`` units in the last place of ``lhs``.
+
+    ``S`` has the least slack among the subsets of size 2 or 3 at a
+    realizable target; that slack is moved off ``S`` onto the other
+    vertices, and the last member of ``S`` is nudged by ulps.  Returns
+    ``S`` and a list of ``(gap, target)``.
+    """
+    target = _realizable_target(rng, t, w)
+    rows = [r for r in enumerate_rows(t, w, target) if len(r[0]) in (2, 3)]
+    members, lhs, rhs = min(rows, key=lambda r: r[1] - r[2])
+    inside = np.zeros(t.n_vertices, dtype=bool)
+    inside[list(members)] = True
+    slack = lhs - rhs
+    target[inside] -= slack / inside.sum()
+    target[~inside] += slack / (~inside).sum()
+    _, rhs = _kernels._subset_row(list(members), *_args(t, w, target)[:-1])
+    goal = rhs + VIOLATION_TOL
+    last = members[-1]
+    out = []
+    for k in ulps:
+        want = goal
+        for _ in range(abs(k)):
+            want = np.nextafter(want, math.copysign(math.inf, k))
+        tk = target.copy()
+        tk[last] += want - float(np.sum(tk[list(members)]))
+        for _ in range(50):
+            got = float(np.sum(tk[list(members)]))
+            if got == want:
+                break
+            tk[last] = np.nextafter(tk[last], math.copysign(math.inf, want - got))
+        assert got == want
+        out.append((got - goal, tk))
+    return members, out
+
+
+@pytest.mark.parametrize("name", ["octahedron", "torus"])
+def test_scan_equals_the_loop_on_borderline_targets(name, monkeypatch):
+    # the loop's verdict on S flips between gaps of -1, 0 and +1 ulp; rows
+    # the screen flags but the loop clears (gaps above 0, below the margin)
+    # must be skipped, and the result must still be the loop's
+    t = mesh(name)
+    rng = np.random.default_rng(92 + t.n_vertices)
+    row = _kernels._subset_row
+    cleared = []
+
+    def recording(c, *rest):
+        lhs, rhs = row(c, *rest)
+        if lhs > rhs + VIOLATION_TOL:
+            cleared.append(tuple(c))
+        return lhs, rhs
+
+    monkeypatch.setattr(_kernels, "_subset_row", recording)
+    for k in range(4):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        ulps = (-1, 0, 1, 2**10)
+        members, cases = _borderline_targets(t, w, rng, ulps)
+        for ulp, (gap, target) in zip(ulps, cases):
+            assert abs(gap) < 1e-14 if abs(ulp) <= 1 else 0.0 < gap < 1e-11
+            args = _args(t, w, target)
+            cleared.clear()
+            got = _kernels.scan_subsets(*args)
+            assert got == loop_scan(*args)
+            if gap <= 0.0:
+                assert (got[0], tuple(got[1])) == (True, members)
+            else:
+                assert members in cleared
