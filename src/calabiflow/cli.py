@@ -8,11 +8,16 @@ byte-identical CSV/JSON, and the RNG seed is recorded in every output.
 
 Exit codes: 0 converged/valid, 1 input error, 2 diverged/inadmissible (or
 no constant-curvature metric), 3 internal invariant violation.
+
+In-process calls of :func:`main` share one parser and the parsed bundled
+meshes, each built on first use.  A ``--mesh`` that names an existing file
+is read on every call, and wins over a bundled mesh of the same name.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -94,13 +99,20 @@ def _read_text(path: str) -> str:
         raise DomainError(f"{path}: not UTF-8 ({exc.reason} at byte {exc.start})") from None
 
 
+@functools.cache
+def _builtin_mesh(name: str) -> Triangulation:
+    """The bundled mesh ``name``, parsed once per process; a triangulation
+    is read-only, so calls share it."""
+    return parse_mesh(mesh_text(name))
+
+
 def _load_mesh(spec: str) -> Triangulation:
     if spec is None:
         raise DomainError("--mesh is required")
     if os.path.exists(spec):
         return parse_mesh(_read_text(spec))
     if spec in builtin_names():
-        return parse_mesh(mesh_text(spec))
+        return _builtin_mesh(spec)
     raise DomainError(
         f"mesh {spec!r} is neither a file nor one of {', '.join(builtin_names())}"
     )
@@ -536,7 +548,11 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process.  Parsing leaves it as it
+    was: a usage error raises, ``-h`` exits, and help is formatted when it
+    is printed, at the terminal's width then."""
     parser = _Parser(
         prog="calabiflow",
         description="circle packing metrics with prescribed combinatorial "

@@ -73,16 +73,18 @@ class Weight:
     @classmethod
     def from_edge_map(cls, t: Triangulation, pairs: Mapping[tuple, float]) -> "Weight":
         """Build from a ``{(a, b): phi}`` mapping covering every edge once."""
-        phi = np.full(t.n_edges, np.nan)
+        phi = np.zeros(t.n_edges)
+        assigned = np.zeros(t.n_edges, dtype=bool)
         for (a, b), value in pairs.items():
             key = (min(int(a), int(b)), max(int(a), int(b)))
             if key not in t.edge_index:
                 raise DomainError(f"{key} is not an edge of the triangulation")
             e = t.edge_index[key]
-            if not np.isnan(phi[e]):
+            if assigned[e]:
                 raise DomainError(f"edge {key} assigned a weight twice")
+            assigned[e] = True
             phi[e] = float(value)
-        missing = np.nonzero(np.isnan(phi))[0]
+        missing = np.flatnonzero(~assigned)
         if missing.size:
             a, b = t.edges[missing[0]]
             raise DomainError(f"edge ({a}, {b}) has no weight assigned")

@@ -35,6 +35,18 @@ __all__ = [
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
+def _face_indices(f: int, face) -> list[int]:
+    """Face ``f`` as three Python ints; a float entry must be integral."""
+    try:
+        values = list(face)
+        out = [int(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or len(out) != 3 or out != values:
+        raise MeshValidationError(f"face {f} = {face!r} is not three integer vertex indices")
+    return out
+
+
 class Triangulation:
     """A closed triangulated surface, given combinatorially.
 
@@ -76,7 +88,8 @@ class Triangulation:
     MeshValidationError
         If the face list is not a closed triangulated surface.  The checks
         run in this order, and each names its first offender: the first
-        face that repeats a vertex; the first face whose vertex set an
+        face that is not three integers (a float must be integral); the
+        first face that repeats a vertex; the first face whose vertex set an
         earlier face has, with the earliest such face; the first edge, in
         corner order, that does not lie in exactly two faces; the smallest
         vertex in no face; the smallest vertex whose link is not a single
@@ -97,11 +110,15 @@ class Triangulation:
         if n_vertices < 3:
             raise MeshValidationError(f"need at least 3 vertices, got {n_vertices}")
         try:
-            fa = np.asarray(faces, dtype=np.int64)
+            fa = np.asarray(faces)
+        except ValueError:  # ragged, or a face that is not a sequence
+            fa = None
+        if fa is None or fa.dtype.kind not in "biu":
+            fa = [_face_indices(f, face) for f, face in enumerate(faces)]
+        try:
+            fa = np.asarray(fa, dtype=np.int64)
         except OverflowError:
-            bad = next(
-                v for f in faces for v in f if not _INT64_MIN <= v <= _INT64_MAX
-            )
+            bad = next(v for f in fa for v in f if not _INT64_MIN <= v <= _INT64_MAX)
             raise MeshValidationError(
                 f"face vertex index {bad} outside range [0, {n_vertices})"
             ) from None

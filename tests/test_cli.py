@@ -13,7 +13,7 @@ import pytest
 import calabiflow as cf
 from calabiflow import cli, thurston
 from calabiflow.cli import main
-from calabiflow.meshes import subdivide
+from calabiflow.meshes import mesh_text, subdivide
 from _util import MESH_NAMES, disjoint_text, mesh, stellar_text, zero_weight
 
 TWO_PI = 2 * math.pi
@@ -438,17 +438,49 @@ def test_command_rejects_foreign_flags(capsys, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def test_overflowing_trials_print_no_warning():
-    # trial radii past the float range are rejected without a numpy warning
+def _fresh_process(*argv):
     src = os.path.dirname(os.path.dirname(cf.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "calabiflow", "flow", "--mesh", "tetrahedron",
-         "--u-max", "inf", "--initial-step", "1e6"],
+    return subprocess.run(
+        [sys.executable, "-m", "calabiflow", *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_overflowing_trials_print_no_warning():
+    # trial radii past the float range are rejected without a numpy warning
+    proc = _fresh_process(
+        "flow", "--mesh", "tetrahedron", "--u-max", "inf", "--initial-step", "1e6"
+    )
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["status"] == "converged"
+
+
+def test_repeated_calls_match_a_fresh_process(capsys):
+    # in-process calls share the parser and the bundled meshes; an earlier
+    # call's options must not reach a later one
+    run(capsys, "flow", "--mesh", "tetrahedron", "--kind", "ricci_normalized")
+    code, out, err = run(capsys, "flow", "--mesh", "tetrahedron")
+    proc = _fresh_process("flow", "--mesh", "tetrahedron")
+    assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert code == 0 and out
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run(capsys, "validate", "--mesh", "tetrahedron", "--bogus")
+    assert code == 1 and out == "" and err.startswith("error:")
+    code, out, _ = run(capsys, "validate", "--mesh", "tetrahedron")
+    assert code == 0 and out.startswith("N=4 ")
+
+
+def test_mesh_file_wins_over_a_parsed_bundled_mesh(capsys, tmp_path, monkeypatch):
+    code, out, _ = run(capsys, "validate", "--mesh", "tetrahedron")
+    assert code == 0 and out.startswith("N=4 ")
+    (tmp_path / "tetrahedron").write_text(mesh_text("octahedron"))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "validate", "--mesh", "tetrahedron")
+    assert code == 0 and out.startswith("N=6 ")
 
 
 @pytest.mark.parametrize("argv", [("-h",), ("flow", "-h")])

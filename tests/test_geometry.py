@@ -136,6 +136,18 @@ def test_weight_validation():
     assert np.allclose(w.cos_phi, 0.0, atol=1e-16)
 
 
+def test_edge_map_nan_is_a_value_not_a_gap():
+    # a NaN weight is refused as non-finite, not taken for an unassigned
+    # edge, and it does not hide a second assignment of its edge
+    t = mesh("tetrahedron")
+    rest = {(int(a), int(b)): 0.3 for a, b in t.edges[1:]}
+    assert tuple(t.edges[0]) == (0, 1)
+    with pytest.raises(cf.DomainError, match="weights must be finite"):
+        cf.Weight.from_edge_map(t, {(0, 1): np.nan, **rest})
+    with pytest.raises(cf.DomainError, match=r"edge \(0, 1\) assigned a weight twice"):
+        cf.Weight.from_edge_map(t, {(0, 1): np.nan, (1, 0): 0.3, **rest})
+
+
 def test_metric_validation():
     with pytest.raises(cf.DomainError):
         cf.PackingMetric.from_radii([1.0, -1.0])

@@ -99,12 +99,22 @@ def test_syntax_errors(text, fragment):
         (4, [(0, 1, 2), (0, 1, 4)], "outside range"),
         (2**62, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "vertex 4 lies in no face"),
         (4, [(0, 1, 2), (0, 1, 10**20)], f"index {10**20} outside range [0, 4)"),
+        (4, [(0, 1, 2), (0, 1)], "face 1 = (0, 1) is not three integer"),
+        (4, [(0, 1, 2), None], "face 1 = None is not three integer"),
+        (4, [(0, 1, 2), (0, 1, float("nan"))], "face 1 = (0, 1, nan) is not three integer"),
+        (4, [(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "face 0 = (0, 1, 2.7) is not"),
     ],
 )
 def test_validation_errors(n, faces, fragment):
     with pytest.raises(cf.MeshValidationError) as exc:
         cf.Triangulation(n, faces)
     assert fragment in str(exc.value)
+
+
+def test_integral_float_faces_accepted():
+    faces = [(0, 1, 2.0), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    for given in (faces, np.array(faces)):
+        assert np.array_equal(cf.Triangulation(4, given).faces, mesh("tetrahedron").faces)
 
 
 def test_pinched_link_rejected():
