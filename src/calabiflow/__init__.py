@@ -31,25 +31,16 @@ from .flows import (
     FlowSample,
     FlowTrace,
     IntegratorOptions,
-    curvature_derivative_check,
     integrate,
-    velocity,
 )
 from .geometry import (
     GeometryState,
     PackingMetric,
     Weight,
     compute_geometry,
-    edge_length,
-    scale_metric,
     triangle_angles,
 )
-from .laplacian import (
-    DualLaplacian,
-    assemble,
-    half_weight_analytic,
-    half_weight_dual,
-)
+from .laplacian import DualLaplacian, assemble
 from .mesh import (
     Triangulation,
     VertexSubset,
@@ -61,17 +52,11 @@ from .meshes import mesh_text
 from .potential import (
     calabi_energy,
     constant_curvature_log_metric,
-    energy_gradient,
     properness_probe,
     restricted_hessian_check,
     ricci_potential,
 )
-from .thurston import (
-    AdmissibilityReport,
-    check_admissible,
-    check_gauss_bonnet,
-    constant_curvature_exists,
-)
+from .thurston import AdmissibilityReport, check_admissible, check_gauss_bonnet
 
 __version__ = "0.1.0"
 
@@ -103,13 +88,7 @@ __all__ = [
     "check_admissible",
     "check_gauss_bonnet",
     "compute_geometry",
-    "constant_curvature_exists",
     "constant_curvature_log_metric",
-    "curvature_derivative_check",
-    "edge_length",
-    "energy_gradient",
-    "half_weight_analytic",
-    "half_weight_dual",
     "integrate",
     "link_pairs",
     "mesh_text",
@@ -117,9 +96,7 @@ __all__ = [
     "properness_probe",
     "restricted_hessian_check",
     "ricci_potential",
-    "scale_metric",
     "subcomplex_euler",
     "triangle_angles",
-    "velocity",
     "__version__",
 ]

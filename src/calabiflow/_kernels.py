@@ -196,9 +196,8 @@ def _cosine_error(c):
 
 
 def _corners(r, mesh, kappa=False):
-    """Per-corner geometry: the part :func:`_state`, :func:`_curvatures`
-    and the dual route of ``laplacian`` share.  Call under
-    ``np.errstate(all="ignore")``.
+    """Per-corner geometry: the part :func:`_state` and :func:`_curvatures`
+    share.  Call under ``np.errstate(all="ignore")``.
 
     Returns ``(lens, L, L1, L2, cc, ang, kap, K, err)``: edge lengths, the
     lengths of the edges opposite corners ``m``, ``m + 1`` and ``m + 2`` of

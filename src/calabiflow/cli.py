@@ -55,8 +55,6 @@ EXIT_INTERNAL = 3
 
 TRACE_HEADER = "t,step,energy,max_curv_dev,lambda1,prod_r"
 
-ROUTES = ("analytic", "dual")
-
 # potential-probe holds N log radii per (ray, radius) endpoint, in a few
 # copies; a probe past this many entries (32 MB a copy) is refused
 PROBE_ENTRIES_MAX = 2**22
@@ -298,7 +296,7 @@ def cmd_curvature(args) -> int:
     print(text)
     _write(args.out, "curvature.json", text + "\n")
     if args.dump_laplacian:
-        lap = assemble(t, w, m, route=args.route)
+        lap = assemble(t, w, m)
         dump = "\n".join(lap.coordinate_lines()) + "\n"
         _write(args.out, "laplacian.txt", dump)
         if args.out is None:
@@ -377,7 +375,10 @@ def cmd_check(args) -> int:
             f"{' '.join(str(v) for v in members)},{_fmt(lhs)},{_fmt(rhs)}"
             for members, lhs, rhs in rows
         ]
-        _write(args.out, "subsets.csv", "\n".join(lines) + "\n")
+        dump = "\n".join(lines) + "\n"
+        _write(args.out, "subsets.csv", dump)
+        if args.out is None:
+            sys.stdout.write(dump)
     return EXIT_OK if report.admissible else EXIT_NOT_CONVERGED
 
 
@@ -488,7 +489,6 @@ _FLAGS = {
     "--kind": dict(help=f"flow kind: one of {', '.join(KIND_NAMES)}"),
     "--target": dict(help="target curvature: 'kav', scalar, list, or file"),
     "--dump-laplacian": dict(action="store_true", help="write L as 'i j value' lines"),
-    "--route": dict(choices=ROUTES, help="Laplacian route (default analytic)"),
     "--compare-ricci": dict(
         action="store_true",
         help="also integrate the matching Ricci flow and emit its trace",
@@ -518,7 +518,7 @@ COMMANDS = {
     "curvature": (
         cmd_curvature,
         "curvatures and energy of one metric",
-        "--mesh --phi --radii --seed --out --dump-laplacian --route",
+        "--mesh --phi --radii --seed --out --dump-laplacian",
     ),
     "flow": (
         cmd_flow,
@@ -570,17 +570,10 @@ def build_parser() -> argparse.ArgumentParser:
 _DEFAULTS = {
     "seed": 0,
     "kind": "calabi",
-    "route": "analytic",
     "starts": 1,
     "rays": 8,
     "probe_radii": "1,2,4,8",
 }
-
-
-def _route(value: str) -> str:
-    if value not in ROUTES:
-        raise ValueError(value)
-    return value
 
 
 _CONFIG_PARSERS = {
@@ -592,7 +585,6 @@ _CONFIG_PARSERS = {
     "initial_step": float,
     "max_step": float,
     "u_max": float,
-    "route": _route,
     "dump_laplacian": lambda v: v.lower() in ("1", "true", "yes"),
     "dump_subsets": lambda v: v.lower() in ("1", "true", "yes"),
     "compare_ricci": lambda v: v.lower() in ("1", "true", "yes"),

@@ -30,7 +30,7 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, StepCollapseError
 from .geometry import PackingMetric, Weight, _mesh_arrays
-from .laplacian import DualLaplacian, assemble
+from .laplacian import DualLaplacian
 from .mesh import Triangulation, resolve_target
 
 __all__ = [
@@ -38,9 +38,7 @@ __all__ = [
     "IntegratorOptions",
     "FlowSample",
     "FlowTrace",
-    "velocity",
     "integrate",
-    "curvature_derivative_check",
 ]
 
 KIND_NAMES = ("calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescribed")
@@ -160,17 +158,6 @@ class FlowTrace:
         return float(np.max(np.abs(last.curvatures - self.target)))
 
 
-def velocity(kind: FlowKind, t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
-    """The right-hand side du/dt at a metric."""
-    target = resolve_target(t, kind.target)
-    _, _, _, curv, b, _, err = _kernels.state(np.exp(m.u), _mesh_arrays(t, w))
-    _kernels.raise_state_error(err)
-    dev = curv - target
-    if kind.uses_laplacian:
-        return _kernels.lap_apply(b, t.edges[:, 0], t.edges[:, 1], dev)
-    return -dev
-
-
 def integrate(
     kind: FlowKind,
     t: Triangulation,
@@ -223,35 +210,3 @@ def integrate(
         final_metric=PackingMetric.from_log_radii(u),
         samples=samples,
     )
-
-
-def curvature_derivative_check(
-    kind: FlowKind,
-    t: Triangulation,
-    w: Weight,
-    m: PackingMetric,
-    fd_step: float = 1e-6,
-) -> float:
-    """Residual between the finite-difference curvature derivative along the
-    flow and its closed forms.
-
-    Compares ``(K(u + s v) - K(u - s v)) / 2s`` against ``L v``, and for the
-    plain Calabi flow also against ``-L (L K)``.  Returns the largest
-    absolute residual.
-    """
-    v = velocity(kind, t, w, m)
-    mesh = _mesh_arrays(t, w)
-
-    def curv_at(u):
-        k, err = _kernels.curvatures(np.exp(u), mesh)
-        _kernels.raise_state_error(err)
-        return k
-
-    fd = (curv_at(m.u + fd_step * v) - curv_at(m.u - fd_step * v)) / (2.0 * fd_step)
-    lap = assemble(t, w, m)
-    residual = float(np.max(np.abs(fd - lap.matrix @ v)))
-    if kind.name == "calabi":
-        curv = curv_at(m.u)
-        closed = -(lap.matrix @ (lap.matrix @ curv))
-        residual = max(residual, float(np.max(np.abs(fd - closed))))
-    return residual

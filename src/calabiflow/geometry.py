@@ -32,10 +32,8 @@ __all__ = [
     "Weight",
     "PackingMetric",
     "GeometryState",
-    "edge_length",
     "triangle_angles",
     "compute_geometry",
-    "scale_metric",
 ]
 
 PHI_MAX = math.pi / 2.0
@@ -61,7 +59,8 @@ class Weight:
     phi: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.phi, dtype=np.float64))
+        # a copy: freezing it leaves the caller's array writeable
+        arr = np.array(self.phi, dtype=np.float64, order="C")
         _check_phi(arr)
         arr.setflags(write=False)
         object.__setattr__(self, "phi", arr)
@@ -121,8 +120,9 @@ class PackingMetric:
     __slots__ = ("r", "u")
 
     def __init__(self, r: np.ndarray, u: np.ndarray):
-        r = np.ascontiguousarray(np.asarray(r, dtype=np.float64))
-        u = np.ascontiguousarray(np.asarray(u, dtype=np.float64))
+        # copies: freezing them leaves the caller's arrays writeable
+        r = np.array(r, dtype=np.float64, order="C")
+        u = np.array(u, dtype=np.float64, order="C")
         if r.ndim != 1 or r.shape != u.shape:
             raise DomainError("radii and log-radii must be 1-d arrays of equal length")
         if not np.all(np.isfinite(r)) or not np.all(np.isfinite(u)):
@@ -179,34 +179,8 @@ class GeometryState:
     avg_curvature: float
     chi: int
 
-    def validate(self, t: Triangulation):
-        """Check the structural invariants; raises AssertionError on failure."""
-        assert self.lengths.min() > 0.0
-        sums = self.angles.sum(axis=1)
-        assert float(np.max(np.abs(sums - math.pi))) < 1e-9, "angle sums differ from pi"
-        gb = float(self.curvatures.sum() - 2.0 * math.pi * t.chi)
-        assert abs(gb) < 1e-9, f"Gauss-Bonnet residual {gb}"
-        lower = (2.0 - t.degrees) * math.pi
-        assert np.all(self.curvatures > lower), "curvature at or below (2 - d) pi"
-        assert np.all(self.curvatures < 2.0 * math.pi), "curvature at or above 2 pi"
-
     def gauss_bonnet_residual(self) -> float:
         return float(self.curvatures.sum() - 2.0 * math.pi * self.chi)
-
-
-def edge_length(r_i, r_j, phi):
-    """Length induced on an edge by radii ``r_i, r_j`` and weight ``phi``.
-
-    Accepts scalars or equal-shaped arrays.
-    """
-    ri = np.asarray(r_i, dtype=np.float64)
-    rj = np.asarray(r_j, dtype=np.float64)
-    ph = np.asarray(phi, dtype=np.float64)
-    if np.any(ri <= 0.0) or np.any(rj <= 0.0):
-        raise DomainError("radii must be positive")
-    _check_phi(np.atleast_1d(ph))
-    out = np.sqrt(ri * ri + rj * rj + 2.0 * ri * rj * np.cos(ph))
-    return float(out) if out.ndim == 0 else out
 
 
 def triangle_angles(l_a: float, l_b: float, l_c: float) -> tuple[float, float, float]:
@@ -218,9 +192,9 @@ def triangle_angles(l_a: float, l_b: float, l_c: float) -> tuple[float, float, f
     Raises
     ------
     DegenerateTriangleError
-        If any strict triangle inequality fails.  Unreachable for lengths
-        produced by :func:`edge_length` with weights in ``[0, pi/2]``; the
-        guard exists for direct callers.
+        If any strict triangle inequality fails.  Unreachable for the
+        lengths of a packing with weights in ``[0, pi/2]``; the guard
+        exists for direct callers.
     """
     a, b, c = float(l_a), float(l_b), float(l_c)
     if min(a, b, c) <= 0.0:
@@ -258,11 +232,3 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
         avg_curvature=2.0 * math.pi * t.chi / t.n_vertices,
         chi=t.chi,
     )
-
-
-def scale_metric(m: PackingMetric, s: float) -> PackingMetric:
-    """Scale all radii by ``s > 0``.  Curvatures are invariant under this."""
-    s = float(s)
-    if not math.isfinite(s) or s <= 0.0:
-        raise DomainError(f"scale factor must be positive, got {s}")
-    return PackingMetric(m.r * s, m.u + math.log(s))

@@ -12,11 +12,9 @@ from each of the two faces containing the edge.  Each half-contribution
 lies in ``(0, sqrt(3))``, hence ``0 < B_ij < 2 sqrt(3)``; the kernel of
 ``L`` is exactly the constant vectors, so the rank is ``N - 1``.
 
-Two independent routes compute the half-contributions: a closed-form chain
-rule through the cosine law (the default), and a ratio of dual edge length
-to primal edge length computed from two auxiliary triangles spanned by the
-circle intersection points.  The dual route exists as a cross-check and is
-exercised by the test suite and a CLI flag.
+The half-contributions come from the closed-form chain rule through the
+cosine law, computed by the geometry kernels (``_kernels.state``) along
+with the curvatures.
 
 scipy is needed only for spectra (``lambda1``, ``spectral_summary``), CSR
 assembly above ``DENSE_LIMIT`` and the sparse Newton solve, and it is
@@ -32,131 +30,12 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, InternalConsistencyError
-from .geometry import PHI_MAX, PackingMetric, Weight, _mesh_arrays, triangle_angles
+from .geometry import PackingMetric, Weight, _mesh_arrays
 from .mesh import Triangulation
 
-__all__ = [
-    "DualLaplacian",
-    "half_weight_analytic",
-    "half_weight_dual",
-    "assemble",
-]
+__all__ = ["DualLaplacian", "assemble"]
 
 DENSE_LIMIT = 512
-
-
-# slot of the face edge between two local vertices in (phi_01, phi_12, phi_20)
-_EDGE_SLOT = {(0, 1): 0, (1, 0): 0, (1, 2): 1, (2, 1): 1, (0, 2): 2, (2, 0): 2}
-
-
-def _face_inputs(r, phi, corner: int, moving: int):
-    """``(r_c, r_m, r_o), (phi_cm, phi_co, phi_mo), (l_cm, l_co, l_mo)``
-    of one face, validated once.  Plain ``math``: these routines run once
-    per face in the oracles, where numpy's per-call cost would dominate.
-    """
-    if corner == moving or not {corner, moving} <= {0, 1, 2}:
-        raise DomainError("corner and moving must be distinct members of {0, 1, 2}")
-    r = [float(x) for x in r]
-    phi = [float(x) for x in phi]
-    if len(r) != 3 or len(phi) != 3:
-        raise DomainError("expected three radii and three weights")
-    if any(x <= 0.0 for x in r):
-        raise DomainError("radii must be positive")
-    if not all(math.isfinite(x) for x in phi):
-        raise DomainError("weights must be finite")
-    if min(phi) < 0.0 or max(phi) > PHI_MAX:
-        raise DomainError(
-            f"weights must lie in [0, pi/2]; got range [{min(phi)!r}, {max(phi)!r}]"
-        )
-    other = 3 - corner - moving
-    r_c, r_m, r_o = r[corner], r[moving], r[other]
-    p_cm = phi[_EDGE_SLOT[corner, moving]]
-    p_co = phi[_EDGE_SLOT[corner, other]]
-    p_mo = phi[_EDGE_SLOT[moving, other]]
-
-    def length(a, b, p):
-        return math.sqrt(a * a + b * b + 2.0 * a * b * math.cos(p))
-
-    lengths = (length(r_c, r_m, p_cm), length(r_c, r_o, p_co), length(r_m, r_o, p_mo))
-    return (r_c, r_m, r_o), (p_cm, p_co, p_mo), lengths
-
-
-def half_weight_analytic(r, phi, corner: int, moving: int) -> float:
-    """One face's contribution to ``B``, by the cosine-law chain rule.
-
-    Parameters
-    ----------
-    r : (r_0, r_1, r_2)
-        Radii at the face's three vertices.
-    phi : (phi_01, phi_12, phi_20)
-        Weights of the three face edges.
-    corner, moving : int
-        Differentiates the angle at ``corner`` with respect to the radius
-        at ``moving`` (then multiplies by that radius).
-    """
-    (r_c, r_m, r_o), (p_cm, _, p_mo), (l_cm, l_co, l_mo) = _face_inputs(
-        r, phi, corner, moving
-    )
-    theta_c, theta_m, _ = triangle_angles(l_mo, l_co, l_cm)
-    bracket = (r_m + r_o * math.cos(p_mo)) - (l_mo * math.cos(theta_m) / l_cm) * (
-        r_m + r_c * math.cos(p_cm)
-    )
-    return r_m / (l_cm * l_co * math.sin(theta_c)) * bracket
-
-
-def _aux_cos(r_near: float, side: float, r_far: float) -> float:
-    """Angle cosine in the auxiliary triangle (r_near, side; r_far opposite)."""
-    arg = (r_near * r_near + side * side - r_far * r_far) / (2.0 * r_near * side)
-    if abs(arg) - 1.0 > _kernels.CLAMP_TOL:
-        raise InternalConsistencyError(
-            f"auxiliary triangle degenerate (cos = {arg!r}); unreachable for "
-            "weights in [0, pi/2]"
-        )
-    return min(1.0, max(-1.0, arg))
-
-
-def half_weight_dual(r, phi, corner: int, moving: int) -> float:
-    """One face's contribution to ``B``, as dual length over primal length.
-
-    The circles at ``moving`` and ``other`` (resp. ``corner`` and
-    ``moving``) meet in a point that spans an auxiliary triangle with the
-    corresponding primal edge; the half-contribution is the quotient of the
-    resulting dual edge length by the primal edge length.  Agrees with
-    :func:`half_weight_analytic` to roundoff.
-    """
-    (r_c, r_m, r_o), _, (l_cm, l_co, l_mo) = _face_inputs(r, phi, corner, moving)
-    _, theta_m, _ = triangle_angles(l_mo, l_co, l_cm)
-    cos_aux1 = _aux_cos(r_m, l_mo, r_o)
-    cos_aux2 = _aux_cos(r_m, l_cm, r_c)
-    dual = r_m * (cos_aux1 - math.cos(theta_m) * cos_aux2) / math.sin(theta_m)
-    return dual / l_cm
-
-
-def _dual_halves(t: Triangulation, w: Weight, m: PackingMetric) -> np.ndarray:
-    """Vectorized dual-route half-contributions, aligned like face_edges.
-
-    Column ``m`` is the half weight of the edge opposite corner ``m``, with
-    corner ``m + 1`` as ``corner`` and ``m + 2`` as ``moving`` in
-    :func:`half_weight_dual`; the kernels' rolled index arrays supply both.
-    """
-    r = m.r
-    mesh = _mesh_arrays(t, w)
-    # lengths and clamped corner cosines come from the kernels' cosine law;
-    # only the dual-length formula below is this route's own
-    with np.errstate(all="ignore"):
-        _, l_cm, l_mo, _, cc, _, _, _, err = _kernels._corners(r, mesh)
-    if err == _kernels.ERR_CLAMP:
-        raise InternalConsistencyError("cosine-law value left [-1, 1]")
-    r_c, r_m, r_o = r.take(mesh.fv1), r.take(mesh.fv2), r.take(mesh.fv)
-    cos_m = cc.take(mesh.c2)
-    aux1 = (r_m * r_m + l_mo * l_mo - r_o * r_o) / (2.0 * r_m * l_mo)
-    aux2 = (r_m * r_m + l_cm * l_cm - r_c * r_c) / (2.0 * r_m * l_cm)
-    for aux in (aux1, aux2):
-        if float(np.max(np.abs(aux))) - 1.0 > _kernels.CLAMP_TOL:
-            raise InternalConsistencyError("auxiliary triangle degenerate")
-    aux1 = np.clip(aux1, -1.0, 1.0)
-    aux2 = np.clip(aux2, -1.0, 1.0)
-    return r_m * (aux1 - cos_m * aux2) / (np.sqrt(1.0 - cos_m * cos_m) * l_cm)
 
 
 class DualLaplacian:
@@ -305,29 +184,10 @@ class DualLaplacian:
         return [f"{i} {j} {v:.17g}" for i, j, v in entries]
 
 
-def assemble(
-    t: Triangulation, w: Weight, m: PackingMetric, route: str = "analytic"
-) -> DualLaplacian:
-    """Assemble the dual Laplacian of a metric.
-
-    ``route`` selects how half-contributions are computed: ``"analytic"``
-    (closed-form chain rule, the default) or ``"dual"`` (dual-length
-    quotient, the verification path).  Both must agree to roundoff.
-    """
+def assemble(t: Triangulation, w: Weight, m: PackingMetric) -> DualLaplacian:
+    """Assemble the dual Laplacian of a metric."""
     if m.n != t.n_vertices or w.phi.shape[0] != t.n_edges:
         raise DomainError("mesh, weight and metric sizes are inconsistent")
-    if route == "analytic":
-        _, _, _, _, b, _, err = _kernels.state(m.r, _mesh_arrays(t, w))
-        _kernels.raise_state_error(err)
-    elif route == "dual":
-        halves = _dual_halves(t, w, m)
-        b = np.zeros(t.n_edges)
-        np.add.at(b, t.face_edges.ravel(), halves.ravel())
-        if float(b.min()) <= 0.0 or float(b.max()) >= _kernels.TWO_SQRT3:
-            raise InternalConsistencyError(
-                "an edge weight left the open interval (0, 2*sqrt(3))"
-            )
-    else:
-        raise DomainError(f"unknown assembly route {route!r}")
+    _, _, _, _, b, _, err = _kernels.state(m.r, _mesh_arrays(t, w))
+    _kernels.raise_state_error(err)
     return DualLaplacian(t.n_vertices, t.edges, b)
-

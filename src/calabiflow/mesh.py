@@ -113,10 +113,13 @@ class Triangulation:
             fa = np.asarray(faces)
         except ValueError:  # ragged, or a face that is not a sequence
             fa = None
-        if fa is None or fa.dtype.kind not in "biu":
+        # unsigned arrays go face by face too: a cast to int64 would wrap an
+        # index above its range to a negative one
+        if fa is None or fa.dtype.kind not in "bi":
             fa = [_face_indices(f, face) for f, face in enumerate(faces)]
         try:
-            fa = np.asarray(fa, dtype=np.int64)
+            # a copy: freezing it leaves the caller's array writeable
+            fa = np.array(fa, dtype=np.int64)
         except OverflowError:
             bad = next(v for f in fa for v in f if not _INT64_MIN <= v <= _INT64_MAX)
             raise MeshValidationError(

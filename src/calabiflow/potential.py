@@ -29,7 +29,6 @@ from .thurston import _newton
 
 __all__ = [
     "calabi_energy",
-    "energy_gradient",
     "ricci_potential",
     "restricted_hessian_check",
     "properness_probe",
@@ -49,22 +48,6 @@ def calabi_energy(
     tgt = resolve_target(t, target)
     geo = compute_geometry(t, w, m)
     return float(np.sum((geo.curvatures - tgt) ** 2))
-
-
-def energy_gradient(
-    t: Triangulation, w: Weight, m: PackingMetric, target=None
-) -> np.ndarray:
-    """Gradient of the Calabi energy in ``u``: ``2 L (K - target)``.
-
-    Always orthogonal to the constant vectors, which is why the Calabi
-    flows conserve ``sum u``.
-    """
-    tgt = resolve_target(t, target)
-    geo = compute_geometry(t, w, m)
-    lap = assemble(t, w, m)
-    # apply() is the discrete Laplacian -L f, so the gradient 2 L (K - Kbar)
-    # needs the sign flipped
-    return -2.0 * lap.apply(geo.curvatures - tgt)
 
 
 def ricci_potential(

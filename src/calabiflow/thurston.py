@@ -65,7 +65,6 @@ __all__ = [
     "AdmissibilityReport",
     "check_gauss_bonnet",
     "check_admissible",
-    "constant_curvature_exists",
     "subset_inequality",
     "enumerate_rows",
     "SIZE_GUARD",
@@ -141,7 +140,8 @@ def subset_inequality(
 
 def _explicit_target(t: Triangulation, target) -> np.ndarray:
     """:func:`resolve_target`, except that ``None`` is refused: a check
-    needs the target spelled out (see :func:`constant_curvature_exists`)."""
+    needs the target spelled out, ``resolve_target(t, None)`` for the
+    average curvature ``K_av``."""
     if target is None:
         raise DomainError("an admissibility check needs an explicit target curvature")
     return resolve_target(t, target)
@@ -351,13 +351,6 @@ def check_admissible(
         subsets_checked=int(checked),
         elapsed_s=elapsed,
     )
-
-
-def constant_curvature_exists(
-    t: Triangulation, w: Weight, force: bool = False
-) -> AdmissibilityReport:
-    """Admissibility of the constant target ``K_av = 2 pi chi / N``."""
-    return check_admissible(t, w, resolve_target(t, None), force=force)
 
 
 def enumerate_rows(

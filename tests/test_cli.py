@@ -198,6 +198,14 @@ def test_check_exit_codes_and_dump(capsys, tmp_path, bad_target_file):
         assert float(lhs_txt) == pytest.approx(lhs)
         assert float(rhs_txt) == pytest.approx(rhs)
 
+    # without --out the same CSV follows the JSON line on stdout
+    code4, out4, _ = run(capsys, "check", "--mesh", "tetrahedron", "--dump-subsets")
+    assert code4 == 0
+    head, csv = out4.split("\n", 1)
+    assert json.loads(head)["verdict"] == "admissible"
+    assert csv == (out_dir / "subsets.csv").read_text()
+    assert len(csv.splitlines()) == 15
+
 
 def test_check_reproducible(capsys):
     args = ("check", "--mesh", "octahedron", "--phi", "0.7")
@@ -314,16 +322,6 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     assert doc2["seed"] == 11
 
 
-def test_config_route_sets_the_laplacian_route(capsys, tmp_path):
-    cfg = tmp_path / "route.cfg"
-    cfg.write_text("route = dual\n")
-    argv = ("curvature", "--mesh", "octahedron", "--dump-laplacian")
-    via_config = run(capsys, *argv, "--config", str(cfg))
-    via_flag = run(capsys, *argv, "--route", "dual")
-    assert via_config == via_flag and via_config[0] == 0
-    assert via_config[1] != run(capsys, *argv)[1]  # the analytic route's bytes
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -422,6 +420,8 @@ FOREIGN_FLAGS = [
     ("potential-probe", "--starts", "2"),
     ("check", "CONFIG", "tol = 1e-3"),
     ("validate", "CONFIG", "command = flow"),
+    ("curvature", "--route", "dual"),
+    ("curvature", "CONFIG", "route = dual"),
 ]
 
 

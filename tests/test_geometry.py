@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
+from _geometry_oracle import edge_length
 from _util import MESH_NAMES, mesh, random_metric, random_weight, zero_weight
 
 
@@ -14,13 +15,13 @@ def test_edge_length_formula():
     for _ in range(200):
         ri, rj = rng.uniform(0.1, 10.0, 2)
         phi = rng.uniform(0.0, np.pi / 2)
-        got = cf.edge_length(ri, rj, phi)
+        got = edge_length(ri, rj, phi)
         assert got == pytest.approx(
             math.sqrt(ri * ri + rj * rj + 2 * ri * rj * math.cos(phi)), rel=1e-15
         )
     # tangent circles: lengths add; orthogonal circles: Pythagoras
-    assert cf.edge_length(1.5, 2.5, 0.0) == pytest.approx(4.0, rel=1e-15)
-    assert cf.edge_length(3.0, 4.0, np.pi / 2) == pytest.approx(5.0, rel=1e-15)
+    assert edge_length(1.5, 2.5, 0.0) == pytest.approx(4.0, rel=1e-15)
+    assert edge_length(3.0, 4.0, np.pi / 2) == pytest.approx(5.0, rel=1e-15)
 
 
 def test_triangle_angles_sum_and_order():
@@ -28,9 +29,9 @@ def test_triangle_angles_sum_and_order():
     for _ in range(200):
         r = rng.uniform(0.1, 10.0, 3)
         phi = rng.uniform(0.0, np.pi / 2, 3)
-        la = cf.edge_length(r[1], r[2], phi[0])
-        lb = cf.edge_length(r[2], r[0], phi[1])
-        lc = cf.edge_length(r[0], r[1], phi[2])
+        la = edge_length(r[1], r[2], phi[0])
+        lb = edge_length(r[2], r[0], phi[1])
+        lc = edge_length(r[0], r[1], phi[2])
         angles = cf.triangle_angles(la, lb, lc)
         assert sum(angles) == pytest.approx(math.pi, abs=1e-12)
         # the larger side faces the larger angle
@@ -53,9 +54,9 @@ def test_packing_lengths_always_form_triangles():
     for _ in range(2000):
         r = rng.uniform(1e-3, 1e3, 3)
         phi = rng.uniform(0.0, np.pi / 2, 3)
-        la = cf.edge_length(r[1], r[2], phi[0])
-        lb = cf.edge_length(r[2], r[0], phi[1])
-        lc = cf.edge_length(r[0], r[1], phi[2])
+        la = edge_length(r[1], r[2], phi[0])
+        lb = edge_length(r[2], r[0], phi[1])
+        lc = edge_length(r[0], r[1], phi[2])
         assert la < lb + lc and lb < la + lc and lc < la + lb
 
 
@@ -109,7 +110,8 @@ def test_curvature_scale_invariance(name):
     m = random_metric(rng, t)
     g = cf.compute_geometry(t, w, m)
     for s in (1e-3, 0.5, 7.0, 1e4):
-        gs = cf.compute_geometry(t, w, cf.scale_metric(m, s))
+        scaled = cf.PackingMetric.from_log_radii(m.u + math.log(s))
+        gs = cf.compute_geometry(t, w, scaled)
         assert np.allclose(gs.curvatures, g.curvatures, rtol=0, atol=1e-11)
         assert np.allclose(gs.lengths, s * g.lengths, rtol=1e-12, atol=0)
 
@@ -170,12 +172,3 @@ def test_compute_geometry_size_mismatch():
         cf.compute_geometry(t, zero_weight(t), cf.PackingMetric.from_radii(np.ones(5)))
     with pytest.raises(cf.DomainError):
         cf.compute_geometry(t, cf.Weight(np.zeros(5)), cf.PackingMetric.from_radii(np.ones(4)))
-
-
-def test_scale_metric_validation():
-    m = cf.PackingMetric.from_radii([1.0, 2.0])
-    assert np.allclose(cf.scale_metric(m, 0.5).u, m.u + math.log(0.5))
-    with pytest.raises(cf.DomainError):
-        cf.scale_metric(m, 0.0)
-    with pytest.raises(cf.DomainError):
-        cf.scale_metric(m, -2.0)

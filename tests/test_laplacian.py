@@ -10,6 +10,12 @@ import pytest
 
 import calabiflow as cf
 from calabiflow.meshes import subdivide
+from _geometry_oracle import (
+    dual_edge_weights,
+    edge_length,
+    half_weight_analytic,
+    half_weight_dual,
+)
 from _util import MESH_NAMES, mesh, random_metric, random_weight, zero_weight
 
 SQRT3 = math.sqrt(3.0)
@@ -22,9 +28,9 @@ def _random_face(rng):
 
 
 def _angle_at(r, phi, corner):
-    la = cf.edge_length(r[1], r[2], phi[1])   # edge (1,2)
-    lb = cf.edge_length(r[2], r[0], phi[2])   # edge (2,0)
-    lc = cf.edge_length(r[0], r[1], phi[0])   # edge (0,1)
+    la = edge_length(r[1], r[2], phi[1])   # edge (1,2)
+    lb = edge_length(r[2], r[0], phi[2])   # edge (2,0)
+    lc = edge_length(r[0], r[1], phi[0])   # edge (0,1)
     return cf.triangle_angles(la, lb, lc)[corner]
 
 
@@ -44,7 +50,7 @@ def test_half_weight_matches_fd_derivative():
         rm = r.copy()
         rm[moving] *= math.exp(-s)
         fd = (_angle_at(rp, phi, corner) - _angle_at(rm, phi, corner)) / (2 * s)
-        got = cf.half_weight_analytic(tuple(r), (phi[0], phi[1], phi[2]), corner, moving)
+        got = half_weight_analytic(tuple(r), (phi[0], phi[1], phi[2]), corner, moving)
         assert got == pytest.approx(fd, abs=2e-5)
 
 
@@ -56,8 +62,8 @@ def test_half_weight_symmetry_and_bounds():
         r, phi = _random_face(rng)
         pairs = [(0, 1), (0, 2), (1, 2)]
         for c, mv in pairs:
-            a = cf.half_weight_analytic(tuple(r), tuple(phi), c, mv)
-            b = cf.half_weight_analytic(tuple(r), tuple(phi), mv, c)
+            a = half_weight_analytic(tuple(r), tuple(phi), c, mv)
+            b = half_weight_analytic(tuple(r), tuple(phi), mv, c)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
             assert 0.0 < a < SQRT3
 
@@ -67,8 +73,8 @@ def test_half_weight_route_equivalence():
     for _ in range(2000):
         r, phi = _random_face(rng)
         for c, mv in [(0, 1), (1, 2), (2, 0)]:
-            a = cf.half_weight_analytic(tuple(r), tuple(phi), c, mv)
-            d = cf.half_weight_dual(tuple(r), tuple(phi), c, mv)
+            a = half_weight_analytic(tuple(r), tuple(phi), c, mv)
+            d = half_weight_dual(tuple(r), tuple(phi), c, mv)
             assert abs(a - d) <= 1e-9 * max(abs(a), abs(d))
 
 
@@ -141,15 +147,13 @@ def test_apply_matches_matrix():
 
 
 def test_assemble_route_dual_equivalent():
+    # the assembled weights against the dual-length route summed face by face
     t = mesh("octahedron")
     rng = np.random.default_rng(16)
     w = random_weight(rng, t)
     m = random_metric(rng, t)
-    la = cf.assemble(t, w, m, route="analytic")
-    ld = cf.assemble(t, w, m, route="dual")
-    assert np.allclose(la.weights, ld.weights, rtol=1e-9, atol=1e-12)
-    with pytest.raises(cf.DomainError):
-        cf.assemble(t, w, m, route="bogus")
+    lap = cf.assemble(t, w, m)
+    assert np.allclose(lap.weights, dual_edge_weights(t, w, m), rtol=1e-9, atol=1e-12)
 
 
 def test_lambda1_agrees_with_dense_spectrum():

@@ -103,6 +103,12 @@ def test_syntax_errors(text, fragment):
         (4, [(0, 1, 2), None], "face 1 = None is not three integer"),
         (4, [(0, 1, 2), (0, 1, float("nan"))], "face 1 = (0, 1, nan) is not three integer"),
         (4, [(0, 1, 2.7), (0, 1, 3), (0, 2, 3), (1, 2, 3)], "face 0 = (0, 1, 2.7) is not"),
+        # a cast to int64 would wrap this index to -1
+        (
+            4,
+            np.array([(0, 1, 2), (0, 1, 2**64 - 1)], dtype=np.uint64),
+            "index 18446744073709551615 outside range [0, 4)",
+        ),
     ],
 )
 def test_validation_errors(n, faces, fragment):
