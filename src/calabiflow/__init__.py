@@ -53,7 +53,6 @@ from .potential import (
     calabi_energy,
     constant_curvature_log_metric,
     properness_probe,
-    restricted_hessian_check,
     ricci_potential,
 )
 from .thurston import AdmissibilityReport, check_admissible, check_gauss_bonnet
@@ -94,7 +93,6 @@ __all__ = [
     "mesh_text",
     "parse_mesh",
     "properness_probe",
-    "restricted_hessian_check",
     "ricci_potential",
     "subcomplex_euler",
     "triangle_angles",

@@ -41,11 +41,7 @@ from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
-from .potential import (
-    constant_curvature_log_metric,
-    restricted_hessian_check,
-    ricci_potential,
-)
+from .potential import constant_curvature_log_metric, ricci_potential
 from .thurston import check_admissible, enumerate_rows
 
 EXIT_OK = 0
@@ -209,18 +205,14 @@ def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
     return np.array(values)
 
 
-def _resolve_kind(name: str, target: np.ndarray | None, t: Triangulation) -> FlowKind:
+def _resolve_kind(name: str, target: np.ndarray | None) -> FlowKind:
     if name not in KIND_NAMES:
         raise DomainError(f"unknown flow kind {name!r}; expected one of {KIND_NAMES}")
-    if name == "calabi":
-        return FlowKind.calabi()
-    if name == "ricci_normalized":
-        return FlowKind.ricci_normalized()
+    if not name.endswith("_prescribed"):
+        return getattr(FlowKind, name)()
     if target is None:
         raise DomainError(f"flow kind {name!r} requires --target")
-    if name == "calabi_prescribed":
-        return FlowKind.calabi_prescribed(target)
-    return FlowKind.ricci_prescribed(target)
+    return getattr(FlowKind, name)(target)
 
 
 def _write(out_dir: str | None, name: str, text: str) -> None:
@@ -319,22 +311,18 @@ def cmd_flow(args) -> int:
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
     target = _load_target(args.target, t)
-    kind = _resolve_kind(args.kind, target, t)
-    given = {
-        "initial_step": args.initial_step,
-        "max_steps": args.max_steps,
-        "curvature_tol": args.tol,
-        "u_max": args.u_max,
-        "max_step": args.max_step,
-    }
-    # an option left unset keeps the IntegratorOptions default
-    opts = IntegratorOptions(**{k: v for k, v in given.items() if v is not None})
-    ricci_twin = {
-        "calabi": FlowKind.ricci_normalized,
-        "calabi_prescribed": lambda: FlowKind.ricci_prescribed(target),
-        "ricci_normalized": FlowKind.ricci_normalized,
-        "ricci_prescribed": lambda: FlowKind.ricci_prescribed(target),
-    }
+    kind = _resolve_kind(args.kind, target)
+    opts = IntegratorOptions(
+        initial_step=args.initial_step,
+        max_steps=args.max_steps,
+        curvature_tol=args.tol,
+        u_max=args.u_max,
+        max_step=args.max_step,
+    )
+    # the Ricci flow toward the same target
+    twin = _resolve_kind(
+        "ricci_normalized" if kind.target is None else "ricci_prescribed", kind.target
+    )
     if args.starts < 1:
         raise DomainError("--starts must be at least 1")
     worst = EXIT_OK
@@ -348,7 +336,6 @@ def cmd_flow(args) -> int:
         print(_json(summary))
         worst = max(worst, code)
         if args.compare_ricci:
-            twin = ricci_twin[kind.name]()
             summary2, code2 = _run_one(
                 twin, t, w, m, opts, seed, args, suffix + "_ricci"
             )
@@ -363,13 +350,14 @@ def cmd_check(args) -> int:
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
     target = resolve_target(t, _load_target(args.target, t))
+    # the rows first: a mesh too large to dump is refused before any output
+    rows = enumerate_rows(t, w, target) if args.dump_subsets else None
     report = check_admissible(t, w, target, force=args.force)
     payload = {"seed": args.seed, **report.as_dict()}
     text = _json(payload)
     print(text)
     _write(args.out, "check.json", text + "\n")
-    if args.dump_subsets:
-        rows = enumerate_rows(t, w, target)
+    if rows is not None:
         lines = ["subset,lhs,rhs"]
         lines += [
             f"{' '.join(str(v) for v in members)},{_fmt(lhs)},{_fmt(rhs)}"
@@ -407,7 +395,7 @@ def cmd_potential_probe(args) -> int:
     w = _load_phi(args.phi, t)
     seed_metric = _load_radii(args.radii, t, w, args.seed)
     base = constant_curvature_log_metric(t, w, seed_metric)
-    lam = restricted_hessian_check(t, w, base)
+    lam = assemble(t, w, base).lambda1()
     rng = np.random.default_rng(args.seed)
     dirs = []
     while len(dirs) < args.rays:
@@ -470,46 +458,56 @@ def cmd_potential_probe(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-# every flag of the CLI; each command takes only the ones it reads
+def _switch(value: str) -> bool:
+    """The config value of an on/off flag; on the command line the flag is
+    on when given."""
+    return value.lower() in ("1", "true", "yes")
+
+
+# every flag of the CLI, with the type that parses its value on the command
+# line and in a config file, its default and its help; each command takes
+# only the ones it reads
 _FLAGS = {
     "--mesh": dict(help="mesh file, or a bundled name"),
     "--phi": dict(help="edge weight: scalar, or file of 'a b phi' lines"),
     "--radii": dict(
         help="initial radii: scalar, file of N lines, or 'random' (default)"
     ),
-    "--seed": dict(type=int, help="RNG seed (default 0)"),
+    "--seed": dict(type=int, default=0, help="RNG seed"),
     "--out": dict(help="directory for CSV/JSON outputs"),
     "--tol": dict(
-        type=float,
-        help=f"curvature tolerance (default {IntegratorOptions.curvature_tol:g})",
+        type=float, default=IntegratorOptions.curvature_tol, help="curvature tolerance"
     ),
     "--max-steps": dict(
-        type=int, help=f"accepted-step limit (default {IntegratorOptions.max_steps})"
+        type=int, default=IntegratorOptions.max_steps, help="accepted-step limit"
     ),
-    "--kind": dict(help=f"flow kind: one of {', '.join(KIND_NAMES)}"),
+    "--kind": dict(default="calabi", help=f"flow kind: one of {', '.join(KIND_NAMES)}"),
     "--target": dict(help="target curvature: 'kav', scalar, list, or file"),
-    "--dump-laplacian": dict(action="store_true", help="write L as 'i j value' lines"),
+    "--dump-laplacian": dict(type=_switch, help="write L as 'i j value' lines"),
     "--compare-ricci": dict(
-        action="store_true",
-        help="also integrate the matching Ricci flow and emit its trace",
+        type=_switch, help="also integrate the matching Ricci flow and emit its trace"
     ),
-    "--starts": dict(type=int, help="number of seeded random starts"),
+    "--starts": dict(type=int, default=1, help="number of seeded random starts"),
     "--initial-step": dict(
-        type=float,
-        help=f"first Euler step (default {IntegratorOptions.initial_step:g})",
+        type=float, default=IntegratorOptions.initial_step, help="first Euler step"
     ),
-    "--max-step": dict(type=float, help="step regrowth cap"),
-    "--u-max": dict(type=float, help="divergence guard on |u - u(0)|"),
+    "--max-step": dict(
+        type=float, default=IntegratorOptions.max_step, help="step regrowth cap"
+    ),
+    "--u-max": dict(
+        type=float, default=IntegratorOptions.u_max, help="divergence guard on |u - u(0)|"
+    ),
     "--force": dict(
-        action="store_true", help="above 24 vertices, scan what the solve cannot decide"
+        type=_switch, help="above 24 vertices, scan what the solve cannot decide"
     ),
-    "--dump-subsets": dict(action="store_true", help="write per-subset LHS/RHS CSV"),
-    "--rays": dict(type=int, help="number of probe directions (default 8)"),
+    "--dump-subsets": dict(type=_switch, help="write per-subset LHS/RHS CSV"),
+    "--rays": dict(type=int, default=8, help="number of probe directions"),
     "--probe-radii": dict(
-        help="comma list of non-decreasing ray radii (default 1,2,4,8)"
+        default="1,2,4,8", help="comma list of non-decreasing ray radii"
     ),
     "--config": dict(help="key=value file; explicit flags win"),
 }
+
 
 # each command's function, help line and the flags that function reads;
 # every command also takes --config, whose keys are the same flags
@@ -562,43 +560,27 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_line, names) in COMMANDS.items():
         p = sub.add_parser(command, help=help_line)
         for name in names.split() + ["--config"]:
-            p.add_argument(name, **_FLAGS[name])
+            spec = _FLAGS[name]
+            text = spec["help"]
+            if "default" in spec:
+                default = spec["default"]
+                shown = format(default, "g") if isinstance(default, float) else default
+                text += f" (default {shown})"
+            if spec.get("type") is _switch:
+                p.add_argument(name, action="store_true", help=text)
+            else:
+                p.add_argument(name, type=spec.get("type", str), help=text)
     return parser
 
 
-# flow settings left unset take their defaults from IntegratorOptions
-_DEFAULTS = {
-    "seed": 0,
-    "kind": "calabi",
-    "starts": 1,
-    "rays": 8,
-    "probe_radii": "1,2,4,8",
-}
-
-
-_CONFIG_PARSERS = {
-    "seed": int,
-    "max_steps": int,
-    "starts": int,
-    "rays": int,
-    "tol": float,
-    "initial_step": float,
-    "max_step": float,
-    "u_max": float,
-    "dump_laplacian": lambda v: v.lower() in ("1", "true", "yes"),
-    "dump_subsets": lambda v: v.lower() in ("1", "true", "yes"),
-    "compare_ricci": lambda v: v.lower() in ("1", "true", "yes"),
-    "force": lambda v: v.lower() in ("1", "true", "yes"),
-}
-
-
 def _apply_config(args: argparse.Namespace) -> None:
-    """Fill unset options from the config file, then from defaults.
+    """Fill unset options from the config file, then from their defaults.
 
-    A config key must be one of the flags the command reads.
+    A config key must be one of the flags the command reads, and its value
+    is parsed by that flag's type.
     """
+    flags = {n[2:].replace("-", "_"): n for n in COMMANDS[args.command][2].split()}
     if args.config:
-        readable = {n[2:].replace("-", "_") for n in COMMANDS[args.command][2].split()}
         for lineno, raw, line in _data_lines(args.config):
             if "=" not in line:
                 raise DomainError(
@@ -607,20 +589,20 @@ def _apply_config(args: argparse.Namespace) -> None:
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")
             value = value.strip()
-            if key not in readable:
+            if key not in flags:
                 raise DomainError(f"{args.config}:{lineno}: unknown key {key!r}")
+            # a flag given on the command line wins
             current = getattr(args, key)
             if current is None or current is False:
-                parse = _CONFIG_PARSERS.get(key, str)
                 try:
-                    setattr(args, key, parse(value))
+                    setattr(args, key, _FLAGS[flags[key]].get("type", str)(value))
                 except ValueError:
                     raise DomainError(
                         f"{args.config}:{lineno}: bad value {value!r} for {key!r}"
                     ) from None
-    for key, value in _DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+    for key, name in flags.items():
+        if getattr(args, key) is None:
+            setattr(args, key, _FLAGS[name].get("default"))
 
 
 def _glue_negative_target(argv: list[str]) -> list[str]:

@@ -174,9 +174,7 @@ def integrate(
     """
     opts = opts or IntegratorOptions()
     target = resolve_target(t, kind.target)
-    mesh = _mesh_arrays(t, w)
-    if m0.n != t.n_vertices:
-        raise DomainError("metric size does not match the mesh")
+    mesh = _mesh_arrays(t, w, m0)
 
     samples: list[FlowSample] = []
 

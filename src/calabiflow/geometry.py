@@ -94,14 +94,30 @@ class Weight:
         return np.cos(self.phi)
 
 
-def _mesh_arrays(t: Triangulation, w: Weight) -> _kernels.Mesh:
-    """The kernels' :class:`_kernels.Mesh` of a weighted mesh.
+def _check_fit(t: Triangulation, w: Weight, m: PackingMetric | None = None):
+    """Refuse a weight without one entry per edge of ``t``, or a metric
+    without one radius per vertex.  Every public entry point passes its
+    weight and metric through here before it reads them."""
+    sizes = [("weight", w.phi.shape[0], t.n_edges, "edges")]
+    if m is not None:
+        sizes.append(("metric", m.n, t.n_vertices, "vertices"))
+    for what, have, want, items in sizes:
+        if have != want:
+            raise DomainError(f"{what} has {have} entries for {want} {items}")
+
+
+def _mesh_arrays(
+    t: Triangulation, w: Weight, m: PackingMetric | None = None
+) -> _kernels.Mesh:
+    """The kernels' :class:`_kernels.Mesh` of a weighted mesh, once the
+    weight (and the metric, if given) pass :func:`_check_fit`.
 
     Only the weight cosines are computed here.  The faces, the opposite
     edges and the rolled index arrays through which the kernels gather the
     values at corners ``(m + 1) % 3`` and ``(m + 2) % 3`` come from
     ``t.kernel_index``, built once with the triangulation.
     """
+    _check_fit(t, w, m)
     ea, eb, fv1, fv2, fe1, fe2, c1, c2 = t.kernel_index
     cphi = w.cos_phi
     return _kernels.Mesh(
@@ -217,13 +233,8 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
     Curvature accumulation runs in a fixed face-major order, so repeated
     calls are bit-identical.
     """
-    if w.phi.shape[0] != t.n_edges:
-        raise DomainError(
-            f"weight has {w.phi.shape[0]} entries for {t.n_edges} edges"
-        )
-    if m.n != t.n_vertices:
-        raise DomainError(f"metric has {m.n} radii for {t.n_vertices} vertices")
-    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, _mesh_arrays(t, w))
+    mesh = _mesh_arrays(t, w, m)
+    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, mesh)
     _kernels.raise_state_error(err)
     return GeometryState(
         lengths=lens,

@@ -16,15 +16,13 @@ The half-contributions come from the closed-form chain rule through the
 cosine law, computed by the geometry kernels (``_kernels.state``) along
 with the curvatures.
 
-scipy is needed only for spectra (``lambda1``, ``spectral_summary``), CSR
-assembly above ``DENSE_LIMIT`` and the sparse Newton solve, and it is
-loaded on first use.
+scipy is needed only for ``lambda1``, CSR assembly above ``DENSE_LIMIT``
+and the sparse Newton solve, and it is loaded on first use.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -85,65 +83,21 @@ class DualLaplacian:
     def is_dense(self) -> bool:
         return isinstance(self.matrix, np.ndarray)
 
-    def apply(self, f: np.ndarray) -> np.ndarray:
-        """Discrete Laplacian of a vertex function: sum_j B_ij (f_j - f_i)."""
-        f = np.asarray(f, dtype=np.float64)
-        if f.shape != (self.n,):
-            raise DomainError(f"expected a vector of length {self.n}")
-        return _kernels.lap_apply(self.weights, self.edges[:, 0], self.edges[:, 1], f)
-
-    @cached_property
-    def _eigh(self):
-        if not self.is_dense:
-            raise InternalConsistencyError("full spectrum needs the dense path")
-        vals, vecs = np.linalg.eigh(self.matrix)
-        return vals, vecs
-
-    def eigenvalues(self) -> np.ndarray:
-        """All eigenvalues ascending (dense storage only)."""
-        return self._eigh[0]
-
-    def spectral_summary(self) -> tuple[float, float, float]:
-        """(smallest, second smallest, largest) eigenvalue."""
-        if self.is_dense:
-            vals = self.eigenvalues()
-            return float(vals[0]), float(vals[1]), float(vals[-1])
-        import scipy.sparse.linalg as sparse_linalg
-
-        lo = self._smallest_two()[0]
-        hi = sparse_linalg.eigsh(
-            self.matrix, k=1, which="LA", v0=self._start_vector()
-        )[0]
-        return float(lo[0]), float(lo[1]), float(hi[0])
-
-    def _start_vector(self):
-        # fixed ARPACK start vector so repeated runs are deterministic
-        return np.linspace(1.0, 2.0, self.n)
-
-    def _smallest_two(self):
-        """The two smallest eigenpairs (sparse path), ascending.
-
-        Shift-invert about a small negative ``sigma``: ``L - sigma I`` is
-        then positive definite, so its factorization cannot be singular,
-        and the two eigenvalues nearest ``sigma`` are still 0 and lambda1.
-        """
-        import scipy.sparse.linalg as sparse_linalg
-
-        sigma = -1e-3 * float(self.matrix.diagonal().max())
-        vals, vecs = sparse_linalg.eigsh(
-            self.matrix, k=2, sigma=sigma, which="LM", v0=self._start_vector()
-        )
-        order = np.argsort(vals)
-        return vals[order], vecs[:, order]
-
     def lambda1(self) -> float:
         """Smallest eigenvalue of L restricted to the complement of the kernel.
+
+        The Hessian of the Ricci potential is ``L``, so a positive value
+        certifies strict convexity of the potential off the constants.
 
         Dense path: the constant direction is lifted above the spectrum by
         the rank-one shift ``(c/N) 11^T`` with ``c`` beyond the Gershgorin
         bound, and only the smallest eigenpair of the shifted matrix is
-        computed.  Sparse path: shift-invert (see :meth:`_smallest_two`).
-        The result is validated against the Rayleigh quotient of the
+        computed.  Sparse path: the two smallest eigenpairs by shift-invert
+        about a small negative ``sigma``, from a fixed ARPACK start vector
+        so that repeated runs agree; ``L - sigma I`` is then positive
+        definite, so its factorization cannot be singular, and the two
+        eigenpairs nearest ``sigma`` are still those of 0 and lambda1.  The
+        result is validated against the Rayleigh quotient of the
         corresponding eigenvector.
         """
         if self.is_dense:
@@ -156,9 +110,16 @@ class DualLaplacian:
             lam = float(vals[0])
             vec = vecs[:, 0]
         else:
-            vals, vecs = self._smallest_two()
-            lam = float(vals[1])
-            vec = vecs[:, 1]
+            import scipy.sparse.linalg as sparse_linalg
+
+            sigma = -1e-3 * float(self.matrix.diagonal().max())
+            vals, vecs = sparse_linalg.eigsh(
+                self.matrix, k=2, sigma=sigma, which="LM",
+                v0=np.linspace(1.0, 2.0, self.n),
+            )
+            second = np.argsort(vals)[1]
+            lam = float(vals[second])
+            vec = vecs[:, second]
         quotient = float(vec @ (self.matrix @ vec) / (vec @ vec))
         scale = max(abs(lam), 1e-12 * self._norm_estimate())
         if abs(quotient - lam) > 1e-8 * scale:
@@ -186,8 +147,7 @@ class DualLaplacian:
 
 def assemble(t: Triangulation, w: Weight, m: PackingMetric) -> DualLaplacian:
     """Assemble the dual Laplacian of a metric."""
-    if m.n != t.n_vertices or w.phi.shape[0] != t.n_edges:
-        raise DomainError("mesh, weight and metric sizes are inconsistent")
-    _, _, _, _, b, _, err = _kernels.state(m.r, _mesh_arrays(t, w))
+    mesh = _mesh_arrays(t, w, m)
+    _, _, _, _, b, _, err = _kernels.state(m.r, mesh)
     _kernels.raise_state_error(err)
     return DualLaplacian(t.n_vertices, t.edges, b)

@@ -47,6 +47,24 @@ def _face_indices(f: int, face) -> list[int]:
     return out
 
 
+def _component_labels(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's component in the graph on
+    ``range(n)`` with edges ``(i[k], j[k])``: each round hooks the larger
+    root of every edge that joins two trees onto the smaller, then jumps
+    pointers until every node points at its root."""
+    parent = np.arange(n)
+    while True:
+        pi, pj = parent[i], parent[j]
+        if np.array_equal(pi, pj):
+            return parent
+        np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
+
+
 class Triangulation:
     """A closed triangulated surface, given combinatorially.
 
@@ -231,25 +249,14 @@ class Triangulation:
         # a single cycle exactly when it is connected.  Link node 2 e + s is
         # the far end of edge e seen from its endpoint edges[e, s]; corner m
         # of face f joins the nodes of its two face edges (the rolled
-        # face_edges) at its vertex.  Components come from min-label
-        # hooking of roots with pointer jumping.
+        # face_edges) at its vertex.
         owner = self.edges.ravel()
         v = self.faces.ravel()
         e1, e2 = self.kernel_index[4].ravel(), self.kernel_index[5].ravel()
         i = 2 * e1 + (self.edges[e1, 1] == v)
         j = 2 * e2 + (self.edges[e2, 1] == v)
-        parent = np.arange(owner.size)
-        while True:
-            pi, pj = parent[i], parent[j]
-            if np.array_equal(pi, pj):
-                break
-            np.minimum.at(parent, np.maximum(pi, pj), np.minimum(pi, pj))
-            while True:
-                jumped = parent[parent]
-                if np.array_equal(jumped, parent):
-                    break
-                parent = jumped
-        roots = np.flatnonzero(parent == np.arange(owner.size))
+        labels = _component_labels(owner.size, i, j)
+        roots = np.flatnonzero(labels == np.arange(owner.size))
         cycles = np.bincount(owner[roots], minlength=self.n_vertices)
         if cycles.max() > 1:
             v = int(np.argmax(cycles > 1))
@@ -257,20 +264,10 @@ class Triangulation:
 
     @functools.cached_property
     def connected(self) -> bool:
-        """True iff the edge graph is connected: each vertex takes the
-        smallest label among its neighbours, with pointer jumping, until no
-        label changes."""
-        ea, eb = self.edges[:, 0], self.edges[:, 1]
-        labels = np.arange(self.n_vertices)
-        while True:
-            low = np.minimum(labels[ea], labels[eb])
-            new = labels.copy()
-            np.minimum.at(new, ea, low)
-            np.minimum.at(new, eb, low)
-            new = new[new]
-            if np.array_equal(new, labels):
-                return not labels.any()
-            labels = new
+        """True iff the edge graph is connected."""
+        return not _component_labels(
+            self.n_vertices, self.edges[:, 0], self.edges[:, 1]
+        ).any()
 
     def __repr__(self):
         return (

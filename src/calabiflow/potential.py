@@ -22,15 +22,13 @@ from .errors import DomainError, NoConstantCurvatureMetric, QuadratureError
 # nothing here calls integrate: perfbench's tracer rebinds potential.integrate
 # and needs the name to exist
 from .flows import integrate  # noqa: F401
-from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
-from .laplacian import assemble
+from .geometry import PackingMetric, Weight, _check_fit, _mesh_arrays, compute_geometry
 from .mesh import Triangulation, resolve_target
 from .thurston import _newton
 
 __all__ = [
     "calabi_energy",
     "ricci_potential",
-    "restricted_hessian_check",
     "properness_probe",
     "constant_curvature_log_metric",
 ]
@@ -113,18 +111,6 @@ def ricci_potential(
     return values if u_to.ndim == 2 else float(values[0])
 
 
-def restricted_hessian_check(
-    t: Triangulation, w: Weight, m: PackingMetric
-) -> float:
-    """Smallest eigenvalue of the potential's Hessian transverse to constants.
-
-    The Hessian of the Ricci potential at ``u`` is the dual Laplacian, so
-    this is exactly ``lambda_1(L)``; a positive value certifies local
-    strict convexity off the scaling direction.
-    """
-    return assemble(t, w, m).lambda1()
-
-
 def properness_probe(
     t: Triangulation,
     w: Weight,
@@ -145,6 +131,7 @@ def properness_probe(
     and increase with radius — that growth is the properness that forces
     existence of the minimum.
     """
+    _check_fit(t, w, base)
     radii = [float(s) for s in radii]
     if not all(0.0 < s < math.inf for s in radii):
         raise DomainError("probe radii must be positive and finite")
@@ -196,6 +183,7 @@ def constant_curvature_log_metric(
     Raises :class:`NoConstantCurvatureMetric` when the solve ends first,
     as it does when the constant curvature is not admissible.
     """
+    _check_fit(t, w, seed_metric)
     if not t.connected:
         raise DomainError("the surface is not connected")
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))

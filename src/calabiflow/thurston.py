@@ -51,7 +51,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DomainError, EnumerationSizeError
-from .geometry import Weight, _mesh_arrays
+from .geometry import Weight, _check_fit, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import (
     Triangulation,
@@ -129,6 +129,7 @@ def subset_inequality(
     This is the reference implementation the scan kernels must agree
     with; it builds the link and the spanned subcomplex explicitly.
     """
+    _check_fit(t, w)
     target = np.asarray(target, dtype=np.float64)
     lhs = float(np.sum(target[list(subset.members)]))
     link = 0.0
@@ -288,8 +289,7 @@ def check_admissible(
     unless ``force`` is true.
     """
     tgt = _explicit_target(t, target)
-    if w.phi.shape[0] != t.n_edges:
-        raise DomainError("weight does not match the mesh")
+    _check_fit(t, w)
     start = time.perf_counter()
     if not check_gauss_bonnet(tgt, t.chi):
         return AdmissibilityReport(
@@ -362,6 +362,7 @@ def enumerate_rows(
     ``--dump-subsets`` CLI flag and for cross-checking the kernels.
     """
     tgt = _explicit_target(t, target)
+    _check_fit(t, w)
     if t.n_vertices > 16:
         raise EnumerationSizeError(
             "per-subset dumps are limited to 16 vertices"

@@ -179,6 +179,8 @@ def energy_gradient(t, w, m, target=None):
     tgt = resolve_target(t, target)
     geo = compute_geometry(t, w, m)
     lap = assemble(t, w, m)
-    # apply() is the discrete Laplacian -L f, so the gradient 2 L (K - Kbar)
+    # lap_apply is the discrete Laplacian -L f, so the gradient 2 L (K - Kbar)
     # needs the sign flipped
-    return -2.0 * lap.apply(geo.curvatures - tgt)
+    return -2.0 * _kernels.lap_apply(
+        lap.weights, lap.edges[:, 0], lap.edges[:, 1], geo.curvatures - tgt
+    )

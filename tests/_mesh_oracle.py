@@ -6,6 +6,8 @@ at a time, in the order the checks are documented; it raises
 ``MeshValidationError`` with the same message as the library would.
 """
 
+from collections import deque
+
 import numpy as np
 
 from calabiflow.errors import MeshValidationError
@@ -116,3 +118,23 @@ def subdivide_faces(n_vertices, faces, edge_index):
         mca = n_vertices + edge_index[(min(c, a), max(c, a))]
         out += [(a, mab, mca), (b, mbc, mab), (c, mca, mbc), (mab, mbc, mca)]
     return np.array(out, dtype=np.int64)
+
+
+def component_labels(n_vertices, edges):
+    """The smallest vertex of each vertex's component of the edge graph, by
+    breadth-first search from each vertex not yet reached, in order."""
+    adj = [[] for _ in range(n_vertices)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = [-1] * n_vertices
+    for start in range(n_vertices):
+        if label[start] < 0:
+            label[start] = start
+            queue = deque([start])
+            while queue:
+                for nxt in adj[queue.popleft()]:
+                    if label[nxt] < 0:
+                        label[nxt] = start
+                        queue.append(nxt)
+    return np.array(label)

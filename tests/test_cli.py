@@ -207,6 +207,20 @@ def test_check_exit_codes_and_dump(capsys, tmp_path, bad_target_file):
     assert len(csv.splitlines()) == 15
 
 
+def test_check_dump_limit_is_checked_before_the_check(capsys, tmp_path):
+    # 18 vertices are within the check's guard but past the dump's limit:
+    # the command is refused before it prints or writes anything
+    path = tmp_path / "octa18.mesh"
+    path.write_text(disjoint_text(subdivide(mesh("octahedron"))))
+    out_dir = tmp_path / "chk"
+    code, out, err = run(
+        capsys, "check", "--mesh", str(path), "--dump-subsets", "--out", str(out_dir)
+    )
+    assert code == 1 and out == ""
+    assert err == "error: per-subset dumps are limited to 16 vertices\n"
+    assert not out_dir.exists()
+
+
 def test_check_reproducible(capsys):
     args = ("check", "--mesh", "octahedron", "--phi", "0.7")
     _, out1, _ = run(capsys, *args)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
+from calabiflow.mesh import _component_labels
 from calabiflow.meshes import subdivide
-from _mesh_oracle import build, subdivide_faces
+from _mesh_oracle import build, component_labels, subdivide_faces
 from _util import MESH_NAMES, mesh
 
 
@@ -174,6 +175,35 @@ def test_tables_match_the_loop_oracle():
         assert np.array_equal(
             subdivide(t).faces, subdivide_faces(t.n_vertices, t.faces, t.edge_index)
         ), label
+
+
+def _connectivity_meshes():
+    """``(label, mesh, number of components)``."""
+    for name in MESH_NAMES:
+        yield name, mesh(name), 1
+    for name in ("octahedron", "torus"):
+        t = mesh(name)
+        for level in (1, 2):
+            t = subdivide(t)
+            yield f"{name} x{level}", t, 1
+    # disjoint unions, with the vertex labels shuffled across the copies
+    rng = np.random.default_rng(24)
+    for copies in (2, 3):
+        for name in MESH_NAMES:
+            t = mesh(name)
+            n = copies * t.n_vertices
+            faces = np.concatenate([t.faces + k * t.n_vertices for k in range(copies)])
+            shuffled = rng.permutation(n)[faces]
+            yield f"{copies} x {name}", cf.Triangulation(n, shuffled), copies
+
+
+def test_connected_matches_breadth_first_search():
+    for label, t, components in _connectivity_meshes():
+        want = component_labels(t.n_vertices, t.edges.tolist())
+        assert len(set(want.tolist())) == components, label
+        got = _component_labels(t.n_vertices, t.edges[:, 0], t.edges[:, 1])
+        assert np.array_equal(got, want), label
+        assert t.connected == (components == 1), label
 
 
 def _glued(t, shared):
