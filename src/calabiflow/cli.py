@@ -41,7 +41,7 @@ from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
-from .potential import constant_curvature_log_metric, ricci_potential
+from .potential import _probe_guard, constant_curvature_log_metric, ricci_potential
 from .thurston import check_admissible, enumerate_rows
 
 EXIT_OK = 0
@@ -198,11 +198,7 @@ def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
         raise DomainError(
             f"target {spec!r} is neither a file, a comma list, nor a number"
         ) from None
-    if len(values) != t.n_vertices:
-        raise DomainError(
-            f"target has {len(values)} entries for {t.n_vertices} vertices"
-        )
-    return np.array(values)
+    return resolve_target(t, values)
 
 
 def _resolve_kind(name: str, target: np.ndarray | None) -> FlowKind:
@@ -319,30 +315,24 @@ def cmd_flow(args) -> int:
         u_max=args.u_max,
         max_step=args.max_step,
     )
-    # the Ricci flow toward the same target
-    twin = _resolve_kind(
-        "ricci_normalized" if kind.target is None else "ricci_prescribed", kind.target
-    )
     if args.starts < 1:
         raise DomainError("--starts must be at least 1")
+    runs = [(kind, "")]
+    if args.compare_ricci:
+        # the Ricci flow toward the same target
+        twin = "ricci_normalized" if kind.target is None else "ricci_prescribed"
+        runs.append((_resolve_kind(twin, kind.target), "_ricci"))
     worst = EXIT_OK
     for start in range(args.starts):
         seed = args.seed + start
         m = _load_radii(args.radii, t, w, seed)
-        suffix = f"_{start}" if args.starts > 1 else ""
-        summary, code = _run_one(kind, t, w, m, opts, seed, args, suffix)
-        if args.starts > 1:
-            summary = {"start": start, **summary}
-        print(_json(summary))
-        worst = max(worst, code)
-        if args.compare_ricci:
-            summary2, code2 = _run_one(
-                twin, t, w, m, opts, seed, args, suffix + "_ricci"
-            )
+        name = f"_{start}" if args.starts > 1 else ""
+        for run_kind, suffix in runs:
+            summary, code = _run_one(run_kind, t, w, m, opts, seed, args, name + suffix)
             if args.starts > 1:
-                summary2 = {"start": start, **summary2}
-            print(_json(summary2))
-            worst = max(worst, code2)
+                summary = {"start": start, **summary}
+            print(_json(summary))
+            worst = max(worst, code)
     return worst
 
 
@@ -406,16 +396,6 @@ def cmd_potential_probe(args) -> int:
             dirs.append(d / norm)
     # one row per (ray, radius), ray-major
     ends = base.u + np.array(radii)[:, None] * np.array(dirs)[:, None, :]
-    # far out along a ray the radii span so many orders of magnitude that
-    # the cosine law fails in floating point (radius 40 on the tetrahedron);
-    # a far endpoint that does not evaluate is refused before any quadrature
-    with np.errstate(all="ignore"):
-        far_r = np.exp(ends[:, -1])
-    if _kernels.curvatures(far_r, _mesh_arrays(t, w))[1] != _kernels.ERR_OK:
-        raise DomainError(
-            f"--probe-radii: the geometry does not evaluate in floating point "
-            f"at radius {radii[-1]!r} from the base metric"
-        )
     # path independence: base -> far directly, and via a point on a second
     # ray; all segments are one batched quadrature
     n = t.n_vertices
@@ -424,7 +404,8 @@ def cmd_potential_probe(args) -> int:
     u_to = np.vstack([ends.reshape(-1, n), far, mid, far])
     u_from = np.tile(base.u, (len(u_to), 1))
     u_from[-1] = mid
-    vals = ricci_potential(t, w, u_from, u_to)
+    with _probe_guard(radii[-1]):
+        vals = ricci_potential(t, w, u_from, u_to)
     rows = []
     ok = lam > 0.0
     for idx, ray in enumerate(vals[:-3].reshape(len(dirs), len(radii))):

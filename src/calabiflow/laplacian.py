@@ -83,6 +83,22 @@ class DualLaplacian:
     def is_dense(self) -> bool:
         return isinstance(self.matrix, np.ndarray)
 
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """A solution of ``L x = rhs - mean(rhs)`` (the Newton step): dense,
+        ``(L + 11^T/N) x = rhs``; sparse, vertex 0 pinned and ``rhs``
+        projected onto the range of ``L``, so its Gauss-Bonnet rounding is
+        spread over all vertices as in the dense solve, not left on row 0.
+        """
+        if self.is_dense:
+            return np.linalg.solve(self.matrix + 1.0 / self.n, rhs)
+        import scipy.sparse.linalg as sparse_linalg
+
+        x = np.zeros(self.n)
+        x[1:] = sparse_linalg.spsolve(
+            self.matrix[1:, 1:].tocsc(), (rhs - rhs.mean())[1:]
+        )
+        return x
+
     def lambda1(self) -> float:
         """Smallest eigenvalue of L restricted to the complement of the kernel.
 

@@ -284,11 +284,7 @@ class VertexSubset:
 
     @classmethod
     def of(cls, t: Triangulation, members: Iterable[int]) -> "VertexSubset":
-        ms = tuple(sorted(set(int(v) for v in members)))
-        if not ms:
-            raise ValueError("vertex subset must be nonempty")
-        if ms[0] < 0 or ms[-1] >= t.n_vertices:
-            raise ValueError(f"vertex index outside [0, {t.n_vertices})")
+        ms = _members(t, members)
         if len(ms) == t.n_vertices:
             raise ValueError("vertex subset must be proper")
         return cls(ms)
@@ -355,10 +351,8 @@ def parse_mesh(text: str) -> Triangulation:
 
 
 def _members(t: Triangulation, subset) -> tuple[int, ...]:
-    if isinstance(subset, VertexSubset):
-        ms = subset.members
-    else:
-        ms = tuple(sorted(set(int(v) for v in subset)))
+    """The sorted distinct members of a nonempty subset of ``range(N)``."""
+    ms = tuple(sorted(set(int(v) for v in subset)))
     if not ms:
         raise ValueError("vertex subset must be nonempty")
     if ms[0] < 0 or ms[-1] >= t.n_vertices:
@@ -415,10 +409,10 @@ def resolve_target(t: Triangulation, target) -> np.ndarray:
     if target is None:
         return np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)
     tgt = np.ascontiguousarray(target, dtype=np.float64)
-    if tgt.shape != (t.n_vertices,):
-        raise DomainError(
-            f"target curvature has {tgt.shape} entries for {t.n_vertices} vertices"
-        )
+    if tgt.ndim != 1:
+        raise DomainError(f"target must be a vector, got an array of shape {tgt.shape}")
+    if tgt.size != t.n_vertices:
+        raise DomainError(f"target has {tgt.size} entries for {t.n_vertices} vertices")
     with np.errstate(all="ignore"):
         squares = float(np.sum(tgt * tgt))
     if not math.isfinite(squares):

@@ -13,12 +13,14 @@ unique minimum up to scaling.
 
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, NoConstantCurvatureMetric, QuadratureError
+from .errors import DomainError, InternalConsistencyError, QuadratureError
+from .errors import NoConstantCurvatureMetric
 # nothing here calls integrate: perfbench's tracer rebinds potential.integrate
 # and needs the name to exist
 from .flows import integrate  # noqa: F401
@@ -111,6 +113,23 @@ def ricci_potential(
     return values if u_to.ndim == 2 else float(values[0])
 
 
+@contextlib.contextmanager
+def _probe_guard(radius: float):
+    """Turn a probe's failure far out along a ray into a one-line
+    ``DomainError`` naming its largest radius: there the cosine law fails
+    in floating point at some node, or the quadrature stops converging,
+    and neither fails monotonically along a ray, so no cheaper test
+    predicts it.  ``ricci_potential`` raises ``InternalConsistencyError``
+    only from those geometry checks."""
+    try:
+        yield
+    except (InternalConsistencyError, QuadratureError) as exc:
+        raise DomainError(
+            f"the Ricci potential cannot be evaluated out to radius {radius!r} "
+            f"from the base metric: {exc}"
+        ) from None
+
+
 def properness_probe(
     t: Triangulation,
     w: Weight,
@@ -129,7 +148,8 @@ def properness_probe(
     rows ``(direction_index, radius, f)``, direction-major.  When the base
     is the constant-curvature metric, each row's value must be positive
     and increase with radius — that growth is the properness that forces
-    existence of the minimum.
+    existence of the minimum.  A potential that cannot be evaluated out
+    to the largest radius raises ``DomainError``.
     """
     _check_fit(t, w, base)
     radii = [float(s) for s in radii]
@@ -158,9 +178,10 @@ def properness_probe(
         dirs.append(d)
     dirs = np.reshape(dirs, (-1, t.n_vertices))
     ends = base.u + np.array(radii)[:, None] * dirs[:, None, :]
-    vals = ricci_potential(
-        t, w, base.u, ends.reshape(-1, t.n_vertices), target=target, tol=tol
-    )
+    with _probe_guard(max(radii)):
+        vals = ricci_potential(
+            t, w, base.u, ends.reshape(-1, t.n_vertices), target=target, tol=tol
+        )
     return [
         (idx, s, float(v))
         for idx, ray in enumerate(vals.reshape(len(dirs), len(radii)))

@@ -198,11 +198,11 @@ def _newton(t: Triangulation, w: Weight, target, u):
 
     Yields ``(u, ang, K, kn)`` at the start and after each step: the
     log radii, corner angles, curvatures and curvature noise bounds.  Each
-    step solves ``L delta = -(K - target)`` and halves ``delta`` until
-    ``||K - target||_2`` falls.  The iteration ends after ``NEWTON_STEPS``
-    steps, when ``NEWTON_HALVINGS`` halvings of a step do not lower the
-    norm, or at once when the geometry at ``u`` does not evaluate.  Only
-    valid on a connected surface.
+    step solves ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`)
+    and halves ``delta`` until ``||K - target||_2`` falls.  The iteration
+    ends after ``NEWTON_STEPS`` steps, when ``NEWTON_HALVINGS`` halvings of
+    a step do not lower the norm, or at once when the geometry at ``u``
+    does not evaluate.  Only valid on a connected surface.
     """
     n = t.n_vertices
     mesh = _mesh_arrays(t, w)
@@ -215,19 +215,7 @@ def _newton(t: Triangulation, w: Weight, target, u):
     for _ in range(NEWTON_STEPS):
         yield u, ang, K, kn
         dev = K - target
-        lap = DualLaplacian(n, t.edges, B)
-        if lap.is_dense:
-            delta = np.linalg.solve(lap.matrix + 1.0 / n, -dev)
-        else:
-            import scipy.sparse.linalg as sparse_linalg
-
-            # vertex 0 pinned: L is singular only along the constants.  The
-            # right-hand side is projected onto the range of L, so the
-            # Gauss-Bonnet rounding sum(dev) is spread over all vertices as
-            # the dense solve does, not left on the dropped row 0
-            delta = np.zeros(n)
-            rhs = (dev.mean() - dev)[1:]
-            delta[1:] = sparse_linalg.spsolve(lap.matrix[1:, 1:].tocsc(), rhs)
+        delta = DualLaplacian(n, t.edges, B).solve(-dev)
         norm = float(np.linalg.norm(dev))
         for _ in range(NEWTON_HALVINGS):
             with np.errstate(all="ignore"):
@@ -270,6 +258,33 @@ def _newton_verdict(t: Triangulation, w: Weight, target):
     return None
 
 
+def _verdict(t: Triangulation, w: Weight, tgt: np.ndarray, force: bool):
+    """``(verdict, certificate, subsets_checked)`` of :func:`check_admissible`,
+    from the Gauss-Bonnet gate, the Newton solve or the scan, in that order.
+    The certificate is ``(members, lhs, rhs)`` or None; a Gauss-Bonnet
+    violation has no members, the target's sum and ``2 pi chi``."""
+    if not check_gauss_bonnet(tgt, t.chi):
+        total = float(np.sum(tgt))
+        return "gauss_bonnet_violation", (None, total, 2.0 * math.pi * t.chi), 0
+    solved = _newton_verdict(t, w, tgt) if t.connected else None
+    if solved is not None:
+        return (*solved, 0)
+    if t.n_vertices > SIZE_GUARD and not force:
+        raise EnumerationSizeError(
+            f"the Newton solve left admissibility over {t.n_vertices} vertices "
+            f"undecided, and the fallback scan checks 2^{t.n_vertices} - 2 "
+            "subsets (exponential enumeration); pass force=True to run it anyway"
+        )
+    found, members, lhs, rhs, checked = _kernels.scan_subsets(
+        t.n_vertices, tgt, t.edges[:, 0], t.edges[:, 1], t.faces, t.face_edges,
+        math.pi - w.phi, VIOLATION_TOL,
+    )
+    if not found:
+        return "admissible", None, int(checked)
+    certificate = (tuple(int(v) for v in members), float(lhs), float(rhs))
+    return "inadmissible", certificate, int(checked)
+
+
 def check_admissible(
     t: Triangulation,
     w: Weight,
@@ -291,65 +306,16 @@ def check_admissible(
     tgt = _explicit_target(t, target)
     _check_fit(t, w)
     start = time.perf_counter()
-    if not check_gauss_bonnet(tgt, t.chi):
-        return AdmissibilityReport(
-            verdict="gauss_bonnet_violation",
-            subset=None,
-            lhs=float(np.sum(tgt)),
-            rhs=2.0 * math.pi * t.chi,
-            borderline=False,
-            subsets_checked=0,
-            elapsed_s=time.perf_counter() - start,
-        )
-    solved = _newton_verdict(t, w, tgt) if t.connected else None
-    if solved is not None:
-        verdict, certificate = solved
-        members, lhs, rhs = certificate or (None, None, None)
-        return AdmissibilityReport(
-            verdict=verdict,
-            subset=members,
-            lhs=lhs,
-            rhs=rhs,
-            borderline=lhs is not None and lhs > rhs,
-            subsets_checked=0,
-            elapsed_s=time.perf_counter() - start,
-        )
-    if t.n_vertices > SIZE_GUARD and not force:
-        raise EnumerationSizeError(
-            f"the Newton solve left admissibility over {t.n_vertices} vertices "
-            f"undecided, and the fallback scan checks 2^{t.n_vertices} - 2 "
-            "subsets (exponential enumeration); pass force=True to run it anyway"
-        )
-    pmp = math.pi - w.phi
-    found, members, lhs, rhs, checked = _kernels.scan_subsets(
-        t.n_vertices,
-        tgt,
-        t.edges[:, 0],
-        t.edges[:, 1],
-        t.faces,
-        t.face_edges,
-        pmp,
-        VIOLATION_TOL,
-    )
-    elapsed = time.perf_counter() - start
-    if found:
-        return AdmissibilityReport(
-            verdict="inadmissible",
-            subset=tuple(int(v) for v in members),
-            lhs=float(lhs),
-            rhs=float(rhs),
-            borderline=bool(lhs > rhs),
-            subsets_checked=int(checked),
-            elapsed_s=elapsed,
-        )
+    verdict, certificate, checked = _verdict(t, w, tgt, force)
+    members, lhs, rhs = certificate or (None, None, None)
     return AdmissibilityReport(
-        verdict="admissible",
-        subset=None,
-        lhs=None,
-        rhs=None,
-        borderline=False,
-        subsets_checked=int(checked),
-        elapsed_s=elapsed,
+        verdict=verdict,
+        subset=members,
+        lhs=lhs,
+        rhs=rhs,
+        borderline=verdict == "inadmissible" and lhs > rhs,
+        subsets_checked=checked,
+        elapsed_s=time.perf_counter() - start,
     )
 
 

@@ -115,3 +115,34 @@ def test_inputs_that_do_not_fit_the_mesh_are_refused(name, what, size):
     with pytest.raises(cf.DomainError) as exc:
         FIT_CALLS[name](t, w, m)
     assert str(exc.value) == f"{what} has {size} entries for {want}"
+
+
+# each entry point that takes a target, as a call on (mesh, weight, target)
+# on the tetrahedron
+UNIT = cf.PackingMetric.from_radii(np.ones(4))
+TARGET_CALLS = {
+    "check_admissible": cf.check_admissible,
+    "enumerate_rows": enumerate_rows,
+    "integrate": lambda t, w, tgt: cf.integrate(
+        cf.FlowKind.calabi_prescribed(tgt), t, w, UNIT
+    ),
+    "ricci_potential": lambda t, w, tgt: cf.ricci_potential(
+        t, w, np.zeros(4), np.linspace(-1.0, 1.0, 4), target=tgt
+    ),
+    "calabi_energy": lambda t, w, tgt: cf.calabi_energy(t, w, UNIT, target=tgt),
+}
+
+
+@pytest.mark.parametrize("name", list(TARGET_CALLS))
+def test_targets_that_do_not_fit_the_mesh_are_refused(name):
+    # one entry too few or too many, in the wording of the weight and metric
+    # checks; a target that is not a vector is refused by its shape
+    t = cf.parse_mesh(cf.mesh_text("tetrahedron"))
+    w = cf.Weight(np.full(6, 0.3))
+    for size in (3, 5):
+        with pytest.raises(cf.DomainError) as exc:
+            TARGET_CALLS[name](t, w, np.full(size, np.pi))
+        assert str(exc.value) == f"target has {size} entries for 4 vertices"
+    with pytest.raises(cf.DomainError) as exc:
+        TARGET_CALLS[name](t, w, np.full((2, 2), np.pi))
+    assert "(2, 2)" in str(exc.value)

@@ -305,6 +305,28 @@ def test_potential_probe_unevaluable_radius_exits_1(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize(
+    "name, radii, seed",
+    [
+        ("tetrahedron", "1,24", 0),
+        ("tetrahedron", "1,26", 0),
+        ("octahedron", "1,28", 3),
+        ("icosahedron", "1,32", 3),
+    ],
+)
+def test_potential_probe_too_far_exits_1(capsys, name, radii, seed):
+    # the far endpoints evaluate, yet the quadrature fails to converge
+    # (tetrahedron 24, icosahedron 32) or the cosine law fails at a node
+    # (tetrahedron 26, octahedron 28) on the way out: bad input, not exit 3
+    code, out, err = run(
+        capsys, "potential-probe", "--mesh", name, "--probe-radii", radii,
+        "--seed", str(seed),
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"radius {float(radii.split(',')[-1])!r}" in err
+
+
 @pytest.mark.parametrize("name", MESH_NAMES)
 def test_potential_probe_decreasing_radii_exits_1(capsys, name):
     # the rays are walked outwards and the last radius is the far one, so a

@@ -230,6 +230,16 @@ def test_properness_probe_rejects_bad_radii():
                 cf.properness_probe(t, w, base, radii=radii)
 
 
+def test_properness_probe_too_far_raises_domain_error():
+    # at radius 40 the cosine law fails in floating point at some
+    # quadrature node of the tetrahedron's rays
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    base = cf.constant_curvature_log_metric(t, w)
+    with pytest.raises(cf.DomainError, match="radius 40.0"):
+        cf.properness_probe(t, w, base, radii=(1.0, 40.0))
+
+
 def test_ricci_potential_overflow_raises_without_warning():
     # radii overflow to inf part way along the segment: the kernel reports
     # it through its error code, and numpy prints no RuntimeWarning first
