@@ -123,10 +123,11 @@ def _probe_guard(radius: float):
     only from those geometry checks."""
     try:
         yield
-    except (InternalConsistencyError, QuadratureError) as exc:
+    except (InternalConsistencyError, QuadratureError):
         raise DomainError(
             f"the Ricci potential cannot be evaluated out to radius {radius!r} "
-            f"from the base metric: {exc}"
+            "from the base metric: the radii there spread past the range in "
+            "which the cosine law and the quadrature hold in floating point"
         ) from None
 
 

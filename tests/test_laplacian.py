@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import _kernels
+from calabiflow import _kernels, cli, laplacian
 from calabiflow.meshes import subdivide
 from _geometry_oracle import (
     dual_edge_weights,
@@ -228,6 +228,80 @@ def test_dual_laplacian_weight_validation():
         cf.DualLaplacian(4, t.edges, np.full(6, 2 * SQRT3 + 1.0))
 
 
+def _eigh_oracle(lap):
+    """lambda1 by scipy's subset ``eigh`` of ``L + (c/N) 11^T``, with ``c``
+    twice the Gershgorin bound ``2 max diag``."""
+    import scipy.linalg
+
+    lift = 4.0 * float(lap.matrix.diagonal().max()) / lap.n
+    return float(
+        scipy.linalg.eigh(lap.matrix + lift, subset_by_index=[0, 0], eigvals_only=True)[0]
+    )
+
+
+def test_dense_lambda1_matches_the_eigh_oracle():
+    # N from 4 to 258, and the symmetric octahedron, whose lambda1 is
+    # threefold (4 / sqrt(3) from a plain graph Laplacian argument)
+    octa = mesh("octahedron")
+    meshes = [mesh(name) for name in MESH_NAMES] + [
+        subdivide(octa), subdivide(subdivide(octa)),
+        subdivide(subdivide(subdivide(octa))), subdivide(mesh("icosahedron")),
+    ]
+    rng = np.random.default_rng(19)
+    for t in meshes:
+        assert t.n_vertices <= laplacian.DENSE_LIMIT
+        for _ in range(3):
+            lap = cf.assemble(t, random_weight(rng, t), random_metric(rng, t))
+            assert lap.lambda1() == pytest.approx(_eigh_oracle(lap), rel=1e-12)
+    lap = cf.assemble(octa, zero_weight(octa), cf.PackingMetric.from_radii(np.ones(6)))
+    spectrum = np.linalg.eigvalsh(lap.matrix)
+    assert np.allclose(spectrum[1:4], spectrum[1], rtol=1e-14, atol=0)
+    assert spectrum[4] > 1.1 * spectrum[1]
+    assert lap.lambda1() == pytest.approx(_eigh_oracle(lap), rel=1e-12)
+
+
+# a value above lambda1 leaves M - (lam - d) I indefinite; one below leaves
+# M - (lam + d) I definite
+_WRONG_EIGENVALUES = {
+    "lambda2": lambda vals: vals[1],
+    "lambda1-high": lambda vals: vals[0] * (1.0 + 1e-6),
+    "lambda1-low": lambda vals: vals[0] * (1.0 - 1e-6),
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_EIGENVALUES))
+def test_inertia_certificate_refuses_a_wrong_eigenvalue(
+    capsys, tmp_path, monkeypatch, wrong
+):
+    # distinct weights make lambda1 simple, so lambda2 is wrong too
+    t = mesh("octahedron")
+    rng = np.random.default_rng(20)
+    phi = rng.uniform(0.0, np.pi / 2, t.n_edges)
+    pick = _WRONG_EIGENVALUES[wrong]
+    eigvalsh = laplacian.eigvalsh
+    monkeypatch.setattr(laplacian, "eigvalsh", lambda a: [pick(eigvalsh(a))])
+    lap = cf.assemble(t, cf.Weight(phi), random_metric(rng, t))
+    with pytest.raises(cf.InternalConsistencyError, match="inertia certificate"):
+        lap.lambda1()
+    path = tmp_path / "w.phi"
+    path.write_text("".join(f"{a} {b} {v:.17g}\n" for (a, b), v in zip(t.edges, phi)))
+    code = cli.main(["potential-probe", "--mesh", "octahedron", "--phi", str(path)])
+    out = capsys.readouterr()
+    assert code == cli.EXIT_INTERNAL and out.out == ""
+    assert "inertia certificate" in out.err and out.err.count("\n") == 1
+
+
+def _run_fresh(script):
+    src = os.path.dirname(os.path.dirname(cf.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 _COLD_START = """
 import sys
 import numpy as np
@@ -241,22 +315,47 @@ m = cf.PackingMetric.from_radii(np.linspace(0.5, 2.0, 66))
 trace = cf.integrate(cf.FlowKind.calabi(), t, w, m, cf.IntegratorOptions(max_steps=20))
 target = np.full(66, 4.0 * np.pi / 66)
 assert cf.check_admissible(t, w, target).admissible
-assert "scipy" not in sys.modules
 lam = trace.samples[-1].lambda1
 assert np.isfinite(lam) and lam > 0.0
-assert "scipy" in sys.modules
+assert "scipy" not in sys.modules
 """
 
 
 def test_cold_start_does_not_load_scipy():
-    # a flow and an admissibility check at N <= DENSE_LIMIT need numpy
-    # alone; the first spectrum (a sample's lambda1) loads scipy
-    src = os.path.dirname(os.path.dirname(cf.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _COLD_START],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
-    )
+    # a flow, an admissibility check and a spectrum at N <= DENSE_LIMIT
+    # need numpy alone
+    proc = _run_fresh(_COLD_START)
+    assert proc.returncode == 0, proc.stderr
+
+
+_NUMPY_ALONE = {
+    "potential-probe": """
+from calabiflow import cli
+assert cli.main(["potential-probe", "--mesh", "octahedron"]) == 0
+""",
+    "flow-out": """
+import tempfile
+from calabiflow import cli
+with tempfile.TemporaryDirectory() as out:
+    assert cli.main(["flow", "--mesh", "icosahedron", "--out", out]) == 0
+""",
+    "sparse-check": """
+import numpy as np
+import calabiflow as cf
+from calabiflow.meshes import subdivide
+t = cf.parse_mesh(cf.mesh_text("octahedron"))
+for _ in range(4):
+    t = subdivide(t)
+assert t.n_vertices == 1026
+target = np.full(t.n_vertices, 4.0 * np.pi / t.n_vertices)
+assert cf.check_admissible(t, cf.Weight(np.zeros(t.n_edges)), target).admissible
+""",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NUMPY_ALONE))
+def test_fresh_process_runs_without_scipy(case):
+    # only the sparse lambda1 and the CSR matrix above DENSE_LIMIT load scipy
+    script = _NUMPY_ALONE[case] + '\nimport sys\nassert "scipy" not in sys.modules\n'
+    proc = _run_fresh(script)
     assert proc.returncode == 0, proc.stderr

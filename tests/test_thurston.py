@@ -407,6 +407,74 @@ def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
     assert np.abs(dev).max() < max(1e-12, kn.max())
 
 
+def _spsolve_step(lap, rhs):
+    """The sparse Newton step by a direct solve: vertex 0 pinned and ``rhs``
+    projected onto the range of ``L``."""
+    import scipy.sparse.linalg
+
+    x = np.zeros(lap.n)
+    x[1:] = scipy.sparse.linalg.spsolve(
+        lap.matrix[1:, 1:].tocsc(), (rhs - rhs.mean())[1:]
+    )
+    return x
+
+
+def _octahedron_above(n):
+    t = mesh("octahedron")
+    while t.n_vertices < n:
+        t = subdivide(t)
+    return t
+
+
+def _newton_limit(t, w, target, u):
+    """The first ``_newton`` iterate within the curvature noise of
+    ``target``, with every iterate's drift of ``sum u``."""
+    drift = []
+    for u_k, _, K, kn in thurston._newton(t, w, target, u):
+        drift.append(abs(u_k.sum() - u.sum()))
+        if np.abs(K - target).max() < max(1e-12, kn.max()):
+            return u_k, max(drift)
+    raise AssertionError("the Newton solve stopped short")
+
+
+@pytest.mark.parametrize("n", [1026, 4098])
+def test_sparse_newton_matches_the_direct_solve(monkeypatch, n):
+    # conjugate gradients on the complement of the constants reach the
+    # limit of the pinned direct solve, and keep sum u where it started
+    t = _octahedron_above(n)
+    assert t.n_vertices == n > DENSE_LIMIT
+    rng = np.random.default_rng(n)
+    w = random_weight(rng, t)
+    u0 = random_metric(rng, t).u
+    target = np.full(n, TWO_PI * t.chi / n)
+    u, drift = _newton_limit(t, w, target, u0)
+    assert drift < 1e-10
+    monkeypatch.setattr(cf.DualLaplacian, "solve", _spsolve_step)
+    u_ref, _ = _newton_limit(t, w, target, u0)
+    assert np.abs((u - u.mean()) - (u_ref - u_ref.mean())).max() < 1e-10
+
+
+def test_sparse_newton_verdicts_match_the_direct_solve(monkeypatch):
+    # above SIZE_GUARD the prefix certificate is read off inexact iterates
+    t = _octahedron_above(1026)
+    assert t.n_vertices > max(SIZE_GUARD, DENSE_LIMIT)
+    rng = np.random.default_rng(92)
+    cases = []
+    for k in range(6):
+        w = random_weight(rng, t) if k % 2 else zero_weight(t)
+        make = _violating_target if k % 3 else _realizable_target
+        cases.append((w, make(rng, t, w)))
+    reports = [cf.check_admissible(t, w, target) for w, target in cases]
+    monkeypatch.setattr(cf.DualLaplacian, "solve", _spsolve_step)
+    for (w, target), rep in zip(cases, reports):
+        ref = cf.check_admissible(t, w, target)
+        assert rep.subsets_checked == ref.subsets_checked == 0
+        assert (rep.verdict, rep.subset, rep.lhs, rep.rhs, rep.borderline) == (
+            ref.verdict, ref.subset, ref.lhs, ref.rhs, ref.borderline
+        )
+    assert {rep.verdict for rep in reports} == {"admissible", "inadmissible"}
+
+
 @pytest.mark.parametrize(
     "name, count",
     [("tetrahedron", 6), ("octahedron", 6), ("torus", 6), ("icosahedron", 2)],
