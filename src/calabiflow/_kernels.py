@@ -8,17 +8,17 @@ log radii, that mesh, the settings callers vary as one options object
 fixed settings are the module constants below.  The public names are
 ``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
 ``advance`` and ``scan_subsets``.  Kernels call each other by their
-private names, so rebinding a public name (to time it, say) sees only
-outside callers, and the evaluations of a run's start and re-centered
-states, which ``advance`` makes through ``state``.
+private names (``state`` and ``curvatures`` wrap ``_state`` and
+``_curvatures``), so rebinding a public name, to time it say, sees only
+outside callers and the start and re-centerings that ``advance``
+evaluates through ``state``.
 
-Rolled corners: every per-corner quantity is one elementwise expression on
+Stacked corners: every per-corner quantity is one elementwise expression on
 contiguous (F, 3) arrays, whose entry ``[f, m]`` belongs to corner ``m`` of
-face ``f``.  The values at corners ``(m + 1) % 3`` and ``(m + 2) % 3`` that
-the expression needs are gathered through rolled index arrays
-(``faces[:, [1, 2, 0]]``, ``faces[:, [2, 0, 1]]``, the same for
-``face_edges``, and flat corner indices for per-corner values), which each
-``Triangulation`` builds once.  A rolled gather only moves values, and each
+face ``f``.  The values at corners ``m``, ``(m + 1) % 3`` and ``(m + 2) % 3``
+come from one gather per stacked index array (``Mesh.ends``, ``fv3`` and
+``fe3``; a batch gathers row by row) or flat corner index, which each
+``Triangulation`` builds once.  A gather only moves values, and each
 expression applies the same operations to the same operands in the same
 order as a loop over ``m`` would (an in-place ``a += b`` rounds as
 ``a + b``), so the results are those of that loop bit for bit; the tests
@@ -61,7 +61,10 @@ codes via :func:`raise_state_error`, as :func:`advance` does for the
 states it evaluates between steps.  A non-finite corner cosine takes
 precedence over one past the clamp tolerance.  On a batch every row has
 its own code, and the call reports the code of the first row that fails;
-a failing row does not change the values of the other rows.
+a failing row does not change the values of the other rows.  So numpy's
+floating point warnings are ignored, in one ``np.errstate`` scope per call
+of the public ``state`` and ``curvatures`` and per loop of :func:`advance`
+and :func:`segment_potential`; the private kernels enter none.
 """
 
 from __future__ import annotations
@@ -159,14 +162,14 @@ def raise_state_error(err: int):
 class Mesh(NamedTuple):
     """Static arrays of one weighted mesh, as the geometry kernels read them.
 
-    ``fv`` holds the faces (F, 3), ``fe`` the edge opposite each corner
-    (F, 3), ``ea``/``eb`` the contiguous edge endpoints (E,) and ``cphi``
-    the per-edge weight cosines (E,).  ``fv1``/``fe1`` and ``fv2``/``fe2``
-    are ``fv``/``fe`` rolled by one and by two corners: entry ``[f, m]``
-    belongs to corner ``(m + 1) % 3``, resp. ``(m + 2) % 3``.  ``c1``/``c2``
-    are the flat indices of those corners in a C-contiguous (F, 3) array.
-    ``cphi_f``/``cphi_f1`` hold ``cphi`` at ``fe`` and at ``fe1``.  The
-    index arrays come from ``Triangulation.kernel_index``.
+    ``fv``/``fe`` hold the faces and the edge opposite each corner (F, 3),
+    ``ea``/``eb`` the edge endpoints (E,), ``cphi`` the weight cosines (E,).
+    The kernels gather through stacks with these as rows: ``ends`` (2, E) has
+    ``ea`` and ``eb``, and ``fv3``/``fe3`` (3, F, 3) hold ``fv``/``fe``
+    rolled by zero, one and two corners (``[k, f, m]`` is corner
+    ``(m + k) % 3`` of face ``f``); ``c1``/``c2`` index corners ``m + 1``,
+    ``m + 2`` of a flat (F, 3) array; ``cphi_f``/``cphi_f1`` are ``cphi`` at
+    ``fe3[0]``, ``fe3[1]``.  The indices come from ``Triangulation.kernel_index``.
     """
 
     fv: np.ndarray
@@ -174,10 +177,9 @@ class Mesh(NamedTuple):
     ea: np.ndarray
     eb: np.ndarray
     cphi: np.ndarray
-    fv1: np.ndarray
-    fv2: np.ndarray
-    fe1: np.ndarray
-    fe2: np.ndarray
+    ends: np.ndarray
+    fv3: np.ndarray
+    fe3: np.ndarray
     c1: np.ndarray
     c2: np.ndarray
     cphi_f: np.ndarray
@@ -195,54 +197,48 @@ def _cosine_error(c):
     return ERR_CLAMP
 
 
-def _corners(r, mesh, kappa=False):
-    """Per-corner geometry: the part :func:`_state` and :func:`_curvatures`
-    share.  Call under ``np.errstate(all="ignore")``.
+def _gather(x, index):
+    """``x`` at each row of a stacked index: one take for one metric, and row
+    by row along the last axis of a batch, where a stack would pass 64 kB."""
+    return x.take(index) if x.ndim == 1 else [x.take(i, axis=-1) for i in index]
 
-    Returns ``(lens, L, L1, L2, cc, ang, kap, K, err)``: edge lengths, the
-    lengths of the edges opposite corners ``m``, ``m + 1`` and ``m + 2`` of
-    every corner ``m``, clamped corner cosines and angles, the cosine-law
-    conditioning ``(L1^2 + L2^2 + L^2) / (2 L1 L2)`` when ``kappa`` is set
-    (else None), curvatures and the error code.
+
+def _corners(r, mesh):
+    """Per-corner geometry: the stage every geometry evaluation starts with.
+
+    Returns ``(lens, G, cc, ang, K, err)``: edge lengths; ``G``, the lengths
+    ``L``, ``L1``, ``L2`` of the edges opposite corners ``m``, ``m + 1`` and
+    ``m + 2`` of every corner ``m`` (see :func:`_gather`); clamped corner
+    cosines and angles; curvatures and the error code.
 
     ``r`` is one metric (n,) or a batch of metrics (m, n); every array
     returned gains the same leading axis, and the error code is that of
     the first row that fails (see the module docstring).
     """
-    fv, fe, ea, eb, cphi, _, _, fe1, fe2, *_ = mesh
     n = r.shape[-1]
-    # take() keeps a batch C-contiguous; fancy indexing after an ellipsis
-    # would make the batch axis the innermost in memory.  The in-place
-    # updates below keep few temporaries alive; each computes what the
-    # written-out expression in its comment would, bit for bit.
-    ra = r.take(ea, axis=-1)
-    rb = r.take(eb, axis=-1)
+    # The in-place updates below keep few temporaries alive; each computes
+    # what the written-out expression in its comment would, bit for bit.
+    ra, rb = _gather(r, mesh.ends)
     # lens = sqrt(ra * ra + rb * rb + 2.0 * ra * rb * cphi)
     lens = ra * ra
     lens += rb * rb
     ra *= 2.0
     ra *= rb
-    ra *= cphi
+    ra *= mesh.cphi
     lens += ra
     np.sqrt(lens, out=lens)
-    L = lens.take(fe, axis=-1)
-    L1 = lens.take(fe1, axis=-1)
-    L2 = lens.take(fe2, axis=-1)
-    # c = (L1 * L1 + L2 * L2 - L * L) / (2.0 * L1 * L2), and with
-    # ``kappa`` the conditioning (L1 * L1 + L2 * L2 + L * L) / (2.0 * L1 * L2)
+    G = _gather(lens, mesh.fe3)
+    L, L1, L2 = G
+    # c = (L1 * L1 + L2 * L2 - L * L) / (2.0 * L1 * L2)
     c = L1 * L1
     c += L2 * L2
     sq = L * L
     den = 2.0 * L1
     den *= L2
-    kap = None
-    if kappa:
-        kap = c + sq
-        kap /= den
     c -= sq
     c /= den
     del sq, den
-    corners = fv.ravel()
+    corners = mesh.fv.ravel()
     if r.ndim == 1:
         err = _cosine_error(c)
     else:
@@ -259,50 +255,58 @@ def _corners(r, mesh, kappa=False):
     K = np.empty(r.shape)
     K.fill(TWO_PI)
     np.subtract.at(K.reshape(-1), corners, ang.ravel())
-    return lens, L, L1, L2, cc, ang, kap, K, err
+    return lens, G, cc, ang, K, err
+
+
+def _curvature_noise(G, sin, mesh, n):
+    """Curvature noise bounds (n,) of one metric from ``G`` of :func:`_corners`
+    and the corner sines: NOISE_ULPS units of rounding per corner, scaled by
+    the conditioning ``kappa = (L1^2 + L2^2 + L^2) / (2 L1 L2)`` over sin."""
+    L, L1, L2 = G
+    kappa = L1 * L1
+    kappa += L2 * L2
+    kappa += L * L
+    den = 2.0 * L1
+    den *= L2
+    kappa /= den
+    corner_noise = NOISE_ULPS * EPS * (kappa / np.maximum(sin, 1e-300) + 4.0)
+    return np.bincount(mesh.fv.ravel(), corner_noise.ravel(), minlength=n)
+
+
+def _dual_weights(r, G, cc, sin, mesh):
+    """Half weights, edge weights and their error code for one metric ``r``
+    with clean cosines, whose curvatures are then finite: the weights'
+    extremes decide the bound (0, 2 sqrt 3), and finiteness when it fails."""
+    L, L1, L2 = G
+    # Half weight of the edge opposite corner m, which joins corners
+    # m + 1 and m + 2: the derivative of the angle at m + 1 with respect
+    # to the log-radius at m + 2.
+    r_o, r_c, r_m = r.take(mesh.fv3)
+    bracket = (r_m + r_o * mesh.cphi_f1) - (L1 * cc.take(mesh.c2) / L) * (
+        r_m + r_c * mesh.cphi_f
+    )
+    halves = r_m / (L * L2 * sin.take(mesh.c1)) * bracket
+    B = np.bincount(mesh.fe.ravel(), halves.ravel(), minlength=mesh.ea.shape[0])
+    lo, hi = float(B.min()), float(B.max())
+    if lo > 0.0 and hi < TWO_SQRT3:
+        return halves, B, ERR_OK
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    return halves, B, (ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE)
 
 
 def _state(r, mesh):
-    """Lengths, angles, half weights, curvatures, edge weights and curvature
-    noise bounds of one metric ``r`` (n,) on a :class:`Mesh`.
-
-    Non-finite intermediates are reported through the returned error code,
-    so floating point warnings are suppressed for the whole evaluation.
-    Once the cosines are finite the curvatures are, so the weights'
-    extremes decide the remaining checks.
-    """
-    fv, fe, ea, _, _, fv1, fv2, _, _, c1, c2, cphi_f, cphi_f1 = mesh
-    with np.errstate(all="ignore"):
-        lens, L, L1, L2, cc, ang, kappa, K, err = _corners(r, mesh, True)
-        sin = np.sqrt(1.0 - cc * cc)
-        corner_noise = NOISE_ULPS * EPS * (kappa / np.maximum(sin, 1e-300) + 4.0)
-
-        # Half weight of the edge opposite corner m, which joins corners
-        # m + 1 and m + 2: the derivative of the angle at m + 1 with respect
-        # to the log-radius at m + 2.
-        r_o = r.take(fv)
-        r_c = r.take(fv1)
-        r_m = r.take(fv2)
-        bracket = (r_m + r_o * cphi_f1) - (L1 * cc.take(c2) / L) * (
-            r_m + r_c * cphi_f
-        )
-        halves = r_m / (L * L2 * sin.take(c1)) * bracket
-
-        kn = np.bincount(fv.ravel(), corner_noise.ravel(), minlength=r.shape[0])
-        B = np.bincount(fe.ravel(), halves.ravel(), minlength=ea.shape[0])
-        if err == ERR_OK:
-            lo = float(B.min())
-            hi = float(B.max())
-            if not (lo > 0.0 and hi < TWO_SQRT3):
-                finite = math.isfinite(lo) and math.isfinite(hi)
-                err = ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE
-    return lens, ang, halves, K, B, kn, err
+    """Lengths, angles, half weights, curvatures, edge weights, curvature noise
+    bounds and the first failing stage's error code of one metric (n,)."""
+    lens, G, cc, ang, K, err = _corners(r, mesh)
+    sin = np.sqrt(1.0 - cc * cc)
+    kn = _curvature_noise(G, sin, mesh, r.shape[0])
+    halves, B, w_err = _dual_weights(r, G, cc, sin, mesh)
+    return lens, ang, halves, K, B, kn, err or w_err
 
 
 def _curvatures(r, mesh):
     """Curvatures only; the cheap evaluation of one metric or a batch."""
-    with np.errstate(all="ignore"):
-        *_, K, err = _corners(r, mesh)
+    *_, K, err = _corners(r, mesh)
     return K, err
 
 
@@ -361,18 +365,18 @@ def _segment_potential(u0, du, target, order, mesh):
     total = np.zeros(du.shape[0])
     n_rows = total.shape[0] * order
     rows = max(1, BLOCK_FACES // mesh.fv.shape[0])
-    for k in range(0, n_rows, rows):
-        seg, node = np.divmod(np.arange(k, min(k + rows, n_rows)), order)
-        du_rows = du.take(seg, axis=0)
-        # radii that overflow to inf are reported by the error code
-        with np.errstate(all="ignore"):
+    # radii that overflow to inf are reported by the error code
+    with np.errstate(all="ignore"):
+        for k in range(0, n_rows, rows):
+            seg, node = np.divmod(np.arange(k, min(k + rows, n_rows)), order)
+            du_rows = du.take(seg, axis=0)
             r = np.exp(u0.take(seg, axis=0) + nodes[node, None] * du_rows)
-        Kb, err = _curvatures(r, mesh)
-        if err != ERR_OK:
-            total.fill(math.nan)
-            return (math.nan if single else total), err
-        dots = np.matmul((Kb - target)[:, None, :], du_rows[:, :, None])
-        np.add.at(total, seg, weights[node] * dots.ravel())
+            Kb, err = _curvatures(r, mesh)
+            if err != ERR_OK:
+                total.fill(math.nan)
+                return (math.nan if single else total), err
+            dots = np.matmul((Kb - target)[:, None, :], du_rows[:, :, None])
+            np.add.at(total, seg, weights[node] * dots.ravel())
     return (float(total[0]) if single else total), ERR_OK
 
 
@@ -381,24 +385,30 @@ def advance(u, mesh, target, lap_kind, opts, record):
 
     ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
     ``IntegratorOptions``; the fixed settings are the module constants.
-    The start and each re-centering are evaluated by :func:`state`, and
-    raise if they do not evaluate cleanly; a trial that does not is
-    rejected.
+    The loop, ``record`` included, runs in one ``np.errstate(all="ignore")``
+    scope.  The start and each re-centering are evaluated by :func:`state`
+    and raise if not clean; a trial that is not clean is rejected.
 
     Each step is explicit Euler with a descent guard: a trial that fails it
     is halved and retried, up to ``MAX_HALVINGS`` times, and the step grows
     by ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after every
-    ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial makes one
-    geometry call (:func:`_state`) and passes when the energy does not rise
-    beyond its roundoff allowance.  A Ricci trial makes one curvature call
-    (:func:`_curvatures`) at the trial point ``u + h v`` and passes when
-    ``<K(u + h v) - target, h v> <= 0``.  For weights in [0, pi/2] the Ricci
-    potential is convex (Colin de Verdiere, Invent. Math. 1991; Chow-Luo,
-    J. Diff. Geom. 2003), so g(s) = <K(u + s h v) - target, h v> is
-    nondecreasing in s; g(1) <= 0 then gives g <= 0 on [0, 1], and the step
-    does not raise the potential.  What the accepted trial computed (its
-    deviation ``K - target``, its energy noise and its distance from the
-    start) serves the next step and the stopping tests unchanged.
+    ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial passes
+    when its geometry evaluates cleanly and ``e_new <= energy + (noise +
+    noise_new)``, the energies' roundoff allowance.  Its stages run cheapest
+    decisive test first, and a failed stage halves the trial: the corner
+    cosines (:func:`_corners`); the energy; the allowance only if ``e_new >
+    energy`` (with clean cosines it is never negative or NaN); the dual
+    weights and their bounds (:func:`_dual_weights`) only for a trial that
+    passed.  The current state's ``noise`` is computed, from the arrays its
+    trial kept, when a trial first needs it.  A Ricci trial makes one
+    curvature call (:func:`_curvatures`) at the trial point ``u + h v`` and
+    passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in
+    [0, pi/2] the Ricci potential is convex (Colin de Verdiere, Invent.
+    Math. 1991; Chow-Luo, J. Diff. Geom. 2003), so g(s) = <K(u + s h v) -
+    target, h v> is nondecreasing in s; g(1) <= 0 then gives g <= 0 on
+    [0, 1], and the step does not raise the potential.  The accepted trial's
+    deviation ``K - target``, dual weights and distance from the start serve
+    the next step and the stopping tests unchanged.
 
     The run converges when ``max |K - target| < opts.curvature_tol`` (the
     start included), diverges when some ``|u_i - u_i(0)|`` exceeds
@@ -414,7 +424,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
     ``"diverged"``, ``"step_limit"`` and ``"collapsed"``; a collapsed run is
     not recorded at its end.
     """
-    ea, eb = mesh.ea, mesh.eb
+    ea, eb, n = mesh.ea, mesh.eb, u.shape[0]
     u_ref = u
     sum_u0 = float(u.sum())
     # within this drift every u stays above -EXP_SAFE
@@ -428,90 +438,88 @@ def advance(u, mesh, target, lap_kind, opts, record):
         noise = _energy_noise(dev, kn, energy) if lap_kind else 0.0
         return K, B, dev, energy, noise
 
-    K, B, dev, energy, noise = evaluate(u)
-    h = opts.initial_step
-    t = 0.0
-    streak = steps = last = 0
-    stride = 1
-    record(t, h, u, K, energy)
-    if float(np.abs(dev).max()) < opts.curvature_tol:
-        return "converged", steps, u, t
-    while steps < opts.max_steps:
-        v = _lap_apply(B, ea, eb, dev) if lap_kind else -dev
-        for _ in range(MAX_HALVINGS + 1):
-            du = h * v
-            u_new = u + du
-            drift = float(np.abs(u_new - u_ref).max())
-            if drift > opts.u_max + TRIAL_MARGIN:
-                h *= 0.5
-                streak = 0
-                continue
-            # a trial whose geometry does not evaluate cleanly (radii that
-            # overflow to inf among them) is rejected like any other failed
-            # trial; only accepted states carry the guarantee of a clean
-            # evaluation.  Ricci kinds evaluate only the curvature map at
-            # trials: their velocity and descent guard never touch the dual
-            # weights, whose formula degenerates in floating point on deep
-            # escapes long before the curvature map does.
-            with np.errstate(all="ignore"):
-                r_new = np.exp(u_new)
-            if drift > exp_safe and float(r_new.min()) < TINY:
-                # radii that underflow are rejected like ones that overflow
-                h *= 0.5
-                streak = 0
-                continue
-            if lap_kind:
-                _, _, _, K_new, B_new, kn_new, err = _state(r_new, mesh)
-            else:
-                K_new, err = _curvatures(r_new, mesh)
-            if err != ERR_OK:
-                h *= 0.5
-                streak = 0
-                continue
-            dev_new = K_new - target
-            e_new = float((dev_new**2).sum())
-            if lap_kind:
-                noise_new = _energy_noise(dev_new, kn_new, e_new)
-                ok = e_new <= energy + (noise + noise_new)
-            else:
-                ok = float(np.dot(dev_new, du)) <= 0.0
-            if ok:
-                break
-            h *= 0.5
-            streak = 0
-        else:
-            return "collapsed", steps, u, t
-        t += h
-        u = u_new
-        K = K_new
-        dev = dev_new
-        energy = e_new
-        if lap_kind:
-            B = B_new
-            noise = noise_new
-        steps += 1
-        streak += 1
-        if streak >= GROWTH_INTERVAL:
-            grown = h * GROWTH_FACTOR
-            h = grown if grown < opts.max_step else opts.max_step
-            streak = 0
-        if float(np.abs(dev).max()) < opts.curvature_tol:
-            record(t, h, u, K, energy)
-            return "converged", steps, u, t
-        if drift > opts.u_max:
-            record(t, h, u, K, energy)
-            return "diverged", steps, u, t
-        recenter = lap_kind and steps % RECENTER_INTERVAL == 0
-        if recenter:
-            u = u - (u.sum() - sum_u0) / u.shape[0]
-            K, B, dev, energy, noise = evaluate(u)
-        if steps - last >= stride:
-            record(t, h, u, K, energy)
-            last = steps
-        if recenter or last == steps:
-            stride = max(1, steps // SAMPLE_TARGET)
-    if last != steps:
+    with np.errstate(all="ignore"):
+        K, B, dev, energy, noise = evaluate(u)
+        h, t, stride = opts.initial_step, 0.0, 1
+        streak = steps = last = 0
         record(t, h, u, K, energy)
+        if float(np.abs(dev).max()) < opts.curvature_tol:
+            return "converged", steps, u, t
+        while steps < opts.max_steps:
+            v = _lap_apply(B, ea, eb, dev) if lap_kind else -dev
+            for halvings in range(MAX_HALVINGS + 1):
+                if halvings:
+                    h *= 0.5
+                du = h * v
+                u_new = u + du
+                drift = float(np.abs(u_new - u_ref).max())
+                if drift > opts.u_max + TRIAL_MARGIN:
+                    continue
+                # a trial whose geometry does not evaluate cleanly (radii
+                # that overflow to inf among them) is rejected like any
+                # other failed trial; only accepted states carry the
+                # guarantee of a clean evaluation.  Ricci kinds evaluate
+                # only the curvature map at trials: their velocity and
+                # descent guard never touch the dual weights, whose formula
+                # degenerates in floating point on deep escapes long before
+                # the curvature map does.
+                r_new = np.exp(u_new)
+                if drift > exp_safe and float(r_new.min()) < TINY:
+                    continue  # radii that underflow are rejected like overflow
+                if lap_kind:
+                    _, G, cc, _, K_new, err = _corners(r_new, mesh)
+                else:
+                    K_new, err = _curvatures(r_new, mesh)
+                if err != ERR_OK:
+                    continue
+                dev_new = K_new - target
+                e_new = float((dev_new**2).sum())
+                if not lap_kind:
+                    ok = float(np.dot(dev_new, du)) <= 0.0
+                else:
+                    sin = np.sqrt(1.0 - cc * cc)
+                    noise_new = None
+                    ok = e_new <= energy
+                    if not ok:
+                        if noise is None:
+                            kn = _curvature_noise(*kept, mesh, n)
+                            noise = _energy_noise(dev, kn, energy)
+                        kn = _curvature_noise(G, sin, mesh, n)
+                        noise_new = _energy_noise(dev_new, kn, e_new)
+                        ok = e_new <= energy + (noise + noise_new)
+                    if ok:
+                        _, B_new, err = _dual_weights(r_new, G, cc, sin, mesh)
+                        ok = err == ERR_OK
+                if ok:
+                    break
+            else:
+                return "collapsed", steps, u, t
+            t, u, K, dev, energy = t + h, u_new, K_new, dev_new, e_new
+            if lap_kind:
+                B, noise, kept = B_new, noise_new, (G, sin)
+            steps += 1
+            streak = 1 if halvings else streak + 1
+            if streak >= GROWTH_INTERVAL:
+                grown = h * GROWTH_FACTOR
+                h = grown if grown < opts.max_step else opts.max_step
+                streak = 0
+            if float(np.abs(dev).max()) < opts.curvature_tol:
+                record(t, h, u, K, energy)
+                return "converged", steps, u, t
+            if drift > opts.u_max:
+                record(t, h, u, K, energy)
+                return "diverged", steps, u, t
+            recenter = lap_kind and steps % RECENTER_INTERVAL == 0
+            if recenter:
+                u = u - (u.sum() - sum_u0) / n
+                K, B, dev, energy, noise = evaluate(u)
+            if steps - last >= stride:
+                record(t, h, u, K, energy)
+                last = steps
+            if recenter or last == steps:
+                stride = max(1, steps // SAMPLE_TARGET)
+        if last != steps:
+            record(t, h, u, K, energy)
     return "step_limit", steps, u, t
 
 
@@ -596,8 +604,18 @@ def scan_subsets(n, target, ea, eb, fv, fe, pmp, tol):
     return False, [], 0.0, 0.0, checked
 
 
+def state(r, mesh):
+    """:func:`_state` in its own ``np.errstate(all="ignore")`` scope."""
+    with np.errstate(all="ignore"):
+        return _state(r, mesh)
+
+
+def curvatures(r, mesh):
+    """:func:`_curvatures` in its own ``np.errstate(all="ignore")`` scope."""
+    with np.errstate(all="ignore"):
+        return _curvatures(r, mesh)
+
+
 # The kernels above also call these by their private names.
-state = _state
-curvatures = _curvatures
 lap_apply = _lap_apply
 segment_potential = _segment_potential

@@ -14,9 +14,10 @@ and conserve ``sum u_i`` exactly in continuous time; the Ricci kinds are
 the negative gradient flow of the Ricci potential.
 
 Integration is explicit Euler with a descent guard on the energy (Calabi
-kinds) or the Ricci potential (Ricci kinds); :func:`_kernels.advance` runs
-the whole loop, and its docstring describes the step controller, the
-stopping tests, the re-centering of ``sum u`` and the sample schedule.
+kinds) or the Ricci potential (Ricci kinds).  :func:`_kernels.advance` runs
+the loop in one floating point scope; its docstring describes the step
+controller, the staged Calabi trial (the guard's roundoff allowance only
+when the energy rose), the stopping tests, the re-centering and sampling.
 """
 
 from __future__ import annotations

@@ -112,17 +112,17 @@ def _mesh_arrays(
     """The kernels' :class:`_kernels.Mesh` of a weighted mesh, once the
     weight (and the metric, if given) pass :func:`_check_fit`.
 
-    Only the weight cosines are computed here.  The faces, the opposite
-    edges and the rolled index arrays through which the kernels gather the
-    values at corners ``(m + 1) % 3`` and ``(m + 2) % 3`` come from
+    Only the weight cosines are computed here.  The stacked index arrays
+    through which the kernels gather, and the faces, opposite edges and
+    edge endpoints that are views of their first rows, come from
     ``t.kernel_index``, built once with the triangulation.
     """
     _check_fit(t, w, m)
-    ea, eb, fv1, fv2, fe1, fe2, c1, c2 = t.kernel_index
+    ends, fv3, fe3, c1, c2 = t.kernel_index
     cphi = w.cos_phi
     return _kernels.Mesh(
-        t.faces, t.face_edges, ea, eb, cphi, fv1, fv2, fe1, fe2, c1, c2,
-        cphi.take(t.face_edges), cphi.take(fe1),
+        fv3[0], fe3[0], ends[0], ends[1], cphi, ends, fv3, fe3, c1, c2,
+        cphi.take(fe3[0]), cphi.take(fe3[1]),
     )
 
 

@@ -90,10 +90,11 @@ class Triangulation:
     edge_faces : (E, 2) int64 array
         The two face ids incident to each edge, in face order.
     kernel_index : tuple of int64 arrays
-        ``(ea, eb, fv1, fv2, fe1, fe2, c1, c2)``, the index arrays the
-        geometry kernels gather through (see ``_kernels.Mesh``): the edge
-        endpoints as contiguous arrays, then ``faces``, ``face_edges`` and
-        the flat corner index ``3 f + m`` rolled by one corner and by two.
+        ``(ends, fv3, fe3, c1, c2)``, the index arrays the geometry kernels
+        gather through (see ``_kernels.Mesh``): the edge endpoints stacked
+        as (2, E), ``faces`` and ``face_edges`` each stacked with their
+        rolls by one corner and by two as (3, F, 3), and the flat corner
+        index ``3 f + m`` rolled by one corner and by two.
     degrees : (N,) int64 array
         Vertex degrees (number of incident edges).
     chi : int
@@ -216,12 +217,9 @@ class Triangulation:
         roll1, roll2 = [1, 2, 0], [2, 0, 1]
         corner = 3 * np.arange(nf)[:, None]
         index = (
-            self.edges[:, 0].copy(),
-            self.edges[:, 1].copy(),
-            fa[:, roll1],
-            fa[:, roll2],
-            fe[:, roll1],
-            fe[:, roll2],
+            np.ascontiguousarray(self.edges.T),
+            np.stack([fa, fa[:, roll1], fa[:, roll2]]),
+            np.stack([fe, fe[:, roll1], fe[:, roll2]]),
             corner + roll1,
             corner + roll2,
         )
@@ -252,7 +250,7 @@ class Triangulation:
         # face_edges) at its vertex.
         owner = self.edges.ravel()
         v = self.faces.ravel()
-        e1, e2 = self.kernel_index[4].ravel(), self.kernel_index[5].ravel()
+        e1, e2 = self.kernel_index[2][1].ravel(), self.kernel_index[2][2].ravel()
         i = 2 * e1 + (self.edges[e1, 1] == v)
         j = 2 * e2 + (self.edges[e2, 1] == v)
         labels = _component_labels(owner.size, i, j)

@@ -26,7 +26,7 @@ from .errors import NoConstantCurvatureMetric
 from .flows import integrate  # noqa: F401
 from .geometry import PackingMetric, Weight, _check_fit, _mesh_arrays, compute_geometry
 from .mesh import Triangulation, resolve_target
-from .thurston import _newton
+from .thurston import CURVATURE_TOL, _newton
 
 __all__ = [
     "calabi_energy",
@@ -37,8 +37,6 @@ __all__ = [
 
 # largest Gauss-Legendre order ricci_potential tries
 MAX_NODES = 2**10
-# max|K - K_av| that accepts the constant-curvature metric (or the noise bound)
-CURVATURE_TOL = 1e-12
 
 
 def calabi_energy(
@@ -199,8 +197,8 @@ def constant_curvature_log_metric(
 
     Found by the damped Newton solve of ``K(u) = K_av`` from the seed that
     also decides admissibility (``thurston._newton``); it stops once
-    ``max|K - K_av|`` is below ``CURVATURE_TOL`` or the curvature noise
-    bound, whichever is larger.  The result keeps the seed's ``sum u``.
+    ``max|K - K_av|`` is below ``thurston.CURVATURE_TOL`` or the curvature
+    noise bound, whichever is larger.  The result keeps the seed's ``sum u``.
     Only connected surfaces are accepted (``DomainError`` otherwise).
     Raises :class:`NoConstantCurvatureMetric` when the solve ends first,
     as it does when the constant curvature is not admissible.

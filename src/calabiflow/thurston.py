@@ -74,10 +74,12 @@ SIZE_GUARD = 24
 VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
-# The Newton solve stops after NEWTON_STEPS steps or when NEWTON_HALVINGS
-# halvings of a step do not lower |K - target|.
+# The Newton solve stops after NEWTON_STEPS steps, when NEWTON_HALVINGS
+# halvings of a step do not lower |K - target|, or at its roundoff floor,
+# max|K - target| < max(CURVATURE_TOL, curvature noise bound).
 NEWTON_STEPS = 50
 NEWTON_HALVINGS = 30
+CURVATURE_TOL = 1e-12
 # rounding allowance of the admissible certificate, on top of the measured
 # per-face angle-sum error: it covers the rounding of the curvature and
 # norm sums, a few ulps per vertex (below 1e-9 up to about 1e5 vertices)
@@ -201,7 +203,8 @@ def _newton(t: Triangulation, w: Weight, target, u):
     step solves ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`)
     and halves ``delta`` until ``||K - target||_2`` falls.  The iteration
     ends after ``NEWTON_STEPS`` steps, when ``NEWTON_HALVINGS`` halvings of
-    a step do not lower the norm, or at once when the geometry at ``u``
+    a step do not lower the norm, after the first iterate at its roundoff
+    floor (see ``CURVATURE_TOL``), or at once when the geometry at ``u``
     does not evaluate.  Only valid on a connected surface.
     """
     n = t.n_vertices
@@ -215,6 +218,8 @@ def _newton(t: Triangulation, w: Weight, target, u):
     for _ in range(NEWTON_STEPS):
         yield u, ang, K, kn
         dev = K - target
+        if float(np.abs(dev).max()) < max(CURVATURE_TOL, float(kn.max())):
+            return
         delta = DualLaplacian(n, t.edges, B).solve(-dev)
         norm = float(np.linalg.norm(dev))
         for _ in range(NEWTON_HALVINGS):

@@ -61,12 +61,9 @@ def build(n_vertices, faces):
     roll1, roll2 = [1, 2, 0], [2, 0, 1]
     corner = 3 * np.arange(fa.shape[0])[:, None]
     kernel_index = (
-        edges[:, 0].copy(),
-        edges[:, 1].copy(),
-        fa[:, roll1],
-        fa[:, roll2],
-        fe[:, roll1],
-        fe[:, roll2],
+        np.array([edges[:, 0], edges[:, 1]]),
+        np.array([fa, fa[:, roll1], fa[:, roll2]]),
+        np.array([fe, fe[:, roll1], fe[:, roll2]]),
         corner + roll1,
         corner + roll2,
     )

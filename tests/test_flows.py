@@ -7,7 +7,9 @@ import pytest
 
 import calabiflow as cf
 from calabiflow import _kernels
+from calabiflow.geometry import _mesh_arrays
 from calabiflow.mesh import resolve_target
+from calabiflow.meshes import subdivide
 from _geometry_oracle import curvature_derivative_check, velocity
 from _util import mesh, random_metric, random_weight, zero_weight
 
@@ -395,3 +397,99 @@ def test_weighted_flow_converges():
     assert np.max(np.abs(g.curvatures - g.avg_curvature)) < 1e-10
     es = [s.energy for s in tr.samples]
     assert all(b <= a for a, b in zip(es, es[1:]))
+
+
+def _guarded_run(monkeypatch, kind, t, w, m0, opts=None):
+    """A run in which every accepted state is a sample (no re-centering, a
+    stride of 1), with the radii of its evaluated trials and the number of
+    trials whose energy guard computed the roundoff allowance."""
+    monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10**9)
+    monkeypatch.setattr(_kernels, "SAMPLE_TARGET", 10**9)
+    radii, lengths, allowances = [], [], []
+    corners, curvature_noise = _kernels._corners, _kernels._curvature_noise
+
+    def counted_corners(r, mesh):
+        out = corners(r, mesh)
+        radii.append(r)
+        lengths[:] = [out[1]]
+        return out
+
+    def counted_noise(G, *args):
+        # the latest evaluation's allowance; the current state's is computed
+        # on first need from the arrays of an earlier trial
+        allowances.append(G is lengths[0])
+        return curvature_noise(G, *args)
+
+    monkeypatch.setattr(_kernels, "_corners", counted_corners)
+    monkeypatch.setattr(_kernels, "_curvature_noise", counted_noise)
+    tr = cf.integrate(kind, t, w, m0, opts)
+    # the start is evaluated in full by state
+    return tr, radii[1:], sum(allowances) - 1
+
+
+@pytest.mark.parametrize("case", ["escape", "oct66"])
+def test_staged_energy_guard_decides_as_the_full_one(monkeypatch, case):
+    # the guard computes the allowance only for a trial whose energy rose;
+    # every evaluated trial is still accepted exactly when it passes the
+    # guard with the allowance of both states, evaluated in full by the
+    # public state kernel
+    if case == "escape":
+        # the inadmissible target of test_divergence_calabi_prescribed, run
+        # deeper: past u_0 = -17 the energy's descent per step falls below
+        # its rounding, and the allowance accepts steps that raise it
+        t = mesh("tetrahedron")
+        w = zero_weight(t)
+        m0 = cf.PackingMetric.from_radii(np.ones(4))
+        kind = cf.FlowKind.calabi_prescribed(BAD_TETRA_TARGET)
+        opts = cf.IntegratorOptions(u_max=30.0, max_steps=4000)
+    else:
+        t = subdivide(subdivide(mesh("octahedron")))
+        rng = np.random.default_rng(66)
+        w = random_weight(rng, t)
+        m0 = random_metric(rng, t)
+        kind, opts = cf.FlowKind.calabi(), None
+    tr, radii, allowances = _guarded_run(monkeypatch, kind, t, w, m0, opts)
+    samples = tr.samples
+    assert len(samples) == tr.accepted_steps + 1
+    mesh_arrays = _mesh_arrays(t, w)
+
+    def guard_terms(r):
+        _, _, _, K, _, kn, err = _kernels.state(r, mesh_arrays)
+        dev = K - tr.target
+        energy = float((dev**2).sum())
+        return err == _kernels.ERR_OK, energy, _kernels._energy_noise(dev, kn, energy)
+
+    _, e, noise = guard_terms(np.exp(samples[0].u))
+    k = 0
+    for r in radii:
+        clean, e_new, noise_new = guard_terms(r)
+        accepted = k < tr.accepted_steps and np.array_equal(r, np.exp(samples[k + 1].u))
+        assert accepted == (clean and e_new <= e + (noise + noise_new))
+        if accepted:
+            assert e_new == samples[k + 1].energy
+            k, e, noise = k + 1, e_new, noise_new
+    assert k == tr.accepted_steps
+    rises = sum(b.energy > a.energy for a, b in zip(samples, samples[1:]))
+    if case == "escape":
+        assert rises > 0
+    else:
+        assert tr.status == "converged" and 0 < allowances < 0.1 * len(radii)
+
+
+def test_integrate_restores_the_floating_point_state(monkeypatch):
+    # the loop ignores floating point errors in one scope of its own: trial
+    # radii that overflow raise nothing under the caller's "raise", and the
+    # caller's state is back after a run and after a collapse
+    t = mesh("tetrahedron")
+    m0 = random_metric(np.random.default_rng(0), t)
+    opts = cf.IntegratorOptions(u_max=np.inf, initial_step=1e6)
+    with np.errstate(all="raise", under="warn"):
+        caller = np.geterr()
+        tr = cf.integrate(cf.FlowKind.calabi(), t, zero_weight(t), m0, opts)
+        assert tr.status == "converged" and np.geterr() == caller
+        monkeypatch.setattr(
+            _kernels, "_curvatures", lambda r, mesh: (None, _kernels.ERR_NONFINITE)
+        )
+        with pytest.raises(cf.StepCollapseError):
+            cf.integrate(cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0)
+        assert np.geterr() == caller

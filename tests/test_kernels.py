@@ -448,3 +448,18 @@ def test_scan_subsets_result_layout():
     )
     assert res[0] is True and res[1] == [0]
     assert res[4] == cf.check_admissible(t, w, bad).subsets_checked
+
+
+def test_corner_arrays_are_c_contiguous():
+    # one metric gathers each stacked index at once, a batch row by row of
+    # it; either way every per-corner array is C-contiguous, so the
+    # curvature sum reads each row's corners in face order
+    t = _mesh("oct66")
+    rng = np.random.default_rng(66)
+    args = _mesh_arrays(t, random_weight(rng, t))
+    radii = rng.uniform(0.5, 2.0, (4, t.n_vertices))
+    for r in (radii[0], radii):
+        lens, G, cc, ang, K, err = _kernels._corners(r, args)
+        assert err == _kernels.ERR_OK and len(G) == 3
+        for a in (lens, *G, cc, ang, K):
+            assert a.flags.c_contiguous and a.shape[: r.ndim - 1] == r.shape[:-1]

@@ -11,6 +11,7 @@ from calabiflow import _kernels, thurston
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.laplacian import DENSE_LIMIT
 from calabiflow.thurston import (
+    CURVATURE_TOL,
     SIZE_GUARD,
     VIOLATION_TOL,
     enumerate_rows,
@@ -391,9 +392,10 @@ def test_solve_decides_n66_without_force():
 
 
 def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
-    # above DENSE_LIMIT the solve pins vertex 0; unless its right-hand side
-    # is projected onto the range of L, every iterate leaves sum(K - K_av),
-    # the Gauss-Bonnet rounding, on vertex 0
+    # above DENSE_LIMIT each Newton step is conjugate gradients on the
+    # complement of the constants, and no vertex is pinned: sum(K - K_av),
+    # the Gauss-Bonnet rounding, stays spread over the vertices instead of
+    # piling up on one
     t = mesh("octahedron")
     while t.n_vertices <= DENSE_LIMIT:
         t = subdivide(t)
@@ -405,6 +407,26 @@ def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
     dev = K - target
     assert abs(dev[0]) <= 10.0 * np.abs(dev[1:]).max()
     assert np.abs(dev).max() < max(1e-12, kn.max())
+
+
+@pytest.mark.parametrize("n", [66, 1026])
+def test_newton_stops_at_its_roundoff_floor(monkeypatch, n):
+    # drained, the solve makes no step after its first iterate within
+    # max(CURVATURE_TOL, max kn) of the target: further steps only move the
+    # curvature within its rounding (dense and sparse steps)
+    t = _octahedron_above(n)
+    target = np.full(n, TWO_PI * t.chi / n)
+    iterates, solves = [], []
+    solve = cf.DualLaplacian.solve
+    monkeypatch.setattr(
+        cf.DualLaplacian,
+        "solve",
+        lambda lap, rhs: solves.append(len(iterates)) or solve(lap, rhs),
+    )
+    for _, _, K, kn in thurston._newton(t, zero_weight(t), target, np.zeros(n)):
+        iterates.append(np.abs(K - target).max() < max(CURVATURE_TOL, kn.max()))
+    assert iterates.index(True) == len(iterates) - 1
+    assert solves == list(range(1, len(iterates)))
 
 
 def _spsolve_step(lap, rhs):
