@@ -6,12 +6,8 @@ The geometry kernels are array-in / array-out.  They take the mesh as one
 log radii, that mesh, the settings callers vary as one options object
 (``flows.IntegratorOptions``) and a callback that records samples; its
 fixed settings are the module constants below.  The public names are
-``state``, ``curvatures``, ``lap_apply``, ``segment_potential``,
-``advance`` and ``scan_subsets``.  Kernels call each other by their
-private names (``state`` and ``curvatures`` wrap ``_state`` and
-``_curvatures``), so rebinding a public name, to time it say, sees only
-outside callers and the start and re-centerings that ``advance``
-evaluates through ``state``.
+``state``, which returns a :class:`State`, ``curvatures``, ``lap_apply``,
+``segment_potential``, ``advance`` and ``scan_subsets``.
 
 Stacked corners: every per-corner quantity is one elementwise expression on
 contiguous (F, 3) arrays, whose entry ``[f, m]`` belongs to corner ``m`` of
@@ -35,14 +31,7 @@ Batch axis: ``curvatures`` also takes radii of shape (m, n), m metrics
 on one mesh, and returns curvatures of shape (m, n).  Each row is computed
 by the same elementwise operations, in the same accumulation order, as a
 call on that row alone, so every row equals the one-metric result bit for
-bit.  :func:`segment_potential` has a batch axis too: it takes one segment
-(n,) or m segments (m, n), lays their Gauss-Legendre nodes out as rows,
-segment-major and node-minor, and evaluates them this way in row blocks
-(see ``BLOCK_FACES``) that may span segments.  Its row dots are one
-stacked ``matmul`` of (1, n) by (n, 1) matrices, which rounds as
-``np.dot`` on each row does (``einsum`` does not), and ``np.add.at`` sums
-each segment's terms in node order, so every segment's value equals that
-of a call on it alone, bit for bit.
+bit.  :func:`segment_potential` evaluates its batches of segments this way.
 
 Subset scan: :func:`scan_subsets` screens a block of subsets of one size
 at a time with boolean masks of shape (faces, subsets).  Its sums run in
@@ -63,8 +52,8 @@ precedence over one past the clamp tolerance.  On a batch every row has
 its own code, and the call reports the code of the first row that fails;
 a failing row does not change the values of the other rows.  So numpy's
 floating point warnings are ignored, in one ``np.errstate`` scope per call
-of the public ``state`` and ``curvatures`` and per loop of :func:`advance`
-and :func:`segment_potential`; the private kernels enter none.
+of ``state`` and ``curvatures`` and per loop of :func:`advance` and
+:func:`segment_potential`; the private kernels enter none.
 """
 
 from __future__ import annotations
@@ -186,6 +175,20 @@ class Mesh(NamedTuple):
     cphi_f1: np.ndarray
 
 
+class State(NamedTuple):
+    """One metric's evaluation by :func:`state`: edge lengths ``lens`` (E,),
+    corner angles ``ang`` (F, 3), curvatures ``K`` (n,), edge weights ``B``
+    (E,), curvature noise bounds ``kn`` (n,) and the error code ``err`` of
+    the first stage that failed."""
+
+    lens: np.ndarray
+    ang: np.ndarray
+    K: np.ndarray
+    B: np.ndarray
+    kn: np.ndarray
+    err: int
+
+
 def _cosine_error(c):
     """Error code of one metric's corner cosines ``c`` (F, 3): a non-finite
     value takes precedence over a value past the clamp tolerance.  Clean
@@ -274,9 +277,9 @@ def _curvature_noise(G, sin, mesh, n):
 
 
 def _dual_weights(r, G, cc, sin, mesh):
-    """Half weights, edge weights and their error code for one metric ``r``
-    with clean cosines, whose curvatures are then finite: the weights'
-    extremes decide the bound (0, 2 sqrt 3), and finiteness when it fails."""
+    """Edge weights and their error code for one metric ``r`` with clean
+    cosines, whose curvatures are then finite: the weights' extremes decide
+    the bound (0, 2 sqrt 3), and finiteness when it fails."""
     L, L1, L2 = G
     # Half weight of the edge opposite corner m, which joins corners
     # m + 1 and m + 2: the derivative of the angle at m + 1 with respect
@@ -289,19 +292,20 @@ def _dual_weights(r, G, cc, sin, mesh):
     B = np.bincount(mesh.fe.ravel(), halves.ravel(), minlength=mesh.ea.shape[0])
     lo, hi = float(B.min()), float(B.max())
     if lo > 0.0 and hi < TWO_SQRT3:
-        return halves, B, ERR_OK
+        return B, ERR_OK
     finite = math.isfinite(lo) and math.isfinite(hi)
-    return halves, B, (ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE)
+    return B, (ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE)
 
 
-def _state(r, mesh):
-    """Lengths, angles, half weights, curvatures, edge weights, curvature noise
-    bounds and the first failing stage's error code of one metric (n,)."""
-    lens, G, cc, ang, K, err = _corners(r, mesh)
-    sin = np.sqrt(1.0 - cc * cc)
-    kn = _curvature_noise(G, sin, mesh, r.shape[0])
-    halves, B, w_err = _dual_weights(r, G, cc, sin, mesh)
-    return lens, ang, halves, K, B, kn, err or w_err
+def state(r, mesh):
+    """The :class:`State` of one metric (n,), evaluated in its own
+    ``np.errstate(all="ignore")`` scope."""
+    with np.errstate(all="ignore"):
+        lens, G, cc, ang, K, err = _corners(r, mesh)
+        sin = np.sqrt(1.0 - cc * cc)
+        kn = _curvature_noise(G, sin, mesh, r.shape[0])
+        B, w_err = _dual_weights(r, G, cc, sin, mesh)
+    return State(lens, ang, K, B, kn, err or w_err)
 
 
 def _curvatures(r, mesh):
@@ -310,7 +314,13 @@ def _curvatures(r, mesh):
     return K, err
 
 
-def _lap_apply(weights, ea, eb, x):
+def curvatures(r, mesh):
+    """:func:`_curvatures` in its own ``np.errstate(all="ignore")`` scope."""
+    with np.errstate(all="ignore"):
+        return _curvatures(r, mesh)
+
+
+def lap_apply(weights, ea, eb, x):
     """Discrete Laplacian: (apply)_i = sum_j B_ij (x_j - x_i)."""
     d = weights * (x[eb] - x[ea])
     # bincount adds in edge order from zero, as add.at into zeros does
@@ -336,32 +346,26 @@ def _gauss_legendre(order):
     return nodes, weights
 
 
-def _segment_potential(u0, du, target, order, mesh):
+def segment_potential(u0, du, target, order, mesh):
     """Gauss-Legendre quadrature of the curvature one-form on segments.
 
     Integrates g(s) = <K(u0 + s du) - target, du> for s in [0, 1] with the
-    ``order``-point rule.  ``u0`` and ``du`` are one segment (n,) or a batch
-    of segments (m, n), broadcast against each other.  The rows to evaluate
-    are laid out segment-major and node-minor, and evaluated in row blocks
-    of at most ``max(1, BLOCK_FACES // F)`` metrics, one curvature call per
-    block; a block may hold the end of one segment and the start of the
-    next.  Each row's dot with its ``du`` is one stacked ``matmul`` of a
-    (1, n) by an (n, 1) matrix, which rounds as ``np.dot`` does, and each
+    ``order``-point rule, for a batch of m segments: ``u0`` and ``du`` are
+    (m, n).  The rows to evaluate are laid out segment-major and
+    node-minor, and evaluated in row blocks of at most ``max(1,
+    BLOCK_FACES // F)`` metrics, one curvature call per block; a block may
+    hold the end of one segment and the start of the next.  Each row's dot
+    with its ``du`` is one stacked ``matmul`` of a (1, n) by an (n, 1)
+    matrix, which rounds as ``np.dot`` does (``einsum`` does not), and each
     segment sums its weighted terms in node order (``np.add.at`` adds in
-    index order), so every segment's value equals that of a call on it
+    index order), so every segment's value equals that of a batch of it
     alone, bit for bit.
 
-    Returns ``(value, err)``, the value a float for one segment and an (m,)
-    array for a batch.  On a failed evaluation every value is NaN and
-    ``err`` is the code of the first failing row in row order: for one
-    segment, its first failing node.
+    Returns ``(values, err)``, the values an (m,) array.  On a failed
+    evaluation every value is NaN and ``err`` is the code of the first
+    failing row in row order.
     """
     nodes, weights = _gauss_legendre(order)
-    u0, du = np.broadcast_arrays(u0, du)
-    single = du.ndim == 1
-    n = du.shape[-1]
-    u0 = u0.reshape(-1, n)
-    du = du.reshape(-1, n)
     total = np.zeros(du.shape[0])
     n_rows = total.shape[0] * order
     rows = max(1, BLOCK_FACES // mesh.fv.shape[0])
@@ -374,10 +378,10 @@ def _segment_potential(u0, du, target, order, mesh):
             Kb, err = _curvatures(r, mesh)
             if err != ERR_OK:
                 total.fill(math.nan)
-                return (math.nan if single else total), err
+                return total, err
             dots = np.matmul((Kb - target)[:, None, :], du_rows[:, :, None])
             np.add.at(total, seg, weights[node] * dots.ravel())
-    return (float(total[0]) if single else total), ERR_OK
+    return total, ERR_OK
 
 
 def advance(u, mesh, target, lap_kind, opts, record):
@@ -431,12 +435,12 @@ def advance(u, mesh, target, lap_kind, opts, record):
     exp_safe = EXP_SAFE - float(np.abs(u_ref).max())
 
     def evaluate(u):
-        _, _, _, K, B, kn, err = state(np.exp(u), mesh)
-        raise_state_error(err)
-        dev = K - target
+        s = state(np.exp(u), mesh)
+        raise_state_error(s.err)
+        dev = s.K - target
         energy = float((dev**2).sum())
-        noise = _energy_noise(dev, kn, energy) if lap_kind else 0.0
-        return K, B, dev, energy, noise
+        noise = _energy_noise(dev, s.kn, energy) if lap_kind else 0.0
+        return s.K, s.B, dev, energy, noise
 
     with np.errstate(all="ignore"):
         K, B, dev, energy, noise = evaluate(u)
@@ -446,7 +450,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
         if float(np.abs(dev).max()) < opts.curvature_tol:
             return "converged", steps, u, t
         while steps < opts.max_steps:
-            v = _lap_apply(B, ea, eb, dev) if lap_kind else -dev
+            v = lap_apply(B, ea, eb, dev) if lap_kind else -dev
             for halvings in range(MAX_HALVINGS + 1):
                 if halvings:
                     h *= 0.5
@@ -488,7 +492,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
                         noise_new = _energy_noise(dev_new, kn, e_new)
                         ok = e_new <= energy + (noise + noise_new)
                     if ok:
-                        _, B_new, err = _dual_weights(r_new, G, cc, sin, mesh)
+                        B_new, err = _dual_weights(r_new, G, cc, sin, mesh)
                         ok = err == ERR_OK
                 if ok:
                     break
@@ -603,19 +607,3 @@ def scan_subsets(n, target, ea, eb, fv, fe, pmp, tol):
             checked += m
     return False, [], 0.0, 0.0, checked
 
-
-def state(r, mesh):
-    """:func:`_state` in its own ``np.errstate(all="ignore")`` scope."""
-    with np.errstate(all="ignore"):
-        return _state(r, mesh)
-
-
-def curvatures(r, mesh):
-    """:func:`_curvatures` in its own ``np.errstate(all="ignore")`` scope."""
-    with np.errstate(all="ignore"):
-        return _curvatures(r, mesh)
-
-
-# The kernels above also call these by their private names.
-lap_apply = _lap_apply
-segment_potential = _segment_potential

@@ -177,7 +177,7 @@ def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> Pac
         m = PackingMetric.from_radii(np.full(t.n_vertices, value))
     # radii near the ends of the float range overflow or underflow the
     # cosine law (1e300, 1e-320); such a start is refused, not run
-    if _kernels.state(m.r, _mesh_arrays(t, w))[-1] != _kernels.ERR_OK:
+    if _kernels.state(m.r, _mesh_arrays(t, w)).err != _kernels.ERR_OK:
         raise DomainError(
             f"--radii {spec!r}: the geometry does not evaluate in floating point"
         )

@@ -100,7 +100,9 @@ class IntegratorOptions:
             raise DomainError("initial_step and curvature_tol must be finite and > 0")
         if not (self.max_step > 0 and self.u_max > 0):
             raise DomainError("max_step and u_max must be positive")
-        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+        # a bool is an int to isinstance, but not a step count
+        integral = isinstance(self.max_steps, (int, np.integer))
+        if not integral or isinstance(self.max_steps, bool) or self.max_steps < 1:
             raise DomainError("max_steps must be an integer >= 1")
 
 
@@ -126,12 +128,10 @@ class FlowSample:
 
     @cached_property
     def lambda1(self) -> float:
-        _, _, _, _, b, _, err = _kernels.state(
-            np.exp(self.u), _mesh_arrays(self.mesh, self.weight)
-        )
-        if err != _kernels.ERR_OK:
+        s = _kernels.state(np.exp(self.u), _mesh_arrays(self.mesh, self.weight))
+        if s.err != _kernels.ERR_OK:
             return float("nan")
-        return DualLaplacian(self.mesh.n_vertices, self.mesh.edges, b).lambda1()
+        return DualLaplacian(self.mesh.n_vertices, self.mesh.edges, s.B).lambda1()
 
 
 @dataclass

@@ -45,7 +45,7 @@ def _check_phi(phi: np.ndarray):
     if phi.size and (phi.min() < 0.0 or phi.max() > PHI_MAX):
         raise DomainError(
             f"weights must lie in [0, pi/2]; got range "
-            f"[{phi.min()!r}, {phi.max()!r}]"
+            f"[{float(phi.min())!r}, {float(phi.max())!r}]"
         )
 
 
@@ -234,12 +234,12 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
     calls are bit-identical.
     """
     mesh = _mesh_arrays(t, w, m)
-    lens, ang, _halves, curv, _b, _kn, err = _kernels.state(m.r, mesh)
-    _kernels.raise_state_error(err)
+    s = _kernels.state(m.r, mesh)
+    _kernels.raise_state_error(s.err)
     return GeometryState(
-        lengths=lens,
-        angles=ang,
-        curvatures=curv,
+        lengths=s.lens,
+        angles=s.ang,
+        curvatures=s.K,
         avg_curvature=2.0 * math.pi * t.chi / t.n_vertices,
         chi=t.chi,
     )

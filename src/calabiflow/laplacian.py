@@ -203,6 +203,6 @@ def _definite(a: np.ndarray) -> bool:
 def assemble(t: Triangulation, w: Weight, m: PackingMetric) -> DualLaplacian:
     """Assemble the dual Laplacian of a metric."""
     mesh = _mesh_arrays(t, w, m)
-    _, _, _, _, b, _, err = _kernels.state(m.r, mesh)
-    _kernels.raise_state_error(err)
-    return DualLaplacian(t.n_vertices, t.edges, b)
+    s = _kernels.state(m.r, mesh)
+    _kernels.raise_state_error(s.err)
+    return DualLaplacian(t.n_vertices, t.edges, s.B)

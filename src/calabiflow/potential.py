@@ -209,9 +209,9 @@ def constant_curvature_log_metric(
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
     tgt = resolve_target(t, None)
     dev = math.inf
-    for u, _, K, kn in _newton(t, w, tgt, seed.u):
-        dev = float(np.max(np.abs(K - tgt)))
-        if dev < max(CURVATURE_TOL, float(kn.max())):
+    for u, s in _newton(t, w, tgt, seed.u):
+        dev = float(np.max(np.abs(s.K - tgt)))
+        if dev < max(CURVATURE_TOL, float(s.kn.max())):
             u = u - (u.sum() - seed.u.sum()) / t.n_vertices
             return PackingMetric.from_log_radii(u)
     raise NoConstantCurvatureMetric(

@@ -198,42 +198,42 @@ def _prefix_violation(t: Triangulation, pmp, target, u):
 def _newton(t: Triangulation, w: Weight, target, u):
     """Damped Newton iterates of ``K(u) = target``, starting from ``u``.
 
-    Yields ``(u, ang, K, kn)`` at the start and after each step: the
-    log radii, corner angles, curvatures and curvature noise bounds.  Each
-    step solves ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`)
-    and halves ``delta`` until ``||K - target||_2`` falls.  The iteration
-    ends after ``NEWTON_STEPS`` steps, when ``NEWTON_HALVINGS`` halvings of
-    a step do not lower the norm, after the first iterate at its roundoff
-    floor (see ``CURVATURE_TOL``), or at once when the geometry at ``u``
-    does not evaluate.  Only valid on a connected surface.
+    Yields ``(u, state)`` at the start and after each step: the log radii
+    and their ``_kernels.State``.  Each step solves
+    ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`) and halves
+    ``delta`` until ``||K - target||_2`` falls.  The iteration ends after
+    ``NEWTON_STEPS`` steps, when ``NEWTON_HALVINGS`` halvings of a step do
+    not lower the norm, after the first iterate at its roundoff floor (see
+    ``CURVATURE_TOL``), or at once when the geometry at ``u`` does not
+    evaluate.  Only valid on a connected surface.
     """
     n = t.n_vertices
     mesh = _mesh_arrays(t, w)
     # radii that overflow are reported by the error code
     with np.errstate(all="ignore"):
         r = np.exp(u)
-    _, ang, _, K, B, kn, err = _kernels.state(r, mesh)
-    if err != _kernels.ERR_OK:
+    s = _kernels.state(r, mesh)
+    if s.err != _kernels.ERR_OK:
         return
     for _ in range(NEWTON_STEPS):
-        yield u, ang, K, kn
-        dev = K - target
-        if float(np.abs(dev).max()) < max(CURVATURE_TOL, float(kn.max())):
+        yield u, s
+        dev = s.K - target
+        if float(np.abs(dev).max()) < max(CURVATURE_TOL, float(s.kn.max())):
             return
-        delta = DualLaplacian(n, t.edges, B).solve(-dev)
+        delta = DualLaplacian(n, t.edges, s.B).solve(-dev)
         norm = float(np.linalg.norm(dev))
         for _ in range(NEWTON_HALVINGS):
             with np.errstate(all="ignore"):
                 r = np.exp(u + delta)
-            _, ang_t, _, K_t, B_t, kn_t, err = _kernels.state(r, mesh)
-            if err == _kernels.ERR_OK and float(np.linalg.norm(K_t - target)) < norm:
-                u = u + delta
-                ang, K, B, kn = ang_t, K_t, B_t, kn_t
+            trial = _kernels.state(r, mesh)
+            ok = trial.err == _kernels.ERR_OK
+            if ok and float(np.linalg.norm(trial.K - target)) < norm:
+                u, s = u + delta, trial
                 break
             delta = 0.5 * delta
         else:
             return
-    yield u, ang, K, kn
+    yield u, s
 
 
 def _newton_verdict(t: Triangulation, w: Weight, target):
@@ -249,13 +249,13 @@ def _newton_verdict(t: Triangulation, w: Weight, target):
     n = t.n_vertices
     pmp = math.pi - w.phi
     pmp_f = pmp[t.face_edges]
-    for u, ang, K, _ in _newton(t, w, target, np.zeros(n)):
-        dev = K - target
+    for u, s in _newton(t, w, target, np.zeros(n)):
+        dev = s.K - target
         # the bound holds for corner values whose face sums are exactly pi;
         # moving each face's computed angles by a third of its sum's error
         # changes g and |K - target|_1 by at most the summed error
-        allowance = float(np.abs(ang.sum(axis=1) - math.pi).sum()) + CERTIFICATE_SLACK
-        if _slack_bound(ang, pmp_f, dev) > VIOLATION_TOL + allowance:
+        allowance = float(np.abs(s.ang.sum(axis=1) - math.pi).sum()) + CERTIFICATE_SLACK
+        if _slack_bound(s.ang, pmp_f, dev) > VIOLATION_TOL + allowance:
             return "admissible", None
         found = _prefix_violation(t, pmp, target, u)
         if found is not None:

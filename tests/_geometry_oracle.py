@@ -136,11 +136,11 @@ def edge_length(r_i, r_j, phi):
 def velocity(kind, t, w, m):
     """The right-hand side du/dt of a flow kind at a metric."""
     target = resolve_target(t, kind.target)
-    _, _, _, curv, b, _, err = _kernels.state(np.exp(m.u), _mesh_arrays(t, w))
-    _kernels.raise_state_error(err)
-    dev = curv - target
+    s = _kernels.state(np.exp(m.u), _mesh_arrays(t, w))
+    _kernels.raise_state_error(s.err)
+    dev = s.K - target
     if kind.uses_laplacian:
-        return _kernels.lap_apply(b, t.edges[:, 0], t.edges[:, 1], dev)
+        return _kernels.lap_apply(s.B, t.edges[:, 0], t.edges[:, 1], dev)
     return -dev
 
 

@@ -1,6 +1,8 @@
 """The public surface: exported names, and value types that own their arrays."""
 
 import importlib
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,19 @@ def test_exported_names_resolve():
         mod = importlib.import_module(f"calabiflow.{mod_name}")
         for name in mod.__all__:
             assert hasattr(mod, name), f"{mod_name}.{name}"
+
+
+def test_traced_names_exist_where_the_tracer_rebinds_them():
+    # perfbench's tracer saves each target from owner.__dict__ and rebinds
+    # it there; a renamed kernel would otherwise fail only the traced
+    # benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for owner, attr, name, _ in tracing.TARGETS:
+        assert callable(owner.__dict__.get(attr)), f"{name}: {owner.__name__}.{attr}"
 
 
 def test_removed_names_are_not_exported():

@@ -409,6 +409,12 @@ def test_input_errors_exit_1(capsys, tmp_path, argv):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_weight_out_of_range_prints_plain_floats(capsys):
+    code, out, err = run(capsys, "curvature", "--mesh", "tetrahedron", "--phi", "2")
+    assert code == 1 and out == ""
+    assert err == "error: weights must lie in [0, pi/2]; got range [2.0, 2.0]\n"
+
+
 def test_potential_probe_refuses_huge_ray_counts(capsys):
     # refused by the size of the endpoint array before any direction is drawn
     code, out, err = run(

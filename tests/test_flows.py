@@ -362,6 +362,9 @@ def test_options_validation():
         cf.IntegratorOptions(u_max=-5.0)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(max_steps=2.5)
+    # a bool is an int to isinstance, but not a step count
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(max_steps=True)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(initial_step=float("nan"))
     # an infinite first step collapses, and an infinite tolerance reports
@@ -454,10 +457,10 @@ def test_staged_energy_guard_decides_as_the_full_one(monkeypatch, case):
     mesh_arrays = _mesh_arrays(t, w)
 
     def guard_terms(r):
-        _, _, _, K, _, kn, err = _kernels.state(r, mesh_arrays)
-        dev = K - tr.target
+        s = _kernels.state(r, mesh_arrays)
+        dev = s.K - tr.target
         energy = float((dev**2).sum())
-        return err == _kernels.ERR_OK, energy, _kernels._energy_noise(dev, kn, energy)
+        return s.err == _kernels.ERR_OK, energy, _kernels._energy_noise(dev, s.kn, energy)
 
     _, e, noise = guard_terms(np.exp(samples[0].u))
     k = 0

@@ -134,6 +134,9 @@ def test_weight_validation():
         cf.Weight(np.full(6, np.pi / 2 + 0.1))
     with pytest.raises(cf.DomainError):
         cf.Weight(np.array([np.nan] * 6))
+    # the range prints as Python floats, not numpy scalar reprs
+    with pytest.raises(cf.DomainError, match=r"got range \[0\.1, 2\.0\]$"):
+        cf.Weight([2.0, 0.1, 0.2])
     w = cf.Weight(np.full(6, np.pi / 2))  # boundary values are allowed
     assert np.allclose(w.cos_phi, 0.0, atol=1e-16)
 

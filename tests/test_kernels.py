@@ -117,7 +117,7 @@ def _loop_state(r, fv, fe, ea, eb, cphi):
             err = _kernels.ERR_NONFINITE
         elif float(B.min()) <= 0.0 or float(B.max()) >= _kernels.TWO_SQRT3:
             err = _kernels.ERR_WEIGHT_BOUNDS
-    return lens, ang, halves, K, B, kn, err
+    return lens, ang, K, B, kn, err
 
 
 def _same(got, want):
@@ -154,20 +154,20 @@ def test_error_codes_and_raise_mapping():
 
 def test_energy_noise_bound_scales():
     t, r, args = _arrays("tetrahedron", 58)
-    _, _, _, K, B, kn, err = _kernels.state(r, args)
-    assert err == _kernels.ERR_OK
-    assert np.all(kn >= 0)
+    s = _kernels.state(r, args)
+    assert s.err == _kernels.ERR_OK
+    assert np.all(s.kn >= 0)
     # healthy metrics have curvature noise near machine precision
-    assert np.max(kn) < 1e-12
+    assert np.max(s.kn) < 1e-12
     target = np.full(4, math.pi)
-    energy = float(np.sum((K - target) ** 2))
-    noise = _kernels._energy_noise(K - target, kn, energy)
+    energy = float(np.sum((s.K - target) ** 2))
+    noise = _kernels._energy_noise(s.K - target, s.kn, energy)
     assert 0 <= noise < 1e-10
 
 
 def test_curvatures_match_state():
     t, r, args = _arrays("icosahedron", 51)
-    k_state = _kernels.state(r, args)[3]
+    k_state = _kernels.state(r, args).K
     k_only, err = _kernels.curvatures(r, args)
     assert err == _kernels.ERR_OK
     assert np.array_equal(k_only, k_state)
@@ -241,7 +241,7 @@ def test_rolled_kernels_match_corner_loop_on_failing_rows(name):
         nonfinite[1] = np.nan
         codes = {_kernels.ERR_CLAMP: clamp, _kernels.ERR_NONFINITE: nonfinite}
         for code, r in codes.items():
-            assert _kernels.state(r, mesh)[-1] == code
+            assert _kernels.state(r, mesh).err == code
             _same(_kernels.state(r, mesh), _loop_state(r, *old))
             _same(_kernels.curvatures(r, mesh), _loop_corners(r, *old)[4:])
         for middle in ([clamp, nonfinite], [nonfinite, clamp]):
@@ -259,19 +259,19 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, order, rows):
         monkeypatch.setattr(_kernels, "BLOCK_FACES", rows * t.n_faces)
     rng = np.random.default_rng(62)
     args = _mesh_arrays(t, random_weight(rng, t))
-    u0 = rng.normal(0.0, 0.3, t.n_vertices)
-    du = rng.normal(0.0, 0.5, t.n_vertices)
+    u0 = rng.normal(0.0, 0.3, (1, t.n_vertices))
+    du = rng.normal(0.0, 0.5, (1, t.n_vertices))
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    got = _kernels.segment_potential(u0, du, target, order, args)
-    assert got == _node_loop_segment(u0, du, target, order, args)
-    assert got[1] == _kernels.ERR_OK
+    values, err = _kernels.segment_potential(u0, du, target, order, args)
+    assert values.shape == (1,) and err == _kernels.ERR_OK
+    assert (values[0], err) == _node_loop_segment(u0[0], du[0], target, order, args)
     # radii overflow to inf part way along: same first failing node
-    du[0] = 1000.0
+    du[0, 0] = 1000.0
     with np.errstate(over="ignore"):
-        value, err = _kernels.segment_potential(u0, du, target, order, args)
-        ref_value, ref_err = _node_loop_segment(u0, du, target, order, args)
+        values, err = _kernels.segment_potential(u0, du, target, order, args)
+        ref_value, ref_err = _node_loop_segment(u0[0], du[0], target, order, args)
     assert err == ref_err == _kernels.ERR_NONFINITE
-    assert math.isnan(value) and math.isnan(ref_value)
+    assert math.isnan(values[0]) and math.isnan(ref_value)
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -291,8 +291,9 @@ def test_batched_segment_potential_matches_node_loop(monkeypatch, name, rows):
         assert err == _kernels.ERR_OK and values.shape == (4,)
         for v, a, d in zip(values, u0, du):
             assert (v, err) == _node_loop_segment(a, d, target, order, args)
-        # one start broadcast against every step
-        values, _ = _kernels.segment_potential(u0[0], du, target, order, args)
+        # one start, broadcast against every step
+        start = np.broadcast_to(u0[0], du.shape)
+        values, _ = _kernels.segment_potential(start, du, target, order, args)
         for v, d in zip(values, du):
             assert v == _node_loop_segment(u0[0], d, target, order, args)[0]
     # radii overflow to inf part way along the third segment: every value
@@ -367,11 +368,11 @@ def test_ricci_steps_lower_the_potential(name, kind):
         # below 2 * SAMPLE_TARGET steps every accepted state is a sample
         assert trace.status == "converged"
         assert trace.accepted_steps < 2 * _kernels.SAMPLE_TARGET
-        args = _mesh_arrays(t, w)
-        us = [s.u for s in trace.samples]
-        for ua, ub in zip(us, us[1:]):
-            df, err = _kernels.segment_potential(ua, ub - ua, trace.target, 4, args)
-            assert err == _kernels.ERR_OK and df <= 0.0
+        us = np.array([s.u for s in trace.samples])
+        df, err = _kernels.segment_potential(
+            us[:-1], np.diff(us, axis=0), trace.target, 4, _mesh_arrays(t, w)
+        )
+        assert err == _kernels.ERR_OK and np.all(df <= 0.0)
 
 
 @pytest.mark.parametrize("name", MESH_NAMES + ("oct18", "oct66"))
@@ -381,15 +382,15 @@ def test_segment_potential_converges(name):
     t = _mesh(name)
     rng = np.random.default_rng(62)
     args = _mesh_arrays(t, random_weight(rng, t))
-    u0 = rng.normal(0.0, 0.3, t.n_vertices)
-    du = rng.normal(0.0, 0.5, t.n_vertices)
+    u0 = rng.normal(0.0, 0.3, (1, t.n_vertices))
+    du = rng.normal(0.0, 0.5, (1, t.n_vertices))
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
     ref, err = _kernels.segment_potential(u0, du, target, 256, args)
     assert err == _kernels.ERR_OK
     for order, tol in ((8, 1e-10), (16, 1e-12)):
         value, err = _kernels.segment_potential(u0, du, target, order, args)
         assert err == _kernels.ERR_OK
-        assert abs(value - ref) < tol * (1.0 + abs(ref))
+        assert abs(value[0] - ref[0]) < tol * (1.0 + abs(ref[0]))
 
 
 def test_segment_potential_memory_bounded():
@@ -397,8 +398,8 @@ def test_segment_potential_memory_bounded():
     t = _mesh("oct66")
     rng = np.random.default_rng(63)
     args = _mesh_arrays(t, random_weight(rng, t))
-    u0 = rng.normal(0.0, 0.3, t.n_vertices)
-    du = rng.normal(0.0, 0.3, t.n_vertices)
+    u0 = rng.normal(0.0, 0.3, (1, t.n_vertices))
+    du = rng.normal(0.0, 0.3, (1, t.n_vertices))
     target = np.full(t.n_vertices, 4 * math.pi / t.n_vertices)
     # the first call builds and caches the rule, an 8 MB eigenproblem
     _kernels.segment_potential(u0, du, target, 2**10, args)

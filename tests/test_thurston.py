@@ -296,8 +296,9 @@ def test_slack_bound_below_every_subset_slack(name):
         zero = np.zeros(t.n_vertices)
         rows = [(list(m), rhs) for m, _, rhs in enumerate_rows(t, w, zero)]
         u = rng.uniform(-1.0, 1.0, t.n_vertices)
-        _, ang, _, K, _, _, err = _kernels.state(np.exp(u), _mesh_arrays(t, w))
-        assert err == _kernels.ERR_OK
+        s = _kernels.state(np.exp(u), _mesh_arrays(t, w))
+        assert s.err == _kernels.ERR_OK
+        ang, K = s.ang, s.K
         pmp_f = (math.pi - w.phi)[t.face_edges]
         for eps in (0.0, 1e-3, 0.3):
             noise = rng.normal(0.0, eps, t.n_vertices)
@@ -401,12 +402,10 @@ def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
         t = subdivide(t)
     assert t.n_vertices == 1026
     target = np.full(t.n_vertices, TWO_PI * t.chi / t.n_vertices)
-    *_, (u, ang, K, kn) = thurston._newton(
-        t, zero_weight(t), target, np.zeros(t.n_vertices)
-    )
-    dev = K - target
+    *_, (_, s) = thurston._newton(t, zero_weight(t), target, np.zeros(t.n_vertices))
+    dev = s.K - target
     assert abs(dev[0]) <= 10.0 * np.abs(dev[1:]).max()
-    assert np.abs(dev).max() < max(1e-12, kn.max())
+    assert np.abs(dev).max() < max(1e-12, s.kn.max())
 
 
 @pytest.mark.parametrize("n", [66, 1026])
@@ -423,8 +422,8 @@ def test_newton_stops_at_its_roundoff_floor(monkeypatch, n):
         "solve",
         lambda lap, rhs: solves.append(len(iterates)) or solve(lap, rhs),
     )
-    for _, _, K, kn in thurston._newton(t, zero_weight(t), target, np.zeros(n)):
-        iterates.append(np.abs(K - target).max() < max(CURVATURE_TOL, kn.max()))
+    for _, s in thurston._newton(t, zero_weight(t), target, np.zeros(n)):
+        iterates.append(np.abs(s.K - target).max() < max(CURVATURE_TOL, s.kn.max()))
     assert iterates.index(True) == len(iterates) - 1
     assert solves == list(range(1, len(iterates)))
 
@@ -452,9 +451,9 @@ def _newton_limit(t, w, target, u):
     """The first ``_newton`` iterate within the curvature noise of
     ``target``, with every iterate's drift of ``sum u``."""
     drift = []
-    for u_k, _, K, kn in thurston._newton(t, w, target, u):
+    for u_k, s in thurston._newton(t, w, target, u):
         drift.append(abs(u_k.sum() - u.sum()))
-        if np.abs(K - target).max() < max(1e-12, kn.max()):
+        if np.abs(s.K - target).max() < max(1e-12, s.kn.max()):
             return u_k, max(drift)
     raise AssertionError("the Newton solve stopped short")
 
