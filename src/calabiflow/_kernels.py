@@ -394,8 +394,13 @@ def advance(u, mesh, target, lap_kind, opts, record):
     and raise if not clean; a trial that is not clean is rejected.
 
     Each step is explicit Euler with a descent guard: a trial that fails it
-    is halved and retried, up to ``MAX_HALVINGS`` times, and the step grows
-    by ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after every
+    is halved and retried, and the run collapses once ``MAX_HALVINGS``
+    halvings of evaluated trials fail, or the step reaches 0.  A trial
+    refused unevaluated (past the divergence guard by ``TRIAL_MARGIN``, or
+    with radii that underflow) does not count: as ``h max|v| -> 0`` the
+    trial nears the current state, which passed both tests unless it is a
+    start with radii below the normal range.  The step grows by
+    ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after every
     ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial passes
     when its geometry evaluates cleanly and ``e_new <= energy + (noise +
     noise_new)``, the energies' roundoff allowance.  Its stages run cheapest
@@ -451,9 +456,11 @@ def advance(u, mesh, target, lap_kind, opts, record):
             return "converged", steps, u, t
         while steps < opts.max_steps:
             v = lap_apply(B, ea, eb, dev) if lap_kind else -dev
-            for halvings in range(MAX_HALVINGS + 1):
-                if halvings:
+            trials = evaluated = 0
+            while evaluated <= MAX_HALVINGS and h > 0.0:
+                if trials:
                     h *= 0.5
+                trials += 1
                 du = h * v
                 u_new = u + du
                 drift = float(np.abs(u_new - u_ref).max())
@@ -470,6 +477,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 r_new = np.exp(u_new)
                 if drift > exp_safe and float(r_new.min()) < TINY:
                     continue  # radii that underflow are rejected like overflow
+                evaluated += 1
                 if lap_kind:
                     _, G, cc, _, K_new, err = _corners(r_new, mesh)
                 else:
@@ -502,7 +510,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
             if lap_kind:
                 B, noise, kept = B_new, noise_new, (G, sin)
             steps += 1
-            streak = 1 if halvings else streak + 1
+            streak = 1 if trials > 1 else streak + 1
             if streak >= GROWTH_INTERVAL:
                 grown = h * GROWTH_FACTOR
                 h = grown if grown < opts.max_step else opts.max_step

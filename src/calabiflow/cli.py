@@ -41,7 +41,8 @@ from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
-from .potential import _probe_guard, constant_curvature_log_metric, ricci_potential
+from .potential import _probe_guard, _ray_pieces, constant_curvature_log_metric
+from .potential import ricci_potential
 from .thurston import check_admissible, enumerate_rows
 
 EXIT_OK = 0
@@ -394,28 +395,25 @@ def cmd_potential_probe(args) -> int:
         norm = float(np.linalg.norm(d))
         if norm > 1e-6:
             dirs.append(d / norm)
-    # one row per (ray, radius), ray-major
-    ends = base.u + np.array(radii)[:, None] * np.array(dirs)[:, None, :]
-    # path independence: base -> far directly, and via a point on a second
-    # ray; all segments are one batched quadrature
-    n = t.n_vertices
-    far = ends[0, -1]
+    u_from, u_to, ray_rows = _ray_pieces(base.u, np.array(dirs), radii)
+    # path independence: ray 0 out to the far radius against the path via a
+    # point on a second ray, whose two legs join the rays' batched quadrature
     mid = base.u + 0.5 * radii[-1] * dirs[min(1, len(dirs) - 1)]
-    u_to = np.vstack([ends.reshape(-1, n), far, mid, far])
-    u_from = np.tile(base.u, (len(u_to), 1))
-    u_from[-1] = mid
+    u_from = np.vstack([u_from, base.u, mid])
+    u_to = np.vstack([u_to, mid, base.u + radii[-1] * dirs[0]])
     with _probe_guard(radii[-1]):
         vals = ricci_potential(t, w, u_from, u_to)
+    f = ray_rows(vals[:-2])
     rows = []
     ok = lam > 0.0
-    for idx, ray in enumerate(vals[:-3].reshape(len(dirs), len(radii))):
+    for idx, ray in enumerate(f):
         prev = 0.0
         for s, val in zip(radii, ray.tolist()):
             rows.append({"direction": idx, "radius": s, "f": val})
             if val < -1e-9 or val < prev - 1e-9:
                 ok = False
             prev = val
-    direct = float(vals[-3])
+    direct = float(f[0, -1])
     via = float(vals[-2]) + float(vals[-1])
     residual = abs(direct - via) / (1.0 + abs(direct))
     if residual > 1e-7:

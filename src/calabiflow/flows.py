@@ -197,8 +197,8 @@ def integrate(
     )
     if status == "collapsed":
         raise StepCollapseError(
-            f"step collapsed after {_kernels.MAX_HALVINGS} halvings at "
-            f"t={t_final!r} (step {steps})"
+            f"step collapsed at t={t_final!r} (step {steps}): {_kernels.MAX_HALVINGS}"
+            " halvings of evaluated trials failed, or the step reached 0"
         )
     return FlowTrace(
         kind_name=kind.name,

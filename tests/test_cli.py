@@ -500,6 +500,18 @@ def test_overflowing_trials_print_no_warning():
     assert json.loads(proc.stdout)["status"] == "converged"
 
 
+@pytest.mark.parametrize("kind", ["calabi", "ricci_normalized"])
+def test_flow_from_a_too_large_first_step_exits_0(capsys, kind):
+    # the step shrinks past the trials refused unevaluated, as many as it
+    # takes, instead of collapsing after 60 halvings
+    code, out, err = run(
+        capsys, "flow", "--mesh", "icosahedron", "--kind", kind,
+        "--initial-step", "1e18",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["status"] == "converged"
+
+
 def test_repeated_calls_match_a_fresh_process(capsys):
     # in-process calls share the parser and the bundled meshes; an earlier
     # call's options must not reach a later one

@@ -322,6 +322,55 @@ def test_underflowing_trials_are_rejected():
     assert r[0] >= np.finfo(np.float64).tiny and r[0] < np.exp(-708.0)
 
 
+@pytest.mark.parametrize("kind", ["calabi", "ricci_normalized"])
+def test_too_large_first_step_shrinks_until_evaluated(kind):
+    # 60 halvings bring a first step of 1e18 down only to about 0.87, and
+    # every trial until well below that lands past the divergence guard's
+    # margin; trials refused before any evaluation are halved without
+    # counting toward MAX_HALVINGS, so the run converges
+    t = mesh("icosahedron")
+    m0 = random_metric(np.random.default_rng(0), t)
+    opts = cf.IntegratorOptions(initial_step=1e18)
+    tr = cf.integrate(getattr(cf.FlowKind, kind)(), t, zero_weight(t), m0, opts)
+    assert tr.status == "converged"
+    assert tr.max_curvature_deviation() < opts.curvature_tol
+
+
+def test_collapse_counts_evaluated_trials(monkeypatch):
+    # a step collapses once its first evaluated trial and MAX_HALVINGS
+    # halvings of it all fail, whether or not unevaluated refusals came
+    # first
+    t = mesh("icosahedron")
+    m0 = random_metric(np.random.default_rng(0), t)
+    calls = []
+    monkeypatch.setattr(
+        _kernels,
+        "_curvatures",
+        lambda r, mesh: calls.append(1) or (None, _kernels.ERR_NONFINITE),
+    )
+    for h in (1e-2, 1e18):
+        calls.clear()
+        with pytest.raises(cf.StepCollapseError):
+            cf.integrate(
+                cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0,
+                cf.IntegratorOptions(initial_step=h),
+            )
+        assert len(calls) == _kernels.MAX_HALVINGS + 1
+
+
+def test_start_below_the_normal_range_collapses():
+    # a radius of 1e-310 evaluates cleanly at weight 0.3, but every trial
+    # from it is refused as underflow, unevaluated: the halvings end when
+    # the step reaches 0
+    t = mesh("octahedron")
+    r = np.ones(t.n_vertices)
+    r[0] = 1e-310
+    m0 = cf.PackingMetric.from_radii(r)
+    for kind in (cf.FlowKind.ricci_normalized(), cf.FlowKind.calabi()):
+        with pytest.raises(cf.StepCollapseError):
+            cf.integrate(kind, t, cf.Weight.uniform(t, 0.3), m0)
+
+
 def test_recenter_repairs_drift(monkeypatch):
     # Force frequent re-centering and check sum u stays pinned.
     monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10)

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import _kernels
+from calabiflow import _kernels, potential
 from calabiflow.cli import main
 from calabiflow.geometry import _mesh_arrays
+from calabiflow.mesh import resolve_target
 from calabiflow.meshes import subdivide
 from _util import MESH_NAMES, mesh, random_metric, random_weight
 
@@ -332,11 +333,11 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
 
 
 def test_potential_probe_curvature_calls(monkeypatch, capsys):
-    # every segment of the probe (8 rays x 4 radii, and the three of the
-    # path test) is one batched quadrature: one curvature call per row
-    # block of each order tried.  Orders 8, 16 and 32 cover 35, 35 and 10
-    # segments, in blocks of at most 512 rows on the tetrahedron's 4 faces.
-    # The per-segment loop made 80 calls here.
+    # every segment of the probe (8 rays in 4 pieces each, and the two legs
+    # of the path test) is one batched quadrature: one curvature call per
+    # row block of each order tried.  Orders 4, 8, 16 and 32 cover 34, 34,
+    # 15 and 1 segments, in blocks of at most 512 rows on the tetrahedron's
+    # 4 faces.  The per-segment loop made 80 calls here.
     rows = []
     curvatures = _kernels._curvatures
     monkeypatch.setattr(
@@ -346,7 +347,7 @@ def test_potential_probe_curvature_calls(monkeypatch, capsys):
     )
     assert main(["potential-probe", "--mesh", "tetrahedron", "--seed", "3"]) == 0
     capsys.readouterr()
-    assert rows == [280, 512, 48, 320]
+    assert rows == [136, 272, 240, 32]
 
 
 @pytest.mark.parametrize("kind", ["ricci_normalized", "ricci_prescribed"])
@@ -391,6 +392,32 @@ def test_segment_potential_converges(name):
         value, err = _kernels.segment_potential(u0, du, target, order, args)
         assert err == _kernels.ERR_OK
         assert abs(value[0] - ref[0]) < tol * (1.0 + abs(ref[0]))
+
+
+@pytest.mark.parametrize("name", MESH_NAMES + ("oct18", "oct66"))
+def test_ricci_potential_matches_a_fixed_high_order_rule(name):
+    # the adaptive ladder (orders 4, 8, ... until two agree within 1e-8)
+    # against the 256-point rule, on the pieces of probe rays out to radius
+    # 8 off the constant-curvature metric and on segments 1e-3 long
+    t = _mesh(name)
+    rng = np.random.default_rng(67)
+    w = random_weight(rng, t)
+    base = cf.constant_curvature_log_metric(t, w, random_metric(rng, t))
+    dirs = rng.standard_normal((3, t.n_vertices))
+    dirs -= dirs.mean(axis=1, keepdims=True)
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    u_from, u_to, _ = potential._ray_pieces(base.u, dirs, (1.0, 2.0, 4.0, 8.0))
+    step = rng.standard_normal(u_to.shape)
+    step *= 1e-3 / np.linalg.norm(step, axis=1, keepdims=True)
+    u_from = np.vstack([u_from, u_to])
+    u_to = np.vstack([u_to, u_to + step])
+    target = resolve_target(t, None)
+    ref, err = _kernels.segment_potential(
+        u_from, u_to - u_from, target, 256, _mesh_arrays(t, w)
+    )
+    assert err == _kernels.ERR_OK
+    vals = cf.ricci_potential(t, w, u_from, u_to)
+    assert np.all(np.abs(vals - ref) <= 1e-9 * (1.0 + np.abs(ref)))
 
 
 def test_segment_potential_memory_bounded():

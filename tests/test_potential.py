@@ -125,6 +125,31 @@ def test_properness_probe_monotone_rays():
         assert all(b > a for a, b in zip(fs, fs[1:]))
 
 
+def test_properness_probe_rows_are_running_sums_of_pieces():
+    # each ray is integrated once, piece by piece between its sorted
+    # distinct radii; a row is the running sum of its ray's pieces, and the
+    # radii may come in any order and repeat
+    t = mesh("octahedron")
+    rng = np.random.default_rng(37)
+    w = random_weight(rng, t)
+    base = cf.constant_curvature_log_metric(t, w, random_metric(rng, t))
+    d = rng.standard_normal((2, t.n_vertices))
+    d -= d.mean(axis=1, keepdims=True)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    radii = (3.0, 0.5, 3.0, 1.5)
+    rows = cf.properness_probe(t, w, base, directions=d, radii=radii)
+    assert [(i, s) for i, s, _ in rows] == [(i, s) for i in range(2) for s in radii]
+    for i, s, f in rows:
+        levels = [0.0] + sorted(x for x in set(radii) if x <= s)
+        pieces = [
+            cf.ricci_potential(t, w, base.u + a * d[i], base.u + b * d[i])
+            for a, b in zip(levels, levels[1:])
+        ]
+        assert f == float(np.cumsum(pieces)[-1])
+        direct = cf.ricci_potential(t, w, base.u, base.u + s * d[i])
+        assert f == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
 def test_properness_probe_rejects_bad_directions():
     t = mesh("tetrahedron")
     w = zero_weight(t)
