@@ -49,29 +49,43 @@ KIND_NAMES = ("calabi", "ricci_normalized", "calabi_prescribed", "ricci_prescrib
 class FlowKind:
     """One of the four flow kinds, with its target curvature if prescribed.
 
-    An unprescribed ``target`` is ``None``, which :func:`resolve_target`
-    reads as the average curvature.
+    ``name`` is one of ``KIND_NAMES``; a ``target`` is given exactly for
+    the two ``_prescribed`` kinds (``DomainError`` otherwise).  An
+    unprescribed ``target`` is ``None``, which :func:`resolve_target` reads
+    as the average curvature.
     """
 
     name: str
-    target: Optional[np.ndarray]
-    uses_laplacian: bool
+    target: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        if self.name not in KIND_NAMES:
+            raise DomainError(f"unknown flow kind {self.name!r}; expected one of {KIND_NAMES}")
+        if self.name.endswith("_prescribed") != (self.target is not None):
+            needs = "needs a" if self.target is None else "takes no"
+            raise DomainError(f"flow kind {self.name!r} {needs} target")
+        if self.target is not None:
+            object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
+
+    @property
+    def uses_laplacian(self) -> bool:
+        return self.name.startswith("calabi")
 
     @classmethod
     def calabi(cls) -> "FlowKind":
-        return cls("calabi", None, True)
+        return cls("calabi")
 
     @classmethod
     def ricci_normalized(cls) -> "FlowKind":
-        return cls("ricci_normalized", None, False)
+        return cls("ricci_normalized")
 
     @classmethod
     def calabi_prescribed(cls, target) -> "FlowKind":
-        return cls("calabi_prescribed", np.asarray(target, dtype=np.float64), True)
+        return cls("calabi_prescribed", target)
 
     @classmethod
     def ricci_prescribed(cls, target) -> "FlowKind":
-        return cls("ricci_prescribed", np.asarray(target, dtype=np.float64), False)
+        return cls("ricci_prescribed", target)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,8 @@ __all__ = [
 
 # largest Gauss-Legendre order ricci_potential tries
 MAX_NODES = 2**10
+# largest relative path residual a probe accepts: the form is closed
+PATH_TOL = 1e-7
 
 
 def calabi_energy(
@@ -70,8 +72,8 @@ def ricci_potential(
     is that of a call on it alone, bit for bit.  Past ``MAX_NODES`` nodes
     a :class:`QuadratureError` is raised.  Path independence (integrating
     via any intermediate point gives the same value) follows from
-    closedness of the form and is what the ``potential-probe`` CLI
-    verifies.
+    closedness of the form and is what :func:`properness_probe` and the
+    ``potential-probe`` CLI verify.
     """
     tgt = resolve_target(t, target)
     if not 0.0 < tol < math.inf:
@@ -129,22 +131,48 @@ def _probe_guard(radius: float):
         ) from None
 
 
-def _ray_pieces(u_base, dirs, radii):
-    """The rays ``u_base + s d`` (``d`` a row of ``dirs``) in pieces between
-    consecutive distinct radii from 0, ray-major: ``(u_from, u_to, rows)``.
-    ``rows(values)`` turns the pieces' potentials into the (rays,
-    len(radii)) potentials at ``radii`` in the order given, each the running
-    sum of its ray's pieces: the integral from ``u_base``, by additivity."""
+def _probe(n, directions, radii):
+    """The rays and the path test of a probe, as offsets from its base:
+    ``(offsets_from, offsets_to, finish)``.
+
+    Refuses no radii or directions, radii not positive and finite, and
+    directions not of length ``n``, zero or not orthogonal to the
+    constants; each direction is made unit.  The segments are each ray
+    ``s d`` in pieces between its sorted distinct radii from 0, ray-major,
+    then the path legs ``0 -> mid -> far``: ``far`` is ray 0 at the largest
+    radius, ``mid`` half way to it on ray 1 (ray 0 if alone).  ``finish``
+    maps the segments' values to the (rays, len(radii)) running sums at
+    ``radii`` as given, and the legs' relative residual against ray 0.
+    """
+    radii = [float(s) for s in radii]
+    if not radii or not all(0.0 < s < math.inf for s in radii):
+        raise DomainError("give at least one probe radius, each positive and finite")
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    if directions.shape[1] != n or not len(directions):
+        raise DomainError("give at least one direction, with one entry per vertex")
+    dirs = []
+    for idx, d in enumerate(directions):
+        norm = float(np.linalg.norm(d))
+        if norm == 0.0:
+            raise DomainError(f"direction {idx} is zero")
+        d = d / norm
+        if abs(float(d.sum())) > 1e-9 * math.sqrt(n):
+            raise DomainError(f"direction {idx} has a component along the constant vectors")
+        dirs.append(d)
     levels, where = np.unique(radii, return_inverse=True)
-    u_to = u_base + levels[:, None] * dirs[:, None, :]
-    u_from = np.roll(u_to, 1, axis=1)
-    u_from[:, 0] = u_base
+    to = levels[:, None] * np.array(dirs)[:, None, :]
+    fro = np.concatenate([np.zeros_like(to[:, :1]), to[:, :-1]], axis=1)
+    mid = 0.5 * levels[-1] * dirs[min(1, len(dirs) - 1)]
+    fro = np.vstack([fro.reshape(-1, n), np.zeros(n), mid])
+    to = np.vstack([to.reshape(-1, n), mid, to[0, -1]])
 
-    def rows(values):
-        return np.cumsum(values.reshape(u_to.shape[:2]), axis=1)[:, where]
+    def finish(values):
+        ray = np.cumsum(values[:-2].reshape(len(dirs), -1), axis=1)
+        direct = float(ray[0, -1])
+        residual = abs(direct - (float(values[-2]) + float(values[-1])))
+        return ray[:, where], residual / (1.0 + abs(direct))
 
-    n = len(u_base)
-    return u_from.reshape(-1, n), u_to.reshape(-1, n), rows
+    return fro, to, finish
 
 
 def properness_probe(
@@ -153,8 +181,6 @@ def properness_probe(
     base: PackingMetric,
     directions: np.ndarray | None = None,
     radii=(1.0, 2.0, 4.0, 8.0),
-    target=None,
-    tol: float = 1e-8,
 ) -> list[tuple[int, float, float]]:
     """Sample the Ricci potential along rays off a base metric.
 
@@ -162,45 +188,34 @@ def properness_probe(
     is flat along scaling); they are normalized here.  Radii may come in
     any order and repeat.  All radii and directions are checked before any
     integration; each ray is then integrated once, piece by piece between
-    its radii, all pieces in one batched :func:`ricci_potential` call.
-    Returns rows ``(direction_index, radius, f)``, direction-major, radii in
-    the order given.  When the base is the constant-curvature metric, each
+    its radii, in one batched :func:`ricci_potential` call with a path to
+    ray 0's far end (:func:`_probe`); the form is closed, so a path off by
+    more than ``PATH_TOL`` raises ``InternalConsistencyError``.  Returns
+    rows ``(direction_index, radius, f)``, direction-major, radii in the
+    order given.  When the base is the constant-curvature metric, each
     row's value must be positive and increase with radius — that growth is
     the properness that forces existence of the minimum.  A potential that
     cannot be evaluated out to the largest radius raises ``DomainError``.
     """
     _check_fit(t, w, base)
+    n = t.n_vertices
     radii = [float(s) for s in radii]
-    if not all(0.0 < s < math.inf for s in radii):
-        raise DomainError("probe radii must be positive and finite")
     if directions is None:
-        n = t.n_vertices
         directions = np.zeros((n - 1, n))
         for k in range(1, n):
             directions[k - 1, :k] = 1.0
             directions[k - 1, k] = -float(k)
             directions[k - 1] /= math.sqrt(k * (k + 1.0))
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    if directions.shape[1] != t.n_vertices:
-        raise DomainError("each direction must have one entry per vertex")
-    dirs = []
-    for idx, d in enumerate(directions):
-        norm = float(np.linalg.norm(d))
-        if norm == 0.0:
-            raise DomainError(f"direction {idx} is zero")
-        d = d / norm
-        if abs(float(d.sum())) > 1e-9 * math.sqrt(t.n_vertices):
-            raise DomainError(
-                f"direction {idx} has a component along the constant vectors"
-            )
-        dirs.append(d)
-    dirs = np.reshape(dirs, (-1, t.n_vertices))
-    u_from, u_to, rows = _ray_pieces(base.u, dirs, radii)
+    fro, to, finish = _probe(n, directions, radii)
     with _probe_guard(max(radii)):
-        vals = ricci_potential(t, w, u_from, u_to, target=target, tol=tol)
+        rows, residual = finish(ricci_potential(t, w, base.u + fro, base.u + to))
+    if residual > PATH_TOL:
+        raise InternalConsistencyError(
+            f"the Ricci potential depends on the path: relative residual {residual!r}"
+        )
     return [
         (idx, s, float(v))
-        for idx, ray in enumerate(rows(vals))
+        for idx, ray in enumerate(rows)
         for s, v in zip(radii, ray)
     ]
 

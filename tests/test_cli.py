@@ -12,6 +12,7 @@ import pytest
 
 import calabiflow as cf
 from calabiflow import cli, thurston
+from calabiflow import potential as potential_mod
 from calabiflow.cli import main
 from calabiflow.meshes import mesh_text, subdivide
 from _util import MESH_NAMES, disjoint_text, mesh, stellar_text, zero_weight
@@ -130,6 +131,25 @@ def test_flow_divergence_exit_code(capsys, bad_target_file):
     )
     assert code2 == 2
     assert json.loads(out2)["status"] == "diverged"
+
+
+PI_TARGET = "--target=" + ",".join([repr(math.pi)] * 4)
+
+
+@pytest.mark.parametrize("kind", ["calabi", "ricci_normalized"])
+def test_flow_unprescribed_kind_refuses_a_target(capsys, kind):
+    # the kind would run toward the average curvature and drop the target
+    code, out, err = run(
+        capsys, "flow", "--mesh", "tetrahedron", "--kind", kind, PI_TARGET
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert repr(kind) in err
+    # 'kav' is no target
+    code, out, _ = run(
+        capsys, "flow", "--mesh", "tetrahedron", "--kind", kind, "--target", "kav"
+    )
+    assert code == 0 and json.loads(out)["status"] == "converged"
 
 
 def test_flow_step_limit_exit_code(capsys):
@@ -345,6 +365,36 @@ def test_potential_probe_decreasing_radii_exits_1(capsys, name):
     assert code == 0 and json.loads(out)["ok"] is True
 
 
+def test_potential_probe_fails_a_path_off_by_more_than_path_tol(capsys, monkeypatch):
+    # the CLI's path test is the library's: the same legs, the same tolerance
+    ricci = cli.ricci_potential
+
+    def shifted(*args, **kwargs):
+        values = ricci(*args, **kwargs).copy()
+        values[-1] += 1e-3
+        return values
+
+    monkeypatch.setattr(cli, "ricci_potential", shifted)
+    code, out, _ = run(capsys, "potential-probe", "--mesh", "octahedron")
+    doc = json.loads(out)
+    assert code == 3 and doc["ok"] is False
+    assert doc["path_independence_residual"] > potential_mod.PATH_TOL
+
+
+@pytest.mark.parametrize("radii", ["0,1", "nan", "inf", "-1,2"])
+def test_potential_probe_bad_radius_exits_1_before_the_solve(capsys, monkeypatch, radii):
+    def solve(*args):
+        raise AssertionError("the Newton solve ran")
+
+    monkeypatch.setattr(cli, "constant_curvature_log_metric", solve)
+    code, out, err = run(
+        capsys, "potential-probe", "--mesh", "tetrahedron", f"--probe-radii={radii}"
+    )
+    # the library's refusal, not a copy of it in the CLI
+    assert code == 1 and out == ""
+    assert err == "error: give at least one probe radius, each positive and finite\n"
+
+
 def test_config_file_and_flag_precedence(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("mesh = octahedron\nseed = 9\nkind = ricci_normalized\n")
@@ -448,6 +498,20 @@ def test_out_of_range_input_exit_1(capsys, argv, named):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("command", ["curvature", "flow", "potential-probe"])
+def test_start_below_the_normal_range_exits_1(capsys, tmp_path, command):
+    # the cosine law evaluates at 1e-310 for a weight of 0.3, but every
+    # flow trial from it underflows: bad input, not a collapse or no packing
+    path = tmp_path / "tiny.txt"
+    path.write_text("1e-310\n" + "1\n" * 5)
+    code, out, err = run(
+        capsys, command, "--mesh", "octahedron", "--phi", "0.3", "--radii", str(path)
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--radii" in err and "normal float range" in err
 
 
 # (command, flags another command reads); "CONFIG" puts them in a config file

@@ -1,5 +1,6 @@
 """Flow kinds, guarded stepping, integration statuses, conservation laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -15,6 +16,27 @@ from _util import mesh, random_metric, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
 BAD_TETRA_TARGET = np.array([-TWO_PI, TWO_PI, TWO_PI, TWO_PI])
+
+
+@pytest.mark.parametrize("name", cf.flows.KIND_NAMES)
+@pytest.mark.parametrize("target", [None, np.full(4, math.pi)])
+def test_kind_checks_its_name_and_target(name, target):
+    # a target is given exactly for the prescribed kinds
+    if name.endswith("_prescribed") == (target is not None):
+        kind = cf.FlowKind(name, target)
+        assert kind.name == name and kind.uses_laplacian == name.startswith("calabi")
+        if target is not None:
+            assert kind.target.dtype == np.float64 and np.all(kind.target == target)
+    else:
+        with pytest.raises(cf.DomainError, match=name):
+            cf.FlowKind(name, target)
+
+
+def test_kind_refuses_unknown_names_and_has_two_fields():
+    for name in ("warp", "Calabi", "calabi_normalized", ""):
+        with pytest.raises(cf.DomainError, match="unknown flow kind"):
+            cf.FlowKind(name)
+    assert [f.name for f in dataclasses.fields(cf.FlowKind)] == ["name", "target"]
 
 
 def test_kind_constructors_and_targets():

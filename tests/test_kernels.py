@@ -398,7 +398,8 @@ def test_segment_potential_converges(name):
 def test_ricci_potential_matches_a_fixed_high_order_rule(name):
     # the adaptive ladder (orders 4, 8, ... until two agree within 1e-8)
     # against the 256-point rule, on the pieces of probe rays out to radius
-    # 8 off the constant-curvature metric and on segments 1e-3 long
+    # 8 off the constant-curvature metric with the probe's path legs, and
+    # on segments 1e-3 long
     t = _mesh(name)
     rng = np.random.default_rng(67)
     w = random_weight(rng, t)
@@ -406,7 +407,8 @@ def test_ricci_potential_matches_a_fixed_high_order_rule(name):
     dirs = rng.standard_normal((3, t.n_vertices))
     dirs -= dirs.mean(axis=1, keepdims=True)
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    u_from, u_to, _ = potential._ray_pieces(base.u, dirs, (1.0, 2.0, 4.0, 8.0))
+    fro, to, _ = potential._probe(t.n_vertices, dirs, (1.0, 2.0, 4.0, 8.0))
+    u_from, u_to = base.u + fro, base.u + to
     step = rng.standard_normal(u_to.shape)
     step *= 1e-3 / np.linalg.norm(step, axis=1, keepdims=True)
     u_from = np.vstack([u_from, u_to])

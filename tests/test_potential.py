@@ -255,6 +255,43 @@ def test_properness_probe_rejects_bad_radii():
                 cf.properness_probe(t, w, base, radii=radii)
 
 
+def test_properness_probe_refuses_empty_radii_and_directions():
+    # the path test needs one ray and one radius
+    t = mesh("tetrahedron")
+    w = zero_weight(t)
+    base = cf.constant_curvature_log_metric(t, w)
+    for kwargs in (dict(radii=()), dict(directions=np.zeros((0, 4)))):
+        with pytest.raises(cf.DomainError):
+            cf.properness_probe(t, w, base, **kwargs)
+
+
+def _shift_last_leg(ricci):
+    """``ricci_potential`` with the last segment's value moved by 1e-3: a
+    path leg that disagrees with the ray it should match."""
+
+    def shifted(*args, **kwargs):
+        values = ricci(*args, **kwargs).copy()
+        values[-1] += 1e-3
+        return values
+
+    return shifted
+
+
+def test_properness_probe_checks_path_independence(monkeypatch):
+    # the form is closed, so a path off by more than PATH_TOL is a fault
+    t = mesh("octahedron")
+    w = zero_weight(t)
+    base = cf.constant_curvature_log_metric(t, w)
+    rows = cf.properness_probe(t, w, base)
+    ricci = potential_mod.ricci_potential
+    monkeypatch.setattr(potential_mod, "ricci_potential", _shift_last_leg(ricci))
+    with pytest.raises(cf.InternalConsistencyError, match="path"):
+        cf.properness_probe(t, w, base)
+    # the rays' pieces come before the legs, so the rows did not move
+    monkeypatch.setattr(potential_mod, "PATH_TOL", math.inf)
+    assert cf.properness_probe(t, w, base) == rows
+
+
 def test_properness_probe_too_far_raises_domain_error():
     # at radius 40 the cosine law fails in floating point at some
     # quadrature node of the tetrahedron's rays
