@@ -42,18 +42,18 @@ first row that evaluation calls a violation is the result, with its
 values; a flagged row it clears is skipped.  So the result is that of the
 loop over subsets bit for bit; the tests keep that loop as their reference.
 
-Error reporting: the geometry kernels return an integer code instead of
-raising, because the step controller in :func:`advance` treats a trial
-whose geometry does not evaluate cleanly as one more rejected trial, not as
-a failure of the run.  Callers outside the controller translate nonzero
-codes via :func:`raise_state_error`, as :func:`advance` does for the
-states it evaluates between steps.  A non-finite corner cosine takes
-precedence over one past the clamp tolerance.  On a batch every row has
-its own code, and the call reports the code of the first row that fails;
-a failing row does not change the values of the other rows.  So numpy's
-floating point warnings are ignored, in one ``np.errstate`` scope per call
-of ``state`` and ``curvatures`` and per loop of :func:`advance` and
-:func:`segment_potential`; the private kernels enter none.
+Error reporting: a geometry kernel returns values only, and raises
+``InternalConsistencyError`` when an evaluation is not clean: a corner
+cosine past the clamp tolerance, an edge weight outside (0, 2 sqrt 3), or
+a non-finite value.  A non-finite corner cosine takes precedence over one
+past the clamp tolerance, and a batch raises for its first failing row.
+The step controller in :func:`advance` catches the error around the one
+kernel call of a trial and rejects that trial; the states it evaluates
+between steps raise.  Radii that overflow or underflow are reported this
+way, so numpy's floating point warnings are ignored, in one
+``np.errstate`` scope per call of ``state`` and ``curvatures`` and per loop
+of :func:`advance` and :func:`segment_potential`; the private kernels
+enter none.
 """
 
 from __future__ import annotations
@@ -71,12 +71,7 @@ SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
 TWO_SQRT3 = 2.0 * SQRT3
 CLAMP_TOL = 1e-9
-
-# state error codes
-ERR_OK = 0
-ERR_CLAMP = 1
-ERR_WEIGHT_BOUNDS = 2
-ERR_NONFINITE = 3
+NONFINITE = "non-finite value in geometry evaluation"
 
 # Quadrature nodes are evaluated in row blocks of at most BLOCK_FACES // F
 # metrics per curvature call (F faces).  A block saves the per-call overhead
@@ -130,24 +125,6 @@ def active_backend() -> str:
     return "numpy"
 
 
-def raise_state_error(err: int):
-    if err == ERR_CLAMP:
-        raise InternalConsistencyError(
-            "cosine-law value left [-1, 1] by more than the clamp tolerance; "
-            "a triangle inequality that is guaranteed for weights in [0, pi/2] "
-            "failed"
-        )
-    if err == ERR_WEIGHT_BOUNDS:
-        raise InternalConsistencyError(
-            "an edge weight left the open interval (0, 2*sqrt(3)) that theory "
-            "guarantees"
-        )
-    if err == ERR_NONFINITE:
-        raise InternalConsistencyError("non-finite value in geometry evaluation")
-    if err != ERR_OK:
-        raise InternalConsistencyError(f"unknown kernel error code {err}")
-
-
 class Mesh(NamedTuple):
     """Static arrays of one weighted mesh, as the geometry kernels read them.
 
@@ -176,28 +153,30 @@ class Mesh(NamedTuple):
 
 
 class State(NamedTuple):
-    """One metric's evaluation by :func:`state`: edge lengths ``lens`` (E,),
-    corner angles ``ang`` (F, 3), curvatures ``K`` (n,), edge weights ``B``
-    (E,), curvature noise bounds ``kn`` (n,) and the error code ``err`` of
-    the first stage that failed."""
+    """One metric's clean evaluation by :func:`state`: edge lengths ``lens``
+    (E,), corner angles ``ang`` (F, 3), curvatures ``K`` (n,), edge weights
+    ``B`` (E,) and curvature noise bounds ``kn`` (n,)."""
 
     lens: np.ndarray
     ang: np.ndarray
     K: np.ndarray
     B: np.ndarray
     kn: np.ndarray
-    err: int
 
 
-def _cosine_error(c):
-    """Error code of one metric's corner cosines ``c`` (F, 3): a non-finite
-    value takes precedence over a value past the clamp tolerance.  Clean
-    cosines cost one reduction: NaN fails the comparison as well."""
+def _check_cosines(c):
+    """Raise unless one metric's corner cosines ``c`` (F, 3) are clean: a
+    non-finite value takes precedence over a value past the clamp tolerance.
+    Clean cosines cost one reduction: NaN fails the comparison as well."""
     if float(np.abs(c).max()) - 1.0 <= CLAMP_TOL:
-        return ERR_OK
+        return
     if not np.all(np.isfinite(c)):
-        return ERR_NONFINITE
-    return ERR_CLAMP
+        raise InternalConsistencyError(NONFINITE)
+    raise InternalConsistencyError(
+        "cosine-law value left [-1, 1] by more than the clamp tolerance; "
+        "a triangle inequality that is guaranteed for weights in [0, pi/2] "
+        "failed"
+    )
 
 
 def _gather(x, index):
@@ -209,14 +188,15 @@ def _gather(x, index):
 def _corners(r, mesh):
     """Per-corner geometry: the stage every geometry evaluation starts with.
 
-    Returns ``(lens, G, cc, ang, K, err)``: edge lengths; ``G``, the lengths
+    Returns ``(lens, G, cc, ang, K)``: edge lengths; ``G``, the lengths
     ``L``, ``L1``, ``L2`` of the edges opposite corners ``m``, ``m + 1`` and
     ``m + 2`` of every corner ``m`` (see :func:`_gather`); clamped corner
-    cosines and angles; curvatures and the error code.
+    cosines and angles; and curvatures.
 
     ``r`` is one metric (n,) or a batch of metrics (m, n); every array
-    returned gains the same leading axis, and the error code is that of
-    the first row that fails (see the module docstring).
+    returned gains the same leading axis.  Raises
+    ``InternalConsistencyError`` for the first row whose cosines are not
+    clean (see the module docstring).
     """
     n = r.shape[-1]
     # The in-place updates below keep few temporaries alive; each computes
@@ -243,14 +223,15 @@ def _corners(r, mesh):
     del sq, den
     corners = mesh.fv.ravel()
     if r.ndim == 1:
-        err = _cosine_error(c)
+        _check_cosines(c)
     else:
         # a row fails exactly when its largest |cosine| is past the clamp
-        # tolerance or NaN (max() propagates NaN); that row then gets the
-        # one-metric verdict
+        # tolerance or NaN (max() propagates NaN); the first such row then
+        # gets the one-metric verdict
         worst = np.abs(c).reshape(r.shape[0], -1).max(axis=1)
         bad = np.flatnonzero(~(worst - 1.0 <= CLAMP_TOL))
-        err = _cosine_error(c[bad[0]]) if bad.size else ERR_OK
+        if bad.size:
+            _check_cosines(c[bad[0]])
         corners = (np.arange(r.shape[0])[:, None] * n + corners).ravel()
     # cc = np.clip(c, -1.0, 1.0), without clip()'s Python-level overhead
     cc = np.minimum(np.maximum(c, -1.0, out=c), 1.0, out=c)
@@ -258,7 +239,7 @@ def _corners(r, mesh):
     K = np.empty(r.shape)
     K.fill(TWO_PI)
     np.subtract.at(K.reshape(-1), corners, ang.ravel())
-    return lens, G, cc, ang, K, err
+    return lens, G, cc, ang, K
 
 
 def _curvature_noise(G, sin, mesh, n):
@@ -277,9 +258,9 @@ def _curvature_noise(G, sin, mesh, n):
 
 
 def _dual_weights(r, G, cc, sin, mesh):
-    """Edge weights and their error code for one metric ``r`` with clean
-    cosines, whose curvatures are then finite: the weights' extremes decide
-    the bound (0, 2 sqrt 3), and finiteness when it fails."""
+    """Edge weights of one metric ``r`` with clean cosines, whose curvatures
+    are then finite.  The weights' extremes decide the bound (0, 2 sqrt 3),
+    and finiteness which error is raised when it fails."""
     L, L1, L2 = G
     # Half weight of the edge opposite corner m, which joins corners
     # m + 1 and m + 2: the derivative of the angle at m + 1 with respect
@@ -292,26 +273,29 @@ def _dual_weights(r, G, cc, sin, mesh):
     B = np.bincount(mesh.fe.ravel(), halves.ravel(), minlength=mesh.ea.shape[0])
     lo, hi = float(B.min()), float(B.max())
     if lo > 0.0 and hi < TWO_SQRT3:
-        return B, ERR_OK
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    return B, (ERR_WEIGHT_BOUNDS if finite else ERR_NONFINITE)
+        return B
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InternalConsistencyError(NONFINITE)
+    raise InternalConsistencyError(
+        "an edge weight left the open interval (0, 2*sqrt(3)) that theory "
+        "guarantees"
+    )
 
 
 def state(r, mesh):
     """The :class:`State` of one metric (n,), evaluated in its own
-    ``np.errstate(all="ignore")`` scope."""
+    ``np.errstate(all="ignore")`` scope; raises if it is not clean."""
     with np.errstate(all="ignore"):
-        lens, G, cc, ang, K, err = _corners(r, mesh)
+        lens, G, cc, ang, K = _corners(r, mesh)
         sin = np.sqrt(1.0 - cc * cc)
         kn = _curvature_noise(G, sin, mesh, r.shape[0])
-        B, w_err = _dual_weights(r, G, cc, sin, mesh)
-    return State(lens, ang, K, B, kn, err or w_err)
+        B = _dual_weights(r, G, cc, sin, mesh)
+    return State(lens, ang, K, B, kn)
 
 
 def _curvatures(r, mesh):
     """Curvatures only; the cheap evaluation of one metric or a batch."""
-    *_, K, err = _corners(r, mesh)
-    return K, err
+    return _corners(r, mesh)[4]
 
 
 def curvatures(r, mesh):
@@ -361,27 +345,23 @@ def segment_potential(u0, du, target, order, mesh):
     index order), so every segment's value equals that of a batch of it
     alone, bit for bit.
 
-    Returns ``(values, err)``, the values an (m,) array.  On a failed
-    evaluation every value is NaN and ``err`` is the code of the first
-    failing row in row order.
+    Returns the values, an (m,) array.  Raises for the first row, in row
+    order, that does not evaluate cleanly.
     """
     nodes, weights = _gauss_legendre(order)
     total = np.zeros(du.shape[0])
     n_rows = total.shape[0] * order
     rows = max(1, BLOCK_FACES // mesh.fv.shape[0])
-    # radii that overflow to inf are reported by the error code
+    # radii that overflow to inf raise in the curvature call
     with np.errstate(all="ignore"):
         for k in range(0, n_rows, rows):
             seg, node = np.divmod(np.arange(k, min(k + rows, n_rows)), order)
             du_rows = du.take(seg, axis=0)
             r = np.exp(u0.take(seg, axis=0) + nodes[node, None] * du_rows)
-            Kb, err = _curvatures(r, mesh)
-            if err != ERR_OK:
-                total.fill(math.nan)
-                return total, err
+            Kb = _curvatures(r, mesh)
             dots = np.matmul((Kb - target)[:, None, :], du_rows[:, :, None])
             np.add.at(total, seg, weights[node] * dots.ravel())
-    return total, ERR_OK
+    return total
 
 
 def advance(u, mesh, target, lap_kind, opts, record):
@@ -391,7 +371,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
     ``IntegratorOptions``; the fixed settings are the module constants.
     The loop, ``record`` included, runs in one ``np.errstate(all="ignore")``
     scope.  The start and each re-centering are evaluated by :func:`state`
-    and raise if not clean; a trial that is not clean is rejected.
+    and raise if not clean; a trial whose kernel call raises is rejected.
 
     Each step is explicit Euler with a descent guard: a trial that fails it
     is halved and retried, and the run collapses once ``MAX_HALVINGS``
@@ -441,7 +421,6 @@ def advance(u, mesh, target, lap_kind, opts, record):
 
     def evaluate(u):
         s = state(np.exp(u), mesh)
-        raise_state_error(s.err)
         dev = s.K - target
         energy = float((dev**2).sum())
         noise = _energy_noise(dev, s.kn, energy) if lap_kind else 0.0
@@ -478,11 +457,12 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 if drift > exp_safe and float(r_new.min()) < TINY:
                     continue  # radii that underflow are rejected like overflow
                 evaluated += 1
-                if lap_kind:
-                    _, G, cc, _, K_new, err = _corners(r_new, mesh)
-                else:
-                    K_new, err = _curvatures(r_new, mesh)
-                if err != ERR_OK:
+                try:
+                    if lap_kind:
+                        _, G, cc, _, K_new = _corners(r_new, mesh)
+                    else:
+                        K_new = _curvatures(r_new, mesh)
+                except InternalConsistencyError:
                     continue
                 dev_new = K_new - target
                 e_new = float((dev_new**2).sum())
@@ -500,8 +480,10 @@ def advance(u, mesh, target, lap_kind, opts, record):
                         noise_new = _energy_noise(dev_new, kn, e_new)
                         ok = e_new <= energy + (noise + noise_new)
                     if ok:
-                        B_new, err = _dual_weights(r_new, G, cc, sin, mesh)
-                        ok = err == ERR_OK
+                        try:
+                            B_new = _dual_weights(r_new, G, cc, sin, mesh)
+                        except InternalConsistencyError:
+                            continue
                 if ok:
                     break
             else:

@@ -177,13 +177,16 @@ def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> Pac
     # radii near the ends of the float range overflow or underflow the
     # cosine law (1e300, 1e-320), and every flow trial from a radius below
     # the normal range (1e-310) underflows; such a start is refused, not run
-    tiny = m.r.min() < np.finfo(np.float64).tiny
-    if tiny or _kernels.state(m.r, _mesh_arrays(t, w)).err != _kernels.ERR_OK:
-        raise DomainError(
-            f"--radii {spec!r}: a radius is below the normal float range or "
-            "the geometry does not evaluate in floating point"
-        )
-    return m
+    if m.r.min() >= np.finfo(np.float64).tiny:
+        try:
+            _kernels.state(m.r, _mesh_arrays(t, w))
+            return m
+        except InternalConsistencyError:
+            pass
+    raise DomainError(
+        f"--radii {spec!r}: a radius is below the normal float range or "
+        "the geometry does not evaluate in floating point"
+    )
 
 
 def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
@@ -560,14 +563,16 @@ def _apply_config(args: argparse.Namespace) -> None:
             setattr(args, key, _FLAGS[name].get("default"))
 
 
-def _glue_negative_target(argv: list[str]) -> list[str]:
-    """``--target -6.28,...`` as ``--target=-6.28,...``: argparse reads a
-    value that starts with a minus sign, and is not a single number, as an
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """``--target -6.28,...`` as ``--target=-6.28,...``, and so for every
+    flag that takes a value: argparse reads a value that starts with a
+    minus sign, and is not a plain number (``-1e-3``, ``-1,2``), as an
     option."""
+    valued = {flag for flag, spec in _FLAGS.items() if spec.get("type") is not _switch}
     out = []
     for arg in argv:
-        if out and out[-1] == "--target" and re.match(r"-\.?\d", arg):
-            out[-1] = f"--target={arg}"
+        if out and out[-1] in valued and re.match(r"-\.?\d", arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out
@@ -577,7 +582,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_glue_negative_target(argv))
+        args = build_parser().parse_args(_glue_negative_values(argv))
         _apply_config(args)
         if getattr(args, "seed", 0) < 0:
             raise DomainError(f"--seed must be >= 0, got {args.seed}")

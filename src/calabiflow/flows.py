@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, StepCollapseError
+from .errors import DomainError, InternalConsistencyError, StepCollapseError
 from .geometry import PackingMetric, Weight, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import Triangulation, resolve_target
@@ -142,8 +142,9 @@ class FlowSample:
 
     @cached_property
     def lambda1(self) -> float:
-        s = _kernels.state(np.exp(self.u), _mesh_arrays(self.mesh, self.weight))
-        if s.err != _kernels.ERR_OK:
+        try:
+            s = _kernels.state(np.exp(self.u), _mesh_arrays(self.mesh, self.weight))
+        except InternalConsistencyError:
             return float("nan")
         return DualLaplacian(self.mesh.n_vertices, self.mesh.edges, s.B).lambda1()
 

@@ -235,7 +235,6 @@ def compute_geometry(t: Triangulation, w: Weight, m: PackingMetric) -> GeometryS
     """
     mesh = _mesh_arrays(t, w, m)
     s = _kernels.state(m.r, mesh)
-    _kernels.raise_state_error(s.err)
     return GeometryState(
         lengths=s.lens,
         angles=s.ang,

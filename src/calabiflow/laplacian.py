@@ -203,6 +203,4 @@ def _definite(a: np.ndarray) -> bool:
 def assemble(t: Triangulation, w: Weight, m: PackingMetric) -> DualLaplacian:
     """Assemble the dual Laplacian of a metric."""
     mesh = _mesh_arrays(t, w, m)
-    s = _kernels.state(m.r, mesh)
-    _kernels.raise_state_error(s.err)
-    return DualLaplacian(t.n_vertices, t.edges, s.B)
+    return DualLaplacian(t.n_vertices, t.edges, _kernels.state(m.r, mesh).B)

@@ -26,7 +26,7 @@ from .errors import NoConstantCurvatureMetric
 from .flows import integrate  # noqa: F401
 from .geometry import PackingMetric, Weight, _check_fit, _mesh_arrays, compute_geometry
 from .mesh import Triangulation, resolve_target
-from .thurston import CURVATURE_TOL, _newton
+from .thurston import _at_floor, _newton
 
 __all__ = [
     "calabi_energy",
@@ -102,8 +102,7 @@ def ricci_potential(
                 f"Gauss-Legendre orders did not agree within {tol!r} by "
                 f"{MAX_NODES} nodes"
             )
-        cur, err = _kernels.segment_potential(u0[todo], du[todo], tgt, order, mesh)
-        _kernels.raise_state_error(err)
+        cur = _kernels.segment_potential(u0[todo], du[todo], tgt, order, mesh)
         if prev is not None:
             done = np.abs(cur - prev) < tol * (1.0 + np.abs(cur))
             values[todo[done]] = cur[done]
@@ -228,9 +227,9 @@ def constant_curvature_log_metric(
     """The constant-curvature metric in the conformal class of the seed.
 
     Found by the damped Newton solve of ``K(u) = K_av`` from the seed that
-    also decides admissibility (``thurston._newton``); it stops once
-    ``max|K - K_av|`` is below ``thurston.CURVATURE_TOL`` or the curvature
-    noise bound, whichever is larger.  The result keeps the seed's ``sum u``.
+    also decides admissibility (``thurston._newton``); it stops at the
+    solve's roundoff floor (``thurston._at_floor``).  The result keeps the
+    seed's ``sum u``.
     Only connected surfaces are accepted (``DomainError`` otherwise).
     Raises :class:`NoConstantCurvatureMetric` when the solve ends first,
     as it does when the constant curvature is not admissible.
@@ -240,12 +239,12 @@ def constant_curvature_log_metric(
         raise DomainError("the surface is not connected")
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
     tgt = resolve_target(t, None)
-    dev = math.inf
+    s = None
     for u, s in _newton(t, w, tgt, seed.u):
-        dev = float(np.max(np.abs(s.K - tgt)))
-        if dev < max(CURVATURE_TOL, float(s.kn.max())):
+        if _at_floor(s, tgt):
             u = u - (u.sum() - seed.u.sum()) / t.n_vertices
             return PackingMetric.from_log_radii(u)
+    dev = math.inf if s is None else float(np.max(np.abs(s.K - tgt)))
     raise NoConstantCurvatureMetric(
         f"the Newton solve of K = K_av stopped at max|K - K_av| = {dev:.3g}"
     )

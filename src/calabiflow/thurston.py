@@ -50,7 +50,7 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EnumerationSizeError
+from .errors import DomainError, EnumerationSizeError, InternalConsistencyError
 from .geometry import Weight, _check_fit, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import (
@@ -75,8 +75,8 @@ VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
 # The Newton solve stops after NEWTON_STEPS steps, when NEWTON_HALVINGS
-# halvings of a step do not lower |K - target|, or at its roundoff floor,
-# max|K - target| < max(CURVATURE_TOL, curvature noise bound).
+# halvings of a step do not lower |K - target|, or at its roundoff floor
+# (_at_floor), which CURVATURE_TOL bounds from below.
 NEWTON_STEPS = 50
 NEWTON_HALVINGS = 30
 CURVATURE_TOL = 1e-12
@@ -195,39 +195,49 @@ def _prefix_violation(t: Triangulation, pmp, target, u):
     return members, float(lhs[k]), float(rhs[k])
 
 
+def _at_floor(s, target) -> bool:
+    """Whether a Newton iterate, with ``_kernels.State`` ``s``, is at its
+    roundoff floor: ``max|K - target| < max(CURVATURE_TOL, max kn)``."""
+    return float(np.abs(s.K - target).max()) < max(CURVATURE_TOL, float(s.kn.max()))
+
+
 def _newton(t: Triangulation, w: Weight, target, u):
     """Damped Newton iterates of ``K(u) = target``, starting from ``u``.
 
     Yields ``(u, state)`` at the start and after each step: the log radii
     and their ``_kernels.State``.  Each step solves
     ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`) and halves
-    ``delta`` until ``||K - target||_2`` falls.  The iteration ends after
-    ``NEWTON_STEPS`` steps, when ``NEWTON_HALVINGS`` halvings of a step do
-    not lower the norm, after the first iterate at its roundoff floor (see
-    ``CURVATURE_TOL``), or at once when the geometry at ``u`` does not
-    evaluate.  Only valid on a connected surface.
+    ``delta`` until the trial's state evaluates and ``||K - target||_2``
+    falls.  The iteration ends after ``NEWTON_STEPS`` steps, when
+    ``NEWTON_HALVINGS`` halvings of a step do not lower the norm, after the
+    first iterate at its roundoff floor (:func:`_at_floor`), or with no
+    iterate when the state at ``u`` does not evaluate.  Only valid on a
+    connected surface.
     """
     n = t.n_vertices
     mesh = _mesh_arrays(t, w)
-    # radii that overflow are reported by the error code
+    # radii that overflow raise in the state kernel
     with np.errstate(all="ignore"):
         r = np.exp(u)
-    s = _kernels.state(r, mesh)
-    if s.err != _kernels.ERR_OK:
+    try:
+        s = _kernels.state(r, mesh)
+    except InternalConsistencyError:
         return
     for _ in range(NEWTON_STEPS):
         yield u, s
-        dev = s.K - target
-        if float(np.abs(dev).max()) < max(CURVATURE_TOL, float(s.kn.max())):
+        if _at_floor(s, target):
             return
+        dev = s.K - target
         delta = DualLaplacian(n, t.edges, s.B).solve(-dev)
         norm = float(np.linalg.norm(dev))
         for _ in range(NEWTON_HALVINGS):
             with np.errstate(all="ignore"):
                 r = np.exp(u + delta)
-            trial = _kernels.state(r, mesh)
-            ok = trial.err == _kernels.ERR_OK
-            if ok and float(np.linalg.norm(trial.K - target)) < norm:
+            try:
+                trial = _kernels.state(r, mesh)
+            except InternalConsistencyError:
+                trial = None
+            if trial is not None and float(np.linalg.norm(trial.K - target)) < norm:
                 u, s = u + delta, trial
                 break
             delta = 0.5 * delta

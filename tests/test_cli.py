@@ -695,6 +695,38 @@ def test_negative_target_list_as_separate_argument(capsys, argv):
     assert glued[0] == 2 and glued[2] == ""
 
 
+# a value that starts with a minus sign and is not a plain number, for
+# valued flags other than --target, with the library's refusal of it
+NEGATIVE_VALUES = [
+    ("potential-probe", "--probe-radii", "-1,2",
+     "give at least one probe radius, each positive and finite"),
+    ("flow", "--initial-step", "-1e-3",
+     "initial_step and curvature_tol must be finite and > 0"),
+    ("curvature", "--radii", "-1e-3", "all radii must be positive"),
+    ("curvature", "--phi", "-1e-3",
+     "weights must lie in [0, pi/2]; got range [-0.001, -0.001]"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value,message", NEGATIVE_VALUES, ids=[v[1] for v in NEGATIVE_VALUES]
+)
+def test_negative_value_as_separate_argument(capsys, command, flag, value, message):
+    # "--flag -1e-3" reaches the library as "--flag=-1e-3" does: exit 1 with
+    # its one error line, not argparse's "expected one argument"
+    spaced = run(capsys, command, "--mesh", "tetrahedron", flag, value)
+    glued = run(capsys, command, "--mesh", "tetrahedron", f"{flag}={value}")
+    assert spaced == glued == (1, "", f"error: {message}\n")
+
+
+def test_negative_values_are_glued_to_valued_flags_only():
+    # an on/off flag takes no value, so what follows it is left alone
+    argv = ["--force", "-1", "--seed", "-2", "--target", "-.5", "--out", "-x"]
+    assert cli._glue_negative_values(argv) == [
+        "--force", "-1", "--seed=-2", "--target=-.5", "--out", "-x",
+    ]
+
+
 def test_bare_flow_uses_integrator_defaults(capsys, monkeypatch):
     # the CLI keeps no copy of the flow settings' defaults
     seen = []

@@ -358,6 +358,11 @@ def test_too_large_first_step_shrinks_until_evaluated(kind):
     assert tr.max_curvature_deviation() < opts.curvature_tol
 
 
+def _failing_curvatures(r, mesh):
+    """A curvature kernel that raises at every call, as on overflowing radii."""
+    raise cf.InternalConsistencyError("non-finite value in geometry evaluation")
+
+
 def test_collapse_counts_evaluated_trials(monkeypatch):
     # a step collapses once its first evaluated trial and MAX_HALVINGS
     # halvings of it all fail, whether or not unevaluated refusals came
@@ -368,7 +373,7 @@ def test_collapse_counts_evaluated_trials(monkeypatch):
     monkeypatch.setattr(
         _kernels,
         "_curvatures",
-        lambda r, mesh: calls.append(1) or (None, _kernels.ERR_NONFINITE),
+        lambda r, mesh: calls.append(1) or _failing_curvatures(r, mesh),
     )
     for h in (1e-2, 1e18):
         calls.clear()
@@ -483,8 +488,8 @@ def _guarded_run(monkeypatch, kind, t, w, m0, opts=None):
     corners, curvature_noise = _kernels._corners, _kernels._curvature_noise
 
     def counted_corners(r, mesh):
-        out = corners(r, mesh)
         radii.append(r)
+        out = corners(r, mesh)
         lengths[:] = [out[1]]
         return out
 
@@ -528,10 +533,13 @@ def test_staged_energy_guard_decides_as_the_full_one(monkeypatch, case):
     mesh_arrays = _mesh_arrays(t, w)
 
     def guard_terms(r):
-        s = _kernels.state(r, mesh_arrays)
+        try:
+            s = _kernels.state(r, mesh_arrays)
+        except cf.InternalConsistencyError:
+            return False, math.nan, math.nan
         dev = s.K - tr.target
         energy = float((dev**2).sum())
-        return s.err == _kernels.ERR_OK, energy, _kernels._energy_noise(dev, s.kn, energy)
+        return True, energy, _kernels._energy_noise(dev, s.kn, energy)
 
     _, e, noise = guard_terms(np.exp(samples[0].u))
     k = 0
@@ -561,9 +569,7 @@ def test_integrate_restores_the_floating_point_state(monkeypatch):
         caller = np.geterr()
         tr = cf.integrate(cf.FlowKind.calabi(), t, zero_weight(t), m0, opts)
         assert tr.status == "converged" and np.geterr() == caller
-        monkeypatch.setattr(
-            _kernels, "_curvatures", lambda r, mesh: (None, _kernels.ERR_NONFINITE)
-        )
+        monkeypatch.setattr(_kernels, "_curvatures", _failing_curvatures)
         with pytest.raises(cf.StepCollapseError):
             cf.integrate(cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0)
         assert np.geterr() == caller

@@ -1,8 +1,8 @@
-"""numpy kernels: error codes, the energy-noise bound, the rolled-gather
-kernels against the loop over corners they replaced, the batch axes of
-the curvature and quadrature kernels, the work, accuracy and memory of
-the Gauss-Legendre segments, the Ricci descent guard, and the result
-layouts that callers index into."""
+"""numpy kernels: the errors they raise, the energy-noise bound, the
+rolled-gather kernels against the loop over corners they replaced, the
+batch axes of the curvature and quadrature kernels, the work, accuracy
+and memory of the Gauss-Legendre segments, the Ricci descent guard, and
+the result layouts that callers index into."""
 
 import functools
 import math
@@ -33,23 +33,67 @@ def _mesh(name):
     return t
 
 
+# the messages the geometry kernels raise, one per failure
+CLAMP = (
+    "cosine-law value left [-1, 1] by more than the clamp tolerance; "
+    "a triangle inequality that is guaranteed for weights in [0, pi/2] failed"
+)
+WEIGHT_BOUNDS = (
+    "an edge weight left the open interval (0, 2*sqrt(3)) that theory guarantees"
+)
+NONFINITE = "non-finite value in geometry evaluation"
+
+
+def _raised(f, *args):
+    """The message of the ``InternalConsistencyError`` that ``f(*args)``
+    raises."""
+    with pytest.raises(cf.InternalConsistencyError) as exc:
+        f(*args)
+    return str(exc.value)
+
+
 def _node_loop_segment(u0, du, target, order, mesh):
     """The Gauss-Legendre segment as one curvature call per node: the
     reference the blocked kernel must match bit for bit."""
     x, w = np.polynomial.legendre.leggauss(order)
     total = 0.0
     for s, wk in zip(0.5 * (x + 1.0), 0.5 * w):
-        K, err = _kernels.curvatures(np.exp(u0 + s * du), mesh)
-        if err != _kernels.ERR_OK:
-            return math.nan, err
+        K = _kernels.curvatures(np.exp(u0 + s * du), mesh)
         total += float(wk) * float(np.dot(K - target, du))
-    return total, _kernels.ERR_OK
+    return total
+
+
+def _first_failing_node(u0, du, order, mesh):
+    """``(row, message)`` of the first node, segment-major and node-minor,
+    whose curvatures raise when evaluated one call per node."""
+    x, _ = np.polynomial.legendre.leggauss(order)
+    rows = ((a, d, s) for a, d in zip(u0, du) for s in 0.5 * (x + 1.0))
+    for row, (a, d, s) in enumerate(rows):
+        try:
+            _kernels.curvatures(np.exp(a + s * d), mesh)
+        except cf.InternalConsistencyError as exc:
+            return row, str(exc)
+    raise AssertionError("no node fails")
+
+
+def _failing_block(monkeypatch, u0, du, target, order, mesh):
+    """``(message, lo, hi)``: what ``segment_potential`` raises, and the rows
+    ``[lo, hi)`` of the block whose curvature call raised it."""
+    blocks = []
+    curvatures = _kernels._curvatures
+    monkeypatch.setattr(
+        _kernels, "_curvatures", lambda r, m: blocks.append(r.shape[0]) or curvatures(r, m)
+    )
+    message = _raised(_kernels.segment_potential, u0, du, target, order, mesh)
+    monkeypatch.setattr(_kernels, "_curvatures", curvatures)
+    return message, sum(blocks[:-1]), sum(blocks)
 
 
 def _loop_corners(r, fv, fe, ea, eb, cphi):
     """The corner kernel as a loop over corners ``m``, the form it had
     before the rolled gathers: the reference they must match bit for bit.
-    Returns ``(lens, L, cc, ang, K, err)``."""
+    Returns ``(lens, L, cc, ang, K)``, and raises for the first row whose
+    cosines are not clean."""
     n = r.shape[-1]
     ra = r.take(ea, axis=-1)
     rb = r.take(eb, axis=-1)
@@ -63,30 +107,29 @@ def _loop_corners(r, fv, fe, ea, eb, cphi):
             L[..., p] * L[..., p] + L[..., q] * L[..., q] - L[..., m] * L[..., m]
         ) / (2.0 * L[..., p] * L[..., q])
 
-    def verdict(c):
+    def check(c):
         if not np.all(np.isfinite(c)):
-            return _kernels.ERR_NONFINITE
+            raise cf.InternalConsistencyError(NONFINITE)
         if float(np.max(np.abs(c))) - 1.0 > _kernels.CLAMP_TOL:
-            return _kernels.ERR_CLAMP
-        return _kernels.ERR_OK
+            raise cf.InternalConsistencyError(CLAMP)
 
     corners = fv.ravel()
     if r.ndim == 1:
-        err = verdict(c)
+        check(c)
     else:
-        errs = [verdict(row) for row in c]
-        err = next((e for e in errs if e != _kernels.ERR_OK), _kernels.ERR_OK)
+        for row in c:
+            check(row)
         corners = (np.arange(r.shape[0])[:, None] * n + corners).ravel()
     cc = np.clip(c, -1.0, 1.0)
     ang = np.arccos(cc)
     K = np.full(r.shape, 2.0 * math.pi)
     np.add.at(K.reshape(-1), corners, -ang.ravel())
-    return lens, L, cc, ang, K, err
+    return lens, L, cc, ang, K
 
 
 def _loop_state(r, fv, fe, ea, eb, cphi):
     """``_kernels.state`` as a loop over corners (see :func:`_loop_corners`)."""
-    lens, L, cc, ang, K, err = _loop_corners(r, fv, fe, ea, eb, cphi)
+    lens, L, cc, ang, K = _loop_corners(r, fv, fe, ea, eb, cphi)
     kappa = np.empty_like(L)
     for m in range(3):
         p = (m + 1) % 3
@@ -113,22 +156,18 @@ def _loop_state(r, fv, fe, ea, eb, cphi):
     np.add.at(kn, fv.ravel(), corner_noise.ravel())
     B = np.zeros(ea.shape[0])
     np.add.at(B, fe.ravel(), halves.ravel())
-    if err == _kernels.ERR_OK:
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
-            err = _kernels.ERR_NONFINITE
-        elif float(B.min()) <= 0.0 or float(B.max()) >= _kernels.TWO_SQRT3:
-            err = _kernels.ERR_WEIGHT_BOUNDS
-    return lens, ang, K, B, kn, err
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(K))):
+        raise cf.InternalConsistencyError(NONFINITE)
+    if float(B.min()) <= 0.0 or float(B.max()) >= _kernels.TWO_SQRT3:
+        raise cf.InternalConsistencyError(WEIGHT_BOUNDS)
+    return lens, ang, K, B, kn
 
 
 def _same(got, want):
-    """Equal codes and bit-equal arrays (NaN where the reference has NaN)."""
+    """Bit-equal arrays of equal shapes."""
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        if isinstance(w, np.ndarray):
-            assert g.shape == w.shape and np.array_equal(g, w, equal_nan=True)
-        else:
-            assert g == w
+        assert g.shape == w.shape and np.array_equal(g, w)
 
 
 def _arrays(name, seed):
@@ -139,24 +178,43 @@ def _arrays(name, seed):
     return t, m.r, _mesh_arrays(t, w)
 
 
+def _failing_rows(t):
+    """Two clean rows and a clamp and a non-finite one: with zero weights an
+    edge is r_a + r_b long, so a negative radius breaks the triangle
+    inequality and a NaN radius is non-finite."""
+    good = np.random.default_rng(61).uniform(0.5, 2.0, (2, t.n_vertices))
+    clamp = np.ones(t.n_vertices)
+    clamp[0] = -0.5
+    nonfinite = np.ones(t.n_vertices)
+    nonfinite[1] = np.nan
+    return good, clamp, nonfinite
+
+
 def test_active_backend_is_numpy():
     assert cf.active_backend() == "numpy"
 
 
-def test_error_codes_and_raise_mapping():
-    with pytest.raises(cf.InternalConsistencyError):
-        _kernels.raise_state_error(_kernels.ERR_NONFINITE)
-    with pytest.raises(cf.InternalConsistencyError):
-        _kernels.raise_state_error(_kernels.ERR_CLAMP)
-    with pytest.raises(cf.InternalConsistencyError):
-        _kernels.raise_state_error(_kernels.ERR_WEIGHT_BOUNDS)
-    _kernels.raise_state_error(_kernels.ERR_OK)  # no-op
+def test_kernels_raise_each_failure_with_its_message():
+    # a clamp and a non-finite corner cosine from the radii, and weights
+    # past the bound or non-finite from shrunken and zero corner sines
+    t = mesh("octahedron")
+    args = _mesh_arrays(t, cf.Weight(np.zeros(t.n_edges)))
+    _, clamp, nonfinite = _failing_rows(t)
+    r = np.ones(t.n_vertices)
+    with np.errstate(all="ignore"):
+        for f in (_kernels.state, _kernels.curvatures, _kernels._corners):
+            assert _raised(f, clamp, args) == CLAMP
+            assert _raised(f, nonfinite, args) == NONFINITE
+        _, G, cc, _, _ = _kernels._corners(r, args)
+        sin = np.sqrt(1.0 - cc * cc)
+        assert np.all(_kernels._dual_weights(r, G, cc, sin, args) > 0.0)
+        for scale, message in ((1e-3, WEIGHT_BOUNDS), (0.0, NONFINITE)):
+            assert _raised(_kernels._dual_weights, r, G, cc, scale * sin, args) == message
 
 
 def test_energy_noise_bound_scales():
     t, r, args = _arrays("tetrahedron", 58)
     s = _kernels.state(r, args)
-    assert s.err == _kernels.ERR_OK
     assert np.all(s.kn >= 0)
     # healthy metrics have curvature noise near machine precision
     assert np.max(s.kn) < 1e-12
@@ -169,8 +227,7 @@ def test_energy_noise_bound_scales():
 def test_curvatures_match_state():
     t, r, args = _arrays("icosahedron", 51)
     k_state = _kernels.state(r, args).K
-    k_only, err = _kernels.curvatures(r, args)
-    assert err == _kernels.ERR_OK
+    k_only = _kernels.curvatures(r, args)
     assert np.array_equal(k_only, k_state)
 
 
@@ -180,36 +237,27 @@ def test_batched_curvatures_match_rows(name):
     rng = np.random.default_rng(60)
     args = _mesh_arrays(t, random_weight(rng, t))
     radii = rng.uniform(0.5, 2.0, (5, t.n_vertices))
-    kb, err = _kernels.curvatures(radii, args)
-    assert err == _kernels.ERR_OK and kb.shape == radii.shape
+    kb = _kernels.curvatures(radii, args)
+    assert kb.shape == radii.shape
     for r, k in zip(radii, kb):
-        k1, err1 = _kernels.curvatures(r, args)
-        assert err1 == _kernels.ERR_OK
-        assert np.array_equal(k, k1)
+        assert np.array_equal(k, _kernels.curvatures(r, args))
 
 
 @pytest.mark.parametrize("name", ["tetrahedron", "oct66"])
 def test_batched_curvatures_first_failing_row(name):
-    # with zero weights an edge is r_a + r_b long, so a negative radius
-    # breaks the triangle inequality (clamp) and a NaN radius is non-finite
+    # a batch raises what its first failing row raises alone; the clean
+    # rows around it evaluate alone
     t = _mesh(name)
     args = _mesh_arrays(t, cf.Weight(np.zeros(t.n_edges)))
-    rng = np.random.default_rng(61)
-    good = rng.uniform(0.5, 2.0, (2, t.n_vertices))
-    clamp = np.ones(t.n_vertices)
-    clamp[0] = -0.5
-    nonfinite = np.ones(t.n_vertices)
-    nonfinite[1] = np.nan
-    assert _kernels.curvatures(clamp, args)[1] == _kernels.ERR_CLAMP
-    assert _kernels.curvatures(nonfinite, args)[1] == _kernels.ERR_NONFINITE
-    for rows, code in (
-        ([good[0], clamp, nonfinite, good[1]], _kernels.ERR_CLAMP),
-        ([good[0], nonfinite, clamp, good[1]], _kernels.ERR_NONFINITE),
+    good, clamp, nonfinite = _failing_rows(t)
+    assert _raised(_kernels.curvatures, clamp, args) == CLAMP
+    assert _raised(_kernels.curvatures, nonfinite, args) == NONFINITE
+    for rows, message in (
+        ([good[0], clamp, nonfinite, good[1]], CLAMP),
+        ([good[0], nonfinite, clamp, good[1]], NONFINITE),
     ):
-        kb, err = _kernels.curvatures(np.array(rows), args)
-        assert err == code
-        for i in (0, 3):
-            assert np.array_equal(kb[i], _kernels.curvatures(rows[i], args)[0])
+        assert _raised(_kernels.curvatures, np.array(rows), args) == message
+        _kernels.curvatures(np.array([rows[0], rows[3]]), args)
 
 
 @pytest.mark.parametrize("name", BATCH_MESHES)
@@ -223,31 +271,29 @@ def test_rolled_kernels_match_corner_loop(name):
         radii = rng.uniform(0.5, 2.0, (4, t.n_vertices))
         for r in radii:
             _same(_kernels.state(r, mesh), _loop_state(r, *old))
-            _same(_kernels.curvatures(r, mesh), _loop_corners(r, *old)[4:])
-        _same(_kernels.curvatures(radii, mesh), _loop_corners(radii, *old)[4:])
+            _same([_kernels.curvatures(r, mesh)], _loop_corners(r, *old)[4:])
+        _same([_kernels.curvatures(radii, mesh)], _loop_corners(radii, *old)[4:])
 
 
 @pytest.mark.parametrize("name", BATCH_MESHES)
 def test_rolled_kernels_match_corner_loop_on_failing_rows(name):
     # the rows of test_batched_curvatures_first_failing_row, alone and in a
-    # batch, with their error codes
+    # batch: the kernels raise what the loop raises for the first failing row
     with np.errstate(all="ignore"):
         t = _mesh(name)
         mesh = _mesh_arrays(t, cf.Weight(np.zeros(t.n_edges)))
         old = mesh[:5]
-        good = np.random.default_rng(61).uniform(0.5, 2.0, (2, t.n_vertices))
-        clamp = np.ones(t.n_vertices)
-        clamp[0] = -0.5
-        nonfinite = np.ones(t.n_vertices)
-        nonfinite[1] = np.nan
-        codes = {_kernels.ERR_CLAMP: clamp, _kernels.ERR_NONFINITE: nonfinite}
-        for code, r in codes.items():
-            assert _kernels.state(r, mesh).err == code
-            _same(_kernels.state(r, mesh), _loop_state(r, *old))
-            _same(_kernels.curvatures(r, mesh), _loop_corners(r, *old)[4:])
+        good, clamp, nonfinite = _failing_rows(t)
+        for message, r in ((CLAMP, clamp), (NONFINITE, nonfinite)):
+            assert _raised(_kernels.state, r, mesh) == message
+            assert _raised(_loop_state, r, *old) == message
+            assert _raised(_kernels.curvatures, r, mesh) == message
+            assert _raised(_loop_corners, r, *old) == message
         for middle in ([clamp, nonfinite], [nonfinite, clamp]):
             batch = np.array([good[0], *middle, good[1]])
-            _same(_kernels.curvatures(batch, mesh), _loop_corners(batch, *old)[4:])
+            message = _raised(_loop_corners, batch, *old)
+            assert message == (CLAMP if middle[0] is clamp else NONFINITE)
+            assert _raised(_kernels.curvatures, batch, mesh) == message
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -263,16 +309,17 @@ def test_segment_potential_matches_node_loop(monkeypatch, name, order, rows):
     u0 = rng.normal(0.0, 0.3, (1, t.n_vertices))
     du = rng.normal(0.0, 0.5, (1, t.n_vertices))
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    values, err = _kernels.segment_potential(u0, du, target, order, args)
-    assert values.shape == (1,) and err == _kernels.ERR_OK
-    assert (values[0], err) == _node_loop_segment(u0[0], du[0], target, order, args)
-    # radii overflow to inf part way along: same first failing node
+    values = _kernels.segment_potential(u0, du, target, order, args)
+    assert values.shape == (1,)
+    assert values[0] == _node_loop_segment(u0[0], du[0], target, order, args)
+    # radii overflow to inf part way along: the block that raises holds
+    # the first failing node
     du[0, 0] = 1000.0
     with np.errstate(over="ignore"):
-        values, err = _kernels.segment_potential(u0, du, target, order, args)
-        ref_value, ref_err = _node_loop_segment(u0[0], du[0], target, order, args)
-    assert err == ref_err == _kernels.ERR_NONFINITE
-    assert math.isnan(values[0]) and math.isnan(ref_value)
+        message, lo, hi = _failing_block(monkeypatch, u0, du, target, order, args)
+        row, ref_message = _first_failing_node(u0, du, order, args)
+    assert message == ref_message == NONFINITE
+    assert lo <= row < hi
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -288,23 +335,23 @@ def test_batched_segment_potential_matches_node_loop(monkeypatch, name, rows):
     du = rng.normal(0.0, 0.5, (4, t.n_vertices))
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
     for order in (1, 4, 16):
-        values, err = _kernels.segment_potential(u0, du, target, order, args)
-        assert err == _kernels.ERR_OK and values.shape == (4,)
+        values = _kernels.segment_potential(u0, du, target, order, args)
+        assert values.shape == (4,)
         for v, a, d in zip(values, u0, du):
-            assert (v, err) == _node_loop_segment(a, d, target, order, args)
+            assert v == _node_loop_segment(a, d, target, order, args)
         # one start, broadcast against every step
         start = np.broadcast_to(u0[0], du.shape)
-        values, _ = _kernels.segment_potential(start, du, target, order, args)
+        values = _kernels.segment_potential(start, du, target, order, args)
         for v, d in zip(values, du):
-            assert v == _node_loop_segment(u0[0], d, target, order, args)[0]
-    # radii overflow to inf part way along the third segment: every value
-    # is NaN, and the code is that of the first failing row
+            assert v == _node_loop_segment(u0[0], d, target, order, args)
+    # radii overflow to inf part way along the third segment: the block
+    # that raises holds its first failing node
     du[2, 0] = 1000.0
     with np.errstate(over="ignore"):
-        values, err = _kernels.segment_potential(u0, du, target, 4, args)
-        ref_err = _node_loop_segment(u0[2], du[2], target, 4, args)[1]
-    assert err == ref_err == _kernels.ERR_NONFINITE
-    assert values.shape == (4,) and np.all(np.isnan(values))
+        message, lo, hi = _failing_block(monkeypatch, u0, du, target, 4, args)
+        row, ref_message = _first_failing_node(u0, du, 4, args)
+    assert message == ref_message == NONFINITE
+    assert 8 <= row < 12 and lo <= row < hi
 
 
 @pytest.mark.parametrize("rows", [None, 3])
@@ -370,10 +417,10 @@ def test_ricci_steps_lower_the_potential(name, kind):
         assert trace.status == "converged"
         assert trace.accepted_steps < 2 * _kernels.SAMPLE_TARGET
         us = np.array([s.u for s in trace.samples])
-        df, err = _kernels.segment_potential(
+        df = _kernels.segment_potential(
             us[:-1], np.diff(us, axis=0), trace.target, 4, _mesh_arrays(t, w)
         )
-        assert err == _kernels.ERR_OK and np.all(df <= 0.0)
+        assert np.all(df <= 0.0)
 
 
 @pytest.mark.parametrize("name", MESH_NAMES + ("oct18", "oct66"))
@@ -386,11 +433,9 @@ def test_segment_potential_converges(name):
     u0 = rng.normal(0.0, 0.3, (1, t.n_vertices))
     du = rng.normal(0.0, 0.5, (1, t.n_vertices))
     target = np.full(t.n_vertices, 2 * math.pi * t.chi / t.n_vertices)
-    ref, err = _kernels.segment_potential(u0, du, target, 256, args)
-    assert err == _kernels.ERR_OK
+    ref = _kernels.segment_potential(u0, du, target, 256, args)
     for order, tol in ((8, 1e-10), (16, 1e-12)):
-        value, err = _kernels.segment_potential(u0, du, target, order, args)
-        assert err == _kernels.ERR_OK
+        value = _kernels.segment_potential(u0, du, target, order, args)
         assert abs(value[0] - ref[0]) < tol * (1.0 + abs(ref[0]))
 
 
@@ -414,10 +459,9 @@ def test_ricci_potential_matches_a_fixed_high_order_rule(name):
     u_from = np.vstack([u_from, u_to])
     u_to = np.vstack([u_to, u_to + step])
     target = resolve_target(t, None)
-    ref, err = _kernels.segment_potential(
+    ref = _kernels.segment_potential(
         u_from, u_to - u_from, target, 256, _mesh_arrays(t, w)
     )
-    assert err == _kernels.ERR_OK
     vals = cf.ricci_potential(t, w, u_from, u_to)
     assert np.all(np.abs(vals - ref) <= 1e-9 * (1.0 + np.abs(ref)))
 
@@ -434,11 +478,10 @@ def test_segment_potential_memory_bounded():
     _kernels.segment_potential(u0, du, target, 2**10, args)
     tracemalloc.start()
     try:
-        _, err = _kernels.segment_potential(u0, du, target, 2**10, args)
+        _kernels.segment_potential(u0, du, target, 2**10, args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert err == _kernels.ERR_OK
     assert peak < 4 * 2**20
 
 
@@ -489,7 +532,7 @@ def test_corner_arrays_are_c_contiguous():
     args = _mesh_arrays(t, random_weight(rng, t))
     radii = rng.uniform(0.5, 2.0, (4, t.n_vertices))
     for r in (radii[0], radii):
-        lens, G, cc, ang, K, err = _kernels._corners(r, args)
-        assert err == _kernels.ERR_OK and len(G) == 3
+        lens, G, cc, ang, K = _kernels._corners(r, args)
+        assert len(G) == 3
         for a in (lens, *G, cc, ang, K):
             assert a.flags.c_contiguous and a.shape[: r.ndim - 1] == r.shape[:-1]
