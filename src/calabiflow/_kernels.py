@@ -47,13 +47,12 @@ Error reporting: a geometry kernel returns values only, and raises
 cosine past the clamp tolerance, an edge weight outside (0, 2 sqrt 3), or
 a non-finite value.  A non-finite corner cosine takes precedence over one
 past the clamp tolerance, and a batch raises for its first failing row.
-The step controller in :func:`advance` catches the error around the one
-kernel call of a trial and rejects that trial; the states it evaluates
-between steps raise.  Radii that overflow or underflow are reported this
-way, so numpy's floating point warnings are ignored, in one
-``np.errstate`` scope per call of ``state`` and ``curvatures`` and per loop
-of :func:`advance` and :func:`segment_potential`; the private kernels
-enter none.
+The step controller in :func:`advance` catches the error around the
+kernel calls of a trial and rejects that trial; its start raises.  Radii
+that overflow or underflow are reported this way, so numpy's floating
+point warnings are ignored, in one ``np.errstate`` scope per call of
+``state`` and ``curvatures`` and per loop of :func:`advance` and
+:func:`segment_potential`; the private kernels enter none.
 """
 
 from __future__ import annotations
@@ -105,6 +104,9 @@ GROWTH_INTERVAL = 10
 RECENTER_INTERVAL = 1000
 # sets the stride between recorded samples
 SAMPLE_TARGET = 1000
+# damping and largest stage count of the Chebyshev-stabilized Calabi trial
+RKC_DAMPING = 0.05
+MAX_STAGES = 128
 
 # The energy guard accepts a trial step when the new energy does not exceed
 # the current one beyond a certified roundoff allowance.  The allowance must
@@ -313,6 +315,22 @@ def lap_apply(weights, ea, eb, x):
     return out
 
 
+@functools.cache
+def _rkc(s):
+    """``(beta, mu1, rows)`` of the s-stage damped first-order Runge-Kutta-
+    Chebyshev step (Verwer-Hundsdorfer-Sommeijer, Numer. Math. 1990): stable
+    for ``h rho <= beta = (1 + w0) / w1``, first increment ``mu1 h F``, row
+    ``(mu, nu, mu~) = (2 w0, -b_(j-1) / b_(j-2), 2 w1) b_j / b_(j-1)`` of
+    stage j >= 2, for ``w0 = 1 + RKC_DAMPING / s^2``, ``w1 = T_s(w0) /
+    T_s'(w0)`` and ``b_j = 1 / T_j(w0) = 1 / cosh(j acosh w0)``."""
+    w0 = 1.0 + RKC_DAMPING / (s * s)
+    th = math.acosh(w0)
+    T = [math.cosh(j * th) for j in range(s + 1)]
+    w1 = math.sinh(th) / (s * math.tanh(s * th))
+    rows = [(2.0 * w0 * a / b, -c / b, 2.0 * w1 * a / b) for c, a, b in zip(T, T[1:], T[2:])]
+    return (1.0 + w0) / w1, w1 / w0, rows
+
+
 def _energy_noise(dev, kn, energy):
     """Roundoff bound for the energy sum(dev^2), dev = K - target, given
     curvature noise."""
@@ -370,32 +388,38 @@ def advance(u, mesh, target, lap_kind, opts, record):
     ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
     ``IntegratorOptions``; the fixed settings are the module constants.
     The loop, ``record`` included, runs in one ``np.errstate(all="ignore")``
-    scope.  The start and each re-centering are evaluated by :func:`state`
-    and raise if not clean; a trial whose kernel call raises is rejected.
+    scope.  The start is evaluated by :func:`state` and raises if not
+    clean; a re-centering that does not evaluate is skipped, and a trial
+    whose kernel calls (its stages' included) raise is rejected.
 
-    Each step is explicit Euler with a descent guard: a trial that fails it
-    is halved and retried, and the run collapses once ``MAX_HALVINGS``
-    halvings of evaluated trials fail, or the step reaches 0.  A trial
-    refused unevaluated (past the divergence guard by ``TRIAL_MARGIN``, or
-    with radii that underflow) does not count: as ``h max|v| -> 0`` the
-    trial nears the current state, which passed both tests unless it is a
-    start with radii below the normal range.  The step grows by
-    ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after every
-    ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial passes
-    when its geometry evaluates cleanly and ``e_new <= energy + (noise +
-    noise_new)``, the energies' roundoff allowance.  Its stages run cheapest
-    decisive test first, and a failed stage halves the trial: the corner
-    cosines (:func:`_corners`); the energy; the allowance only if ``e_new >
-    energy`` (with clean cosines it is never negative or NaN); the dual
-    weights and their bounds (:func:`_dual_weights`) only for a trial that
-    passed.  The current state's ``noise`` is computed, from the arrays its
-    trial kept, when a trial first needs it.  A Ricci trial makes one
-    curvature call (:func:`_curvatures`) at the trial point ``u + h v`` and
-    passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in
-    [0, pi/2] the Ricci potential is convex (Colin de Verdiere, Invent.
-    Math. 1991; Chow-Luo, J. Diff. Geom. 2003), so g(s) = <K(u + s h v) -
-    target, h v> is nondecreasing in s; g(1) <= 0 then gives g <= 0 on
-    [0, 1], and the step does not raise the potential.  The accepted trial's
+    Each step has a descent guard: a trial that fails it is halved and
+    retried, and the run collapses once ``MAX_HALVINGS`` halvings of
+    evaluated trials fail, or the step reaches 0.  A trial refused
+    unevaluated (past the divergence guard by ``TRIAL_MARGIN``, with radii
+    that underflow, or needing over ``MAX_STAGES`` stages) does not count:
+    as ``h max|v| -> 0`` the trial nears the current state, which passed
+    both tests unless it is a start with radii below the normal range.  The
+    step grows by ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after
+    every ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial
+    takes the fewest stages s of :func:`_rkc` with ``beta(s) >= h rho``,
+    where ``rho = (max over edges ab of d_a + d_b)^2``, d = diag L, bounds
+    ``lambda_max(L)^2`` (Anderson-Morley) at the accepted state of the last
+    change of h or re-centering.  At s = 1 it is the Euler point ``u + h
+    v``; a later stage adds the velocity at the one before to an increment
+    from ``u``.  The trial passes when its geometry evaluates cleanly and
+    ``e_new <= energy + (noise + noise_new)``, the roundoff allowance.  Its
+    tests run cheapest decisive test first, and a failed one halves the
+    trial: the corner cosines (:func:`_corners`); the energy; the allowance
+    only if ``e_new > energy`` (with clean cosines it is never negative or
+    NaN); the dual weights and their bounds (:func:`_dual_weights`) only for
+    a trial that passed.  The current state's ``noise`` is computed, from
+    the arrays its trial kept, when a trial first needs it.  A Ricci trial
+    makes one curvature call (:func:`_curvatures`) at the Euler point and
+    passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in [0,
+    pi/2] the Ricci potential is convex (Colin de Verdiere, Invent. Math.
+    1991; Chow-Luo, J. Diff. Geom. 2003), so g(s) = <K(u + s h v) - target,
+    h v> is nondecreasing in s; g(1) <= 0 then gives g <= 0 on [0, 1], and
+    the step does not raise the potential.  The accepted trial's
     deviation ``K - target``, dual weights and distance from the start serve
     the next step and the stopping tests unchanged.
 
@@ -409,9 +433,10 @@ def advance(u, mesh, target, lap_kind, opts, record):
     record, and at the end.  ``stride`` is ``max(1, k // SAMPLE_TARGET)``
     (``k`` the step count) as of the start, the last record or the last
     re-centering, whichever came last.
-    Returns ``(status, steps, u, t)``, the status one of ``"converged"``,
-    ``"diverged"``, ``"step_limit"`` and ``"collapsed"``; a collapsed run is
-    not recorded at its end.
+    Returns ``(status, steps, u, t, evaluations)``, the status one of
+    ``"converged"``, ``"diverged"``, ``"step_limit"`` and ``"collapsed"``
+    (a collapsed run is not recorded at its end), and ``evaluations`` the
+    geometry evaluations of trials and stages.
     """
     ea, eb, n = mesh.ea, mesh.eb, u.shape[0]
     u_ref = u
@@ -428,11 +453,11 @@ def advance(u, mesh, target, lap_kind, opts, record):
 
     with np.errstate(all="ignore"):
         K, B, dev, energy, noise = evaluate(u)
-        h, t, stride = opts.initial_step, 0.0, 1
-        streak = steps = last = 0
+        h, t, stride, h_s = opts.initial_step, 0.0, 1, None
+        streak = steps = last = evals = 0
         record(t, h, u, K, energy)
         if float(np.abs(dev).max()) < opts.curvature_tol:
-            return "converged", steps, u, t
+            return "converged", steps, u, t, evals
         while steps < opts.max_steps:
             v = lap_apply(B, ea, eb, dev) if lap_kind else -dev
             trials = evaluated = 0
@@ -441,18 +466,36 @@ def advance(u, mesh, target, lap_kind, opts, record):
                     h *= 0.5
                 trials += 1
                 du = h * v
+                if lap_kind:
+                    if h != h_s:  # s, the stage count, is that of h_s
+                        d = np.bincount(ea, B, n) + np.bincount(eb, B, n)
+                        x, h_s, s = h * float((d[ea] + d[eb]).max()) ** 2, h, 1
+                        while s <= MAX_STAGES and _rkc(s)[0] < x:
+                            s += 1
+                    if s > MAX_STAGES:
+                        continue
+                    if s > 1:
+                        d0, du = 0.0, _rkc(s)[1] * du
+                        try:
+                            for mu, nu, mut in _rkc(s)[2]:
+                                r = np.exp(u + du)
+                                _, G, cc, _, K_j = _corners(r, mesh)
+                                B_j = _dual_weights(r, G, cc, np.sqrt(1.0 - cc * cc), mesh)
+                                f = lap_apply(B_j, ea, eb, K_j - target)
+                                d0, du = du, mu * du + nu * d0 + (mut * h) * f
+                                evals += 1
+                        except InternalConsistencyError:
+                            evaluated += 1
+                            continue
                 u_new = u + du
                 drift = float(np.abs(u_new - u_ref).max())
                 if drift > opts.u_max + TRIAL_MARGIN:
                     continue
                 # a trial whose geometry does not evaluate cleanly (radii
-                # that overflow to inf among them) is rejected like any
-                # other failed trial; only accepted states carry the
-                # guarantee of a clean evaluation.  Ricci kinds evaluate
-                # only the curvature map at trials: their velocity and
-                # descent guard never touch the dual weights, whose formula
-                # degenerates in floating point on deep escapes long before
-                # the curvature map does.
+                # that overflow among them) is rejected like any failed
+                # trial.  A Ricci trial evaluates only the curvatures: the
+                # dual weights' formula degenerates in floating point on
+                # deep escapes long before the curvature map does.
                 r_new = np.exp(u_new)
                 if drift > exp_safe and float(r_new.min()) < TINY:
                     continue  # radii that underflow are rejected like overflow
@@ -487,7 +530,8 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 if ok:
                     break
             else:
-                return "collapsed", steps, u, t
+                return "collapsed", steps, u, t, evals + evaluated
+            evals += evaluated
             t, u, K, dev, energy = t + h, u_new, K_new, dev_new, e_new
             if lap_kind:
                 B, noise, kept = B_new, noise_new, (G, sin)
@@ -499,14 +543,18 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 streak = 0
             if float(np.abs(dev).max()) < opts.curvature_tol:
                 record(t, h, u, K, energy)
-                return "converged", steps, u, t
+                return "converged", steps, u, t, evals
             if drift > opts.u_max:
                 record(t, h, u, K, energy)
-                return "diverged", steps, u, t
+                return "diverged", steps, u, t, evals
             recenter = lap_kind and steps % RECENTER_INTERVAL == 0
             if recenter:
-                u = u - (u.sum() - sum_u0) / n
-                K, B, dev, energy, noise = evaluate(u)
+                centered = u - (u.sum() - sum_u0) / n
+                try:
+                    K, B, dev, energy, noise = evaluate(centered)
+                    u, h_s = centered, None
+                except InternalConsistencyError:
+                    pass  # the accepted state stays: it evaluated cleanly
             if steps - last >= stride:
                 record(t, h, u, K, energy)
                 last = steps
@@ -514,7 +562,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 stride = max(1, steps // SAMPLE_TARGET)
         if last != steps:
             record(t, h, u, K, energy)
-    return "step_limit", steps, u, t
+    return "step_limit", steps, u, t, evals
 
 
 def _subset_row(c, n, target, ea, eb, fv, fe, pmp):

@@ -447,7 +447,7 @@ _FLAGS = {
     ),
     "--starts": dict(type=int, default=1, help="number of seeded random starts"),
     "--initial-step": dict(
-        type=float, default=IntegratorOptions.initial_step, help="first Euler step"
+        type=float, default=IntegratorOptions.initial_step, help="first step size"
     ),
     "--max-step": dict(
         type=float, default=IntegratorOptions.max_step, help="step regrowth cap"
@@ -516,7 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_line, names) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_line)
+        # every flag is spelled in full, as in config files: an abbreviation
+        # would also slip past _glue_negative_values
+        p = sub.add_parser(command, help=help_line, allow_abbrev=False)
         for name in names.split() + ["--config"]:
             spec = _FLAGS[name]
             text = spec["help"]

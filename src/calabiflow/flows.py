@@ -13,11 +13,12 @@ kinds are the negative gradient flow of the energy ``sum (K_i - Kbar_i)^2``
 and conserve ``sum u_i`` exactly in continuous time; the Ricci kinds are
 the negative gradient flow of the Ricci potential.
 
-Integration is explicit Euler with a descent guard on the energy (Calabi
-kinds) or the Ricci potential (Ricci kinds).  :func:`_kernels.advance` runs
-the loop in one floating point scope; its docstring describes the step
-controller, the staged Calabi trial (the guard's roundoff allowance only
-when the energy rose), the stopping tests, the re-centering and sampling.
+A Ricci step is explicit Euler; a Calabi step takes the fewest damped Runge-
+Kutta-Chebyshev stages a certified stiffness bound allows (one stage is the
+Euler step).  Each has a descent guard on the energy (Calabi kinds) or the
+Ricci potential (Ricci kinds).  :func:`_kernels.advance` runs the loop in
+one floating point scope; its docstring describes the controller, the stage
+rule, the staged Calabi guard, the stopping tests, re-centering and sampling.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ class FlowKind:
 
 @dataclass(frozen=True)
 class IntegratorOptions:
-    """The explicit Euler settings a caller may vary: one per ``flow`` flag.
+    """The step controller settings a caller may vary: one per ``flow`` flag.
 
     ``max_step`` bounds step regrowth; the large default effectively
     removes the cap, which divergent runs need to reach the ``u_max``
@@ -98,7 +99,7 @@ class IntegratorOptions:
     decay rate of a converging run should track continuous time.  ``u_max``
     and ``max_step`` may be infinite.  The other settings are constants of
     ``_kernels``: ``MAX_HALVINGS``, ``GROWTH_FACTOR``, ``GROWTH_INTERVAL``,
-    ``RECENTER_INTERVAL`` and ``SAMPLE_TARGET``.
+    ``RECENTER_INTERVAL``, ``SAMPLE_TARGET``, ``RKC_DAMPING``, ``MAX_STAGES``.
     """
 
     initial_step: float = 1e-2
@@ -110,14 +111,16 @@ class IntegratorOptions:
     def __post_init__(self):
         # an infinite first step collapses, and an infinite tolerance
         # reports any start as converged
-        if not (0 < self.initial_step < np.inf and 0 < self.curvature_tol < np.inf):
-            raise DomainError("initial_step and curvature_tol must be finite and > 0")
-        if not (self.max_step > 0 and self.u_max > 0):
-            raise DomainError("max_step and u_max must be positive")
+        for name, must in (("initial_step", "finite and > 0"),
+                           ("curvature_tol", "finite and > 0"),
+                           ("max_step", "positive"), ("u_max", "positive")):
+            value = getattr(self, name)
+            if not (value > 0 and (value < np.inf or must == "positive")):
+                raise DomainError(f"{name} must be {must}, got {value}")
         # a bool is an int to isinstance, but not a step count
         integral = isinstance(self.max_steps, (int, np.integer))
         if not integral or isinstance(self.max_steps, bool) or self.max_steps < 1:
-            raise DomainError("max_steps must be an integer >= 1")
+            raise DomainError(f"max_steps must be an integer >= 1, got {self.max_steps}")
 
 
 @dataclass(frozen=True)
@@ -158,13 +161,15 @@ class FlowTrace:
     running count; see ``_kernels.advance``), and the final state.  For
     Calabi kinds every accepted step satisfied the energy guard, so the
     recorded energies are non-increasing.  Each sample's ``lambda1`` is
-    computed when it is first read, not during the run.
+    computed when it is first read, not during the run.  ``evaluations``
+    counts the geometry evaluations of trials and Calabi stages.
     """
 
     kind_name: str
     target: np.ndarray
     status: str
     accepted_steps: int
+    evaluations: int
     t_final: float
     final_metric: PackingMetric
     samples: list[FlowSample] = field(default_factory=list)
@@ -207,7 +212,7 @@ def integrate(
             )
         )
 
-    status, steps, u, t_final = _kernels.advance(
+    status, steps, u, t_final, evaluations = _kernels.advance(
         m0.u.copy(), mesh, target, kind.uses_laplacian, opts, record
     )
     if status == "collapsed":
@@ -220,6 +225,7 @@ def integrate(
         target=target,
         status=status,
         accepted_steps=steps,
+        evaluations=evaluations,
         t_final=t_final,
         final_metric=PackingMetric.from_log_radii(u),
         samples=samples,

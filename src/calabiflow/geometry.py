@@ -158,7 +158,9 @@ class PackingMetric:
         arr = np.asarray(list(r) if not isinstance(r, np.ndarray) else r, dtype=np.float64)
         if arr.size and arr.min() > 0.0:
             return cls(arr, np.log(arr))
-        raise DomainError("all radii must be positive")
+        bad = np.flatnonzero(~(arr.ravel() > 0.0))
+        first = f"radius {bad[0]} is {arr.ravel()[bad[0]]}" if bad.size else "none given"
+        raise DomainError(f"all radii must be positive; {first}")
 
     @classmethod
     def from_log_radii(cls, u: Iterable[float]) -> "PackingMetric":

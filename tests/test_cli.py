@@ -701,8 +701,9 @@ NEGATIVE_VALUES = [
     ("potential-probe", "--probe-radii", "-1,2",
      "give at least one probe radius, each positive and finite"),
     ("flow", "--initial-step", "-1e-3",
-     "initial_step and curvature_tol must be finite and > 0"),
-    ("curvature", "--radii", "-1e-3", "all radii must be positive"),
+     "initial_step must be finite and > 0, got -0.001"),
+    ("curvature", "--radii", "-1e-3",
+     "all radii must be positive; radius 0 is -0.001"),
     ("curvature", "--phi", "-1e-3",
      "weights must lie in [0, pi/2]; got range [-0.001, -0.001]"),
 ]
@@ -717,6 +718,16 @@ def test_negative_value_as_separate_argument(capsys, command, flag, value, messa
     spaced = run(capsys, command, "--mesh", "tetrahedron", flag, value)
     glued = run(capsys, command, "--mesh", "tetrahedron", f"{flag}={value}")
     assert spaced == glued == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("value", ["-1e-3", "1e-3"])
+def test_abbreviated_flags_are_refused(capsys, value):
+    # every flag is spelled in full, so "--initial" is no "--initial-step",
+    # whether or not its value starts with a minus sign
+    for argv in (["--initial", value], [f"--initial={value}"]):
+        code, out, err = run(capsys, "flow", "--mesh", "tetrahedron", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
 
 
 def test_negative_values_are_glued_to_valued_flags_only():

@@ -2,12 +2,13 @@
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import _kernels
+from calabiflow import _kernels, thurston
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.mesh import resolve_target
 from calabiflow.meshes import subdivide
@@ -107,7 +108,7 @@ def test_curvature_derivative_identity(kind_name):
 
 
 def _one_step(kind, t, w, m, h):
-    """One guarded explicit Euler step of size at most ``h``."""
+    """One guarded step of size at most ``h``."""
     return cf.integrate(
         kind, t, w, m, cf.IntegratorOptions(initial_step=h, max_steps=1)
     )
@@ -122,10 +123,20 @@ def test_step_decreases_energy():
     assert res.accepted_steps == 1
     assert res.samples[-1].energy < e0
     assert res.t_final == 1e-2  # accepted at full size, not halved
-    # an oversized step gets halved until the guard passes
-    res_big = _one_step(cf.FlowKind.calabi(), t, w, m, 64.0)
+    # a step that Chebyshev stages keep stable is accepted at full size
+    res_staged = _one_step(cf.FlowKind.calabi(), t, w, m, 64.0)
+    assert res_staged.accepted_steps == 1
+    assert res_staged.t_final == 64.0
+    assert res_staged.samples[-1].energy < e0
+    # an oversized step, past what MAX_STAGES stages keep stable, gets
+    # halved until the guard passes
+    B = _kernels.state(m.r, _mesh_arrays(t, w)).B
+    ea, eb = t.edges[:, 0], t.edges[:, 1]
+    d = np.bincount(ea, B, t.n_vertices) + np.bincount(eb, B, t.n_vertices)
+    h_big = 2.0 * _kernels._rkc(_kernels.MAX_STAGES)[0] / float((d[ea] + d[eb]).max()) ** 2
+    res_big = _one_step(cf.FlowKind.calabi(), t, w, m, h_big)
     assert res_big.accepted_steps == 1
-    assert res_big.t_final < 64.0
+    assert res_big.t_final < h_big
     assert res_big.samples[-1].energy < e0
     with pytest.raises(cf.DomainError):
         _one_step(cf.FlowKind.calabi(), t, w, m, 0.0)
@@ -453,6 +464,22 @@ def test_options_validation():
     cf.IntegratorOptions(u_max=math.inf, max_step=math.inf)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("initial_step", -1e-3, "initial_step must be finite and > 0, got -0.001"),
+        ("curvature_tol", math.inf, "curvature_tol must be finite and > 0, got inf"),
+        ("max_step", 0.0, "max_step must be positive, got 0.0"),
+        ("u_max", math.nan, "u_max must be positive, got nan"),
+        ("max_steps", 2.5, "max_steps must be an integer >= 1, got 2.5"),
+    ],
+)
+def test_options_refusals_name_the_setting_and_value(field, value, message):
+    with pytest.raises(cf.DomainError) as info:
+        cf.IntegratorOptions(**{field: value})
+    assert str(info.value) == message
+
+
 def test_integrate_size_mismatch():
     t = mesh("tetrahedron")
     with pytest.raises(cf.DomainError):
@@ -488,7 +515,10 @@ def _guarded_run(monkeypatch, kind, t, w, m0, opts=None):
     corners, curvature_noise = _kernels._corners, _kernels._curvature_noise
 
     def counted_corners(r, mesh):
-        radii.append(r)
+        # a trial's radii are advance's r_new: Chebyshev stages, the start's
+        # state and re-centerings evaluate other arrays
+        if sys._getframe(1).f_locals.get("r_new") is r:
+            radii.append(r)
         out = corners(r, mesh)
         lengths[:] = [out[1]]
         return out
@@ -503,7 +533,7 @@ def _guarded_run(monkeypatch, kind, t, w, m0, opts=None):
     monkeypatch.setattr(_kernels, "_curvature_noise", counted_noise)
     tr = cf.integrate(kind, t, w, m0, opts)
     # the start is evaluated in full by state
-    return tr, radii[1:], sum(allowances) - 1
+    return tr, radii, sum(allowances) - 1
 
 
 @pytest.mark.parametrize("case", ["escape", "oct66"])
@@ -527,7 +557,11 @@ def test_staged_energy_guard_decides_as_the_full_one(monkeypatch, case):
         w = random_weight(rng, t)
         m0 = random_metric(rng, t)
         kind, opts = cf.FlowKind.calabi(), None
+        # one stage at every step size: explicit Euler trials past their
+        # stability bound raise the energy, which staged trials never do here
+        monkeypatch.setattr(_kernels, "_rkc", lambda s: (math.inf, 1.0, []))
     tr, radii, allowances = _guarded_run(monkeypatch, kind, t, w, m0, opts)
+    assert (tr.evaluations > len(radii)) == (case == "escape")  # stages
     samples = tr.samples
     assert len(samples) == tr.accepted_steps + 1
     mesh_arrays = _mesh_arrays(t, w)
@@ -573,3 +607,114 @@ def test_integrate_restores_the_floating_point_state(monkeypatch):
         with pytest.raises(cf.StepCollapseError):
             cf.integrate(cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0)
         assert np.geterr() == caller
+
+
+def _octahedron(n):
+    t = mesh("octahedron")
+    while t.n_vertices < n:
+        t = subdivide(t)
+    return t
+
+
+@pytest.mark.parametrize("kind_name", ["calabi", "calabi_prescribed"])
+def test_stiff_calabi_flow_reaches_the_newton_limit(kind_name):
+    # at N=258, where explicit Euler steps took about 25 000 steps, the
+    # Chebyshev-stabilized flow converges to the Newton limit (Phi = 0) or
+    # to the u* its realizable target came from, modulo constants, and
+    # keeps sum u
+    t = _octahedron(258)
+    rng = np.random.default_rng(258)
+    m0 = random_metric(rng, t)
+    if kind_name == "calabi":
+        w, kind = zero_weight(t), cf.FlowKind.calabi()
+        target = resolve_target(t, None)
+        for u_star, s in thurston._newton(t, w, target, m0.u):
+            if thurston._at_floor(s, target):
+                break
+    else:
+        w = random_weight(rng, t)
+        u_star = rng.normal(0.0, 0.7, t.n_vertices)
+        curv = cf.compute_geometry(t, w, cf.PackingMetric.from_log_radii(u_star)).curvatures
+        kind = cf.FlowKind.calabi_prescribed(curv)
+    tr = cf.integrate(kind, t, w, m0)
+    assert tr.status == "converged" and tr.accepted_steps < 1000
+    u = tr.final_metric.u
+    assert np.abs((u - u.mean()) - (u_star - u_star.mean())).max() < 1e-8
+    assert abs(u.sum() - m0.u.sum()) <= 1e-10
+
+
+@pytest.mark.parametrize("kind_name", ["calabi_prescribed", "ricci_prescribed"])
+def test_inadmissible_escape_at_default_guard_ends_without_raising(kind_name):
+    # toward an inadmissible target the escape runs into the step limit or
+    # the u_max guard; the staged Calabi trials and its re-centerings on the
+    # way raise nothing
+    t = mesh("tetrahedron")
+    m0 = random_metric(np.random.default_rng(0), t)
+    kind = getattr(cf.FlowKind, kind_name)(BAD_TETRA_TARGET)
+    opts = cf.IntegratorOptions(max_steps=20000)
+    tr = cf.integrate(kind, t, zero_weight(t), m0, opts)
+    assert tr.status in ("step_limit", "diverged")
+
+
+def test_a_recentering_that_does_not_evaluate_keeps_the_accepted_state(monkeypatch):
+    # a re-centered state that fails to evaluate is dropped: the run goes on
+    # from the accepted state, bit for bit as a run with no re-centering
+    t = mesh("octahedron")
+    rng = np.random.default_rng(59)
+    w, m0 = random_weight(rng, t), random_metric(rng, t)
+    monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 10**9)
+    ref = cf.integrate(cf.FlowKind.calabi(), t, w, m0)
+    calls, state = [], _kernels.state
+
+    def state_of_the_start_only(r, mesh):
+        calls.append(r)
+        if len(calls) > 1:
+            raise cf.InternalConsistencyError(_kernels.NONFINITE)
+        return state(r, mesh)
+
+    monkeypatch.setattr(_kernels, "RECENTER_INTERVAL", 5)
+    monkeypatch.setattr(_kernels, "state", state_of_the_start_only)
+    tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0)
+    assert tr.status == "converged"
+    assert len(calls) - 1 == (tr.accepted_steps - 1) // 5 > 0
+    assert np.array_equal(tr.final_metric.u, ref.final_metric.u)
+    assert [s.u.tobytes() for s in tr.samples] == [s.u.tobytes() for s in ref.samples]
+
+
+def _trial_corners(monkeypatch):
+    """Counts of all corner evaluations and of those at a trial point."""
+    counts = {"all": 0, "trials": 0}
+    corners = _kernels._corners
+
+    def counted(r, mesh):
+        counts["all"] += 1
+        counts["trials"] += sys._getframe(1).f_locals.get("r_new") is r
+        return corners(r, mesh)
+
+    monkeypatch.setattr(_kernels, "_corners", counted)
+    return counts
+
+
+def test_evaluations_count_trials_and_stages(monkeypatch):
+    # a seeded N=66 Calabi run: every trial and every Chebyshev stage is
+    # one corner evaluation, as is the start
+    t = _octahedron(66)
+    rng = np.random.default_rng(66)
+    w, m0 = random_weight(rng, t), random_metric(rng, t)
+    counts = _trial_corners(monkeypatch)
+    tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0)
+    assert tr.status == "converged"
+    assert (tr.accepted_steps, tr.evaluations) == (314, 1110)
+    assert counts["all"] == 1 + tr.evaluations > 1 + counts["trials"]
+
+
+def test_short_large_calabi_run_evaluates_trials_only(monkeypatch):
+    # a 10-step N=1026 Calabi run, the shape of a benchmark op, stays below
+    # beta(1) / rho: no stages, so its evaluations are its evaluated trials
+    t = _octahedron(1026)
+    rng = np.random.default_rng(1026)
+    w, m0 = random_weight(rng, t), random_metric(rng, t)
+    counts = _trial_corners(monkeypatch)
+    tr = cf.integrate(cf.FlowKind.calabi(), t, w, m0, cf.IntegratorOptions(max_steps=10))
+    assert tr.status == "step_limit" and tr.accepted_steps == 10
+    assert tr.evaluations == counts["trials"] == counts["all"] - 1 >= 10

@@ -175,3 +175,14 @@ def test_compute_geometry_size_mismatch():
         cf.compute_geometry(t, zero_weight(t), cf.PackingMetric.from_radii(np.ones(5)))
     with pytest.raises(cf.DomainError):
         cf.compute_geometry(t, cf.Weight(np.zeros(5)), cf.PackingMetric.from_radii(np.ones(4)))
+
+
+def test_radii_refusal_names_the_first_bad_radius():
+    for radii, message in [
+        ([1.0, 0.0, -2.0], "all radii must be positive; radius 1 is 0.0"),
+        ([1.0, math.nan], "all radii must be positive; radius 1 is nan"),
+        ([], "all radii must be positive; none given"),
+    ]:
+        with pytest.raises(cf.DomainError) as info:
+            cf.PackingMetric.from_radii(radii)
+        assert str(info.value) == message

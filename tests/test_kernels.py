@@ -487,16 +487,18 @@ def test_segment_potential_memory_bounded():
 
 @pytest.mark.parametrize("lap_kind", [True, False])
 def test_advance_result_layout(lap_kind):
-    # the accepted-step count sits at index 1 of a 4-tuple
+    # the accepted-step count sits at index 1 of a 5-tuple, whose last
+    # entry counts the geometry evaluations
     t, r, args = _arrays("octahedron", 56)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     res = _kernels.advance(
         np.log(r), args, target, lap_kind, cf.IntegratorOptions(max_steps=5),
         lambda *a: None,
     )
-    assert len(res) == 4
+    assert len(res) == 5
     assert res[0] == "step_limit" and res[1] == 5
     assert res[3] > 0.0  # time advanced
+    assert res[4] >= res[1]
 
 
 def test_scan_subsets_result_layout():
@@ -536,3 +538,54 @@ def test_corner_arrays_are_c_contiguous():
         assert len(G) == 3
         for a in (lens, *G, cc, ang, K):
             assert a.flags.c_contiguous and a.shape[: r.ndim - 1] == r.shape[:-1]
+
+
+def _rkc_increment(s, z):
+    """The s-stage step's increment R(z) - 1 on y' = z y from y = 1, by the
+    recurrence that advance runs."""
+    _, mu1, rows = _kernels._rkc(s)
+    d0, d1 = 0.0, mu1 * z
+    for mu, nu, mut in rows:
+        d0, d1 = d1, mu * d1 + nu * d0 + mut * z * (1.0 + d1)
+    return d1
+
+
+def test_rkc_coefficients():
+    # one stage is the Euler step; every stage row is a convex combination
+    # to rounding; the step is stable on [-beta(s), 0], first-order
+    # accurate, and beta grows with s
+    beta1, mu1, rows = _kernels._rkc(1)
+    assert mu1 == 1.0 and rows == []
+    betas = []
+    for s in range(1, _kernels.MAX_STAGES + 1):
+        beta, mu1, rows = _kernels._rkc(s)
+        assert len(rows) == s - 1
+        for mu, nu, _ in rows:
+            assert abs(mu + nu - 1.0) <= 4 * _kernels.EPS
+        z = np.linspace(-beta, 0.0, 4001)
+        R = 1.0 + _rkc_increment(s, z)
+        assert np.abs(R).max() <= 1.0
+        # the recurrence runs T_s(w0 + w1 z) / T_s(w0)
+        w0 = 1.0 + _kernels.RKC_DAMPING / (s * s)
+        T_s = np.polynomial.chebyshev.Chebyshev.basis(s)
+        assert np.allclose(R, T_s(w0 + mu1 * w0 * z) / T_s(w0), rtol=0, atol=1e-9)
+        dz = 1e-7 / beta
+        assert _rkc_increment(s, -dz) / -dz == pytest.approx(1.0, abs=1e-6)
+        betas.append(beta)
+    assert all(b > a for a, b in zip(betas, betas[1:]))
+    assert 1.9 * _kernels.MAX_STAGES**2 < betas[-1] < 2.0 * _kernels.MAX_STAGES**2
+
+
+def test_one_stage_calabi_step_is_the_euler_step():
+    # below beta(1) / rho a Calabi trial is u + h v, bit for bit
+    t, r, args = _arrays("octahedron", 58)
+    target = np.full(t.n_vertices, 2 * math.pi / 3)
+    s = _kernels.state(r, args)
+    u0 = np.log(r)
+    v = _kernels.lap_apply(s.B, args.ea, args.eb, s.K - target)
+    res = _kernels.advance(
+        u0, args, target, True,
+        cf.IntegratorOptions(initial_step=1e-3, max_steps=1), lambda *a: None,
+    )
+    assert res[1] == 1 and res[3] == 1e-3 and res[4] == 1
+    assert np.array_equal(res[2], u0 + 1e-3 * v)
