@@ -100,8 +100,6 @@ TINY = float(np.finfo(np.float64).tiny)
 MAX_HALVINGS = 60
 GROWTH_FACTOR = 1.2
 GROWTH_INTERVAL = 10
-# accepted steps between re-centerings of sum u (Calabi kinds)
-RECENTER_INTERVAL = 1000
 # sets the stride between recorded samples
 SAMPLE_TARGET = 1000
 # damping and largest stage count of the Chebyshev-stabilized Calabi trial
@@ -388,9 +386,8 @@ def advance(u, mesh, target, lap_kind, opts, record):
     ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
     ``IntegratorOptions``; the fixed settings are the module constants.
     The loop, ``record`` included, runs in one ``np.errstate(all="ignore")``
-    scope.  The start is evaluated by :func:`state` and raises if not
-    clean; a re-centering that does not evaluate is skipped, and a trial
-    whose kernel calls (its stages' included) raise is rejected.
+    scope.  The start is evaluated by :func:`state` and raises if not clean,
+    and a trial whose kernel calls (its stages' included) raise is rejected.
 
     Each step has a descent guard: a trial that fails it is halved and
     retried, and the run collapses once ``MAX_HALVINGS`` halvings of
@@ -404,15 +401,15 @@ def advance(u, mesh, target, lap_kind, opts, record):
     takes the fewest stages s of :func:`_rkc` with ``beta(s) >= h rho``,
     where ``rho = (max over edges ab of d_a + d_b)^2``, d = diag L, bounds
     ``lambda_max(L)^2`` (Anderson-Morley) at the accepted state of the last
-    change of h or re-centering.  At s = 1 it is the Euler point ``u + h
-    v``; a later stage adds the velocity at the one before to an increment
-    from ``u``.  The trial passes when its geometry evaluates cleanly and
-    ``e_new <= energy + (noise + noise_new)``, the roundoff allowance.  Its
-    tests run cheapest decisive test first, and a failed one halves the
-    trial: the corner cosines (:func:`_corners`); the energy; the allowance
-    only if ``e_new > energy`` (with clean cosines it is never negative or
-    NaN); the dual weights and their bounds (:func:`_dual_weights`) only for
-    a trial that passed.  The current state's ``noise`` is computed, from
+    change of h.  At s = 1 it is the Euler point ``u + h v``; a later stage
+    adds the velocity at the one before to an increment from ``u``.  The
+    trial passes when its geometry evaluates cleanly and ``e_new <= energy
+    + (noise + noise_new)``, the roundoff allowance.  Its tests run
+    cheapest decisive test first, and a failed one halves the trial: the
+    corner cosines (:func:`_corners`); the energy; the allowance only if
+    ``e_new > energy`` (with clean cosines it is never negative or NaN);
+    the dual weights and their bounds (:func:`_dual_weights`) only for a
+    trial that passed.  The current state's ``noise`` is computed, from
     the arrays its trial kept, when a trial first needs it.  A Ricci trial
     makes one curvature call (:func:`_curvatures`) at the Euler point and
     passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in [0,
@@ -426,13 +423,11 @@ def advance(u, mesh, target, lap_kind, opts, record):
     The run converges when ``max |K - target| < opts.curvature_tol`` (the
     start included), diverges when some ``|u_i - u_i(0)|`` exceeds
     ``opts.u_max``, and otherwise stops after ``opts.max_steps`` accepted
-    steps.  For the Calabi kinds, which conserve ``sum u`` in exact
-    arithmetic, ``sum u`` is re-centered every ``RECENTER_INTERVAL`` steps
-    that did not stop the run.  ``record(t, h, u, K, energy)`` is called at
-    the start, then whenever ``stride`` steps have passed since the last
-    record, and at the end.  ``stride`` is ``max(1, k // SAMPLE_TARGET)``
-    (``k`` the step count) as of the start, the last record or the last
-    re-centering, whichever came last.
+    steps.  A Calabi step adds :func:`lap_apply` values, whose entries sum
+    to zero, so ``sum u`` holds to rounding.  ``record(t, h, u, K, energy)``
+    is called at the start, then whenever ``stride`` steps have passed since
+    the last record, and at the end.  ``stride`` is ``max(1, k //
+    SAMPLE_TARGET)`` (``k`` the step count) as of the last record.
     Returns ``(status, steps, u, t, evaluations)``, the status one of
     ``"converged"``, ``"diverged"``, ``"step_limit"`` and ``"collapsed"``
     (a collapsed run is not recorded at its end), and ``evaluations`` the
@@ -440,19 +435,13 @@ def advance(u, mesh, target, lap_kind, opts, record):
     """
     ea, eb, n = mesh.ea, mesh.eb, u.shape[0]
     u_ref = u
-    sum_u0 = float(u.sum())
     # within this drift every u stays above -EXP_SAFE
     exp_safe = EXP_SAFE - float(np.abs(u_ref).max())
-
-    def evaluate(u):
-        s = state(np.exp(u), mesh)
-        dev = s.K - target
-        energy = float((dev**2).sum())
-        noise = _energy_noise(dev, s.kn, energy) if lap_kind else 0.0
-        return s.K, s.B, dev, energy, noise
-
     with np.errstate(all="ignore"):
-        K, B, dev, energy, noise = evaluate(u)
+        start = state(np.exp(u), mesh)
+        K, B, dev = start.K, start.B, start.K - target
+        energy = float((dev**2).sum())
+        noise = _energy_noise(dev, start.kn, energy)
         h, t, stride, h_s = opts.initial_step, 0.0, 1, None
         streak = steps = last = evals = 0
         record(t, h, u, K, energy)
@@ -547,19 +536,9 @@ def advance(u, mesh, target, lap_kind, opts, record):
             if drift > opts.u_max:
                 record(t, h, u, K, energy)
                 return "diverged", steps, u, t, evals
-            recenter = lap_kind and steps % RECENTER_INTERVAL == 0
-            if recenter:
-                centered = u - (u.sum() - sum_u0) / n
-                try:
-                    K, B, dev, energy, noise = evaluate(centered)
-                    u, h_s = centered, None
-                except InternalConsistencyError:
-                    pass  # the accepted state stays: it evaluated cleanly
             if steps - last >= stride:
                 record(t, h, u, K, energy)
-                last = steps
-            if recenter or last == steps:
-                stride = max(1, steps // SAMPLE_TARGET)
+                last, stride = steps, max(1, steps // SAMPLE_TARGET)
         if last != steps:
             record(t, h, u, K, energy)
     return "step_limit", steps, u, t, evals
