@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, StepCollapseError
 
 SQRT3 = math.sqrt(3.0)
 TWO_PI = 2.0 * math.pi
@@ -97,6 +97,7 @@ EXP_SAFE = 708.0
 TINY = float(np.finfo(np.float64).tiny)
 
 # step controller settings (see advance)
+INITIAL_STEP = 1e-2
 MAX_HALVINGS = 60
 GROWTH_FACTOR = 1.2
 GROWTH_INTERVAL = 10
@@ -389,15 +390,16 @@ def advance(u, mesh, target, lap_kind, opts, record):
     scope.  The start is evaluated by :func:`state` and raises if not clean,
     and a trial whose kernel calls (its stages' included) raise is rejected.
 
-    Each step has a descent guard: a trial that fails it is halved and
-    retried, and the run collapses once ``MAX_HALVINGS`` halvings of
-    evaluated trials fail, or the step reaches 0.  A trial refused
-    unevaluated (past the divergence guard by ``TRIAL_MARGIN``, with radii
-    that underflow, or needing over ``MAX_STAGES`` stages) does not count:
-    as ``h max|v| -> 0`` the trial nears the current state, which passed
-    both tests unless it is a start with radii below the normal range.  The
-    step grows by ``GROWTH_FACTOR`` (capped at ``opts.max_step``) after
-    every ``GROWTH_INTERVAL`` consecutive accepted steps.  A Calabi trial
+    The first step is ``INITIAL_STEP``, and each has a descent guard: a
+    trial that fails it is halved and retried, and ``StepCollapseError`` is
+    raised once ``MAX_HALVINGS`` halvings of evaluated trials fail, or the
+    step reaches 0.  A trial refused unevaluated (past the divergence guard
+    by ``TRIAL_MARGIN``, with radii that underflow, or needing over
+    ``MAX_STAGES`` stages) does not count: as ``h max|v| -> 0`` the trial
+    nears the current state, which passed both tests unless it is a start
+    with radii below the normal range.  The step grows by ``GROWTH_FACTOR``
+    (capped at ``opts.max_step``) after every ``GROWTH_INTERVAL``
+    consecutive accepted steps.  A Calabi trial
     takes the fewest stages s of :func:`_rkc` with ``beta(s) >= h rho``,
     where ``rho = (max over edges ab of d_a + d_b)^2``, d = diag L, bounds
     ``lambda_max(L)^2`` (Anderson-Morley) at the accepted state of the last
@@ -411,7 +413,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
     the dual weights and their bounds (:func:`_dual_weights`) only for a
     trial that passed.  The current state's ``noise`` is computed, from
     the arrays its trial kept, when a trial first needs it.  A Ricci trial
-    makes one curvature call (:func:`_curvatures`) at the Euler point and
+    makes one evaluation (:func:`_corners`) at the Euler point and
     passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in [0,
     pi/2] the Ricci potential is convex (Colin de Verdiere, Invent. Math.
     1991; Chow-Luo, J. Diff. Geom. 2003), so g(s) = <K(u + s h v) - target,
@@ -429,9 +431,8 @@ def advance(u, mesh, target, lap_kind, opts, record):
     the last record, and at the end.  ``stride`` is ``max(1, k //
     SAMPLE_TARGET)`` (``k`` the step count) as of the last record.
     Returns ``(status, steps, u, t, evaluations)``, the status one of
-    ``"converged"``, ``"diverged"``, ``"step_limit"`` and ``"collapsed"``
-    (a collapsed run is not recorded at its end), and ``evaluations`` the
-    geometry evaluations of trials and stages.
+    ``"converged"``, ``"diverged"`` and ``"step_limit"``, and
+    ``evaluations`` the geometry evaluations of trials and stages.
     """
     ea, eb, n = mesh.ea, mesh.eb, u.shape[0]
     u_ref = u
@@ -442,7 +443,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
         K, B, dev = start.K, start.B, start.K - target
         energy = float((dev**2).sum())
         noise = _energy_noise(dev, start.kn, energy)
-        h, t, stride, h_s = opts.initial_step, 0.0, 1, None
+        h, t, stride, h_s = INITIAL_STEP, 0.0, 1, None
         streak = steps = last = evals = 0
         record(t, h, u, K, energy)
         if float(np.abs(dev).max()) < opts.curvature_tol:
@@ -463,26 +464,26 @@ def advance(u, mesh, target, lap_kind, opts, record):
                             s += 1
                     if s > MAX_STAGES:
                         continue
-                    if s > 1:
-                        d0, du = 0.0, _rkc(s)[1] * du
-                        try:
-                            for mu, nu, mut in _rkc(s)[2]:
-                                r = np.exp(u + du)
-                                _, G, cc, _, K_j = _corners(r, mesh)
-                                B_j = _dual_weights(r, G, cc, np.sqrt(1.0 - cc * cc), mesh)
-                                f = lap_apply(B_j, ea, eb, K_j - target)
-                                d0, du = du, mu * du + nu * d0 + (mut * h) * f
-                                evals += 1
-                        except InternalConsistencyError:
-                            evaluated += 1
-                            continue
+                    _, mu1, rows = _rkc(s)
+                    d0, du = 0.0, mu1 * du
+                    try:
+                        for mu, nu, mut in rows:
+                            r = np.exp(u + du)
+                            _, G, cc, _, K_j = _corners(r, mesh)
+                            B_j = _dual_weights(r, G, cc, np.sqrt(1.0 - cc * cc), mesh)
+                            f = lap_apply(B_j, ea, eb, K_j - target)
+                            d0, du = du, mu * du + nu * d0 + (mut * h) * f
+                            evals += 1
+                    except InternalConsistencyError:
+                        evaluated += 1
+                        continue
                 u_new = u + du
                 drift = float(np.abs(u_new - u_ref).max())
                 if drift > opts.u_max + TRIAL_MARGIN:
                     continue
                 # a trial whose geometry does not evaluate cleanly (radii
                 # that overflow among them) is rejected like any failed
-                # trial.  A Ricci trial evaluates only the curvatures: the
+                # trial.  A Ricci trial evaluates only the corners: the
                 # dual weights' formula degenerates in floating point on
                 # deep escapes long before the curvature map does.
                 r_new = np.exp(u_new)
@@ -490,15 +491,13 @@ def advance(u, mesh, target, lap_kind, opts, record):
                     continue  # radii that underflow are rejected like overflow
                 evaluated += 1
                 try:
-                    if lap_kind:
-                        _, G, cc, _, K_new = _corners(r_new, mesh)
-                    else:
-                        K_new = _curvatures(r_new, mesh)
+                    _, G, cc, _, K_new = _corners(r_new, mesh)
                 except InternalConsistencyError:
                     continue
                 dev_new = K_new - target
                 e_new = float((dev_new**2).sum())
                 if not lap_kind:
+                    del G, cc, _  # unread here; held into the next trial, they cost time
                     ok = float(np.dot(dev_new, du)) <= 0.0
                 else:
                     sin = np.sqrt(1.0 - cc * cc)
@@ -519,7 +518,9 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 if ok:
                     break
             else:
-                return "collapsed", steps, u, t, evals + evaluated
+                raise StepCollapseError(
+                    f"step collapsed at t={t!r} (step {steps}): {MAX_HALVINGS} halvings"
+                    " of evaluated trials failed, or the step reached 0")
             evals += evaluated
             t, u, K, dev, energy = t + h, u_new, K_new, dev_new, e_new
             if lap_kind:
@@ -530,18 +531,18 @@ def advance(u, mesh, target, lap_kind, opts, record):
                 grown = h * GROWTH_FACTOR
                 h = grown if grown < opts.max_step else opts.max_step
                 streak = 0
-            if float(np.abs(dev).max()) < opts.curvature_tol:
-                record(t, h, u, K, energy)
-                return "converged", steps, u, t, evals
-            if drift > opts.u_max:
-                record(t, h, u, K, energy)
-                return "diverged", steps, u, t, evals
+            converged = float(np.abs(dev).max()) < opts.curvature_tol
+            if converged or drift > opts.u_max:
+                status = "converged" if converged else "diverged"
+                break
             if steps - last >= stride:
                 record(t, h, u, K, energy)
                 last, stride = steps, max(1, steps // SAMPLE_TARGET)
+        else:
+            status = "step_limit"
         if last != steps:
             record(t, h, u, K, energy)
-    return "step_limit", steps, u, t, evals
+    return status, steps, u, t, evals
 
 
 def _subset_row(c, n, target, ea, eb, fv, fe, pmp):

@@ -36,8 +36,7 @@ from .errors import (
     StepCollapseError,
 )
 from .flows import KIND_NAMES, FlowKind, FlowTrace, IntegratorOptions, integrate
-from . import _kernels
-from .geometry import PackingMetric, Weight, _mesh_arrays, compute_geometry
+from .geometry import PackingMetric, Weight, compute_geometry
 from .laplacian import assemble
 from .mesh import Triangulation, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
@@ -179,7 +178,7 @@ def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> Pac
     # the normal range (1e-310) underflows; such a start is refused, not run
     if m.r.min() >= np.finfo(np.float64).tiny:
         try:
-            _kernels.state(m.r, _mesh_arrays(t, w))
+            compute_geometry(t, w, m)
             return m
         except InternalConsistencyError:
             pass
@@ -304,7 +303,6 @@ def cmd_flow(args) -> int:
     target = _load_target(args.target, t)
     kind = FlowKind(args.kind, target)
     opts = IntegratorOptions(
-        initial_step=args.initial_step,
         max_steps=args.max_steps,
         curvature_tol=args.tol,
         u_max=args.u_max,
@@ -314,6 +312,8 @@ def cmd_flow(args) -> int:
         raise DomainError("--starts must be at least 1")
     runs = [(kind, "")]
     if args.compare_ricci:
+        if not kind.uses_laplacian:
+            raise DomainError(f"--compare-ricci needs a Calabi kind, not {kind.name!r}")
         # the Ricci flow toward the same target
         twin = "ricci_normalized" if kind.target is None else "ricci_prescribed"
         runs.append((FlowKind(twin, kind.target), "_ricci"))
@@ -443,12 +443,9 @@ _FLAGS = {
     "--target": dict(help="target curvature: 'kav', scalar, list, or file"),
     "--dump-laplacian": dict(type=_switch, help="write L as 'i j value' lines"),
     "--compare-ricci": dict(
-        type=_switch, help="also integrate the matching Ricci flow and emit its trace"
+        type=_switch, help="also integrate a Calabi kind's Ricci twin and emit its trace"
     ),
     "--starts": dict(type=int, default=1, help="number of seeded random starts"),
-    "--initial-step": dict(
-        type=float, default=IntegratorOptions.initial_step, help="first step size"
-    ),
     "--max-step": dict(
         type=float, default=IntegratorOptions.max_step, help="step regrowth cap"
     ),
@@ -480,7 +477,7 @@ COMMANDS = {
         cmd_flow,
         "integrate a curvature flow",
         "--mesh --phi --radii --seed --out --tol --max-steps --kind --target "
-        "--compare-ricci --starts --initial-step --max-step --u-max",
+        "--compare-ricci --starts --max-step --u-max",
     ),
     "check": (
         cmd_check,

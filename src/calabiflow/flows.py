@@ -30,10 +30,11 @@ from typing import Optional
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, InternalConsistencyError, StepCollapseError
+from .errors import DomainError, InternalConsistencyError
 from .geometry import PackingMetric, Weight, _mesh_arrays
 from .laplacian import DualLaplacian
-from .mesh import Triangulation, resolve_target
+from .mesh import Triangulation, resolve_target, subcomplex_euler
+from .thurston import check_gauss_bonnet
 
 __all__ = [
     "FlowKind",
@@ -98,21 +99,18 @@ class IntegratorOptions:
     guard quickly.  Pass a small cap (e.g. ``0.02``) when the measured
     decay rate of a converging run should track continuous time.  ``u_max``
     and ``max_step`` may be infinite.  The other settings are constants of
-    ``_kernels``: ``MAX_HALVINGS``, ``GROWTH_FACTOR``, ``GROWTH_INTERVAL``,
-    ``SAMPLE_TARGET``, ``RKC_DAMPING``, ``MAX_STAGES``.
+    ``_kernels``: ``INITIAL_STEP``, ``MAX_HALVINGS``, ``GROWTH_FACTOR``,
+    ``GROWTH_INTERVAL``, ``SAMPLE_TARGET``, ``RKC_DAMPING``, ``MAX_STAGES``.
     """
 
-    initial_step: float = 1e-2
     max_steps: int = 10**6
     curvature_tol: float = 1e-10
     u_max: float = 50.0
     max_step: float = 1e12
 
     def __post_init__(self):
-        # an infinite first step collapses, and an infinite tolerance
-        # reports any start as converged
-        for name, must in (("initial_step", "finite and > 0"),
-                           ("curvature_tol", "finite and > 0"),
+        # an infinite tolerance reports any start as converged
+        for name, must in (("curvature_tol", "finite and > 0"),
                            ("max_step", "positive"), ("u_max", "positive")):
             value = getattr(self, name)
             if not (value > 0 and (value < np.inf or must == "positive")):
@@ -192,12 +190,22 @@ def integrate(
     """Run a flow until convergence, divergence, or the step limit.
 
     Convergence means ``max |K - target| < curvature_tol``; divergence
-    means some ``|u_i - u_i(0)|`` exceeded ``u_max``.  Step collapse and
-    violations of quantities that are bounded by theory raise; everything
-    else is reported through ``FlowTrace.status``.
+    means some ``|u_i - u_i(0)|`` exceeded ``u_max``.  A target whose sum
+    is not ``2 pi chi`` on the surface, or on a component of it, raises
+    ``DomainError``; step collapse and violations of quantities bounded by
+    theory raise too.  Everything else is reported through ``FlowTrace.status``.
     """
     opts = opts or IntegratorOptions()
     target = resolve_target(t, kind.target)
+    parts = [(target, t.chi, "")]
+    for root in [] if t.connected else np.unique(t.components).tolist():
+        inside = np.flatnonzero(t.components == root)
+        where = f" on the component of vertex {root}"
+        parts.append((target[inside], subcomplex_euler(t, inside), where))
+    for part, chi, where in parts:
+        if not check_gauss_bonnet(part, chi):
+            raise DomainError(f"the target curvature sums to {float(np.sum(part))!r}{where}; "
+                              f"Gauss-Bonnet requires 2 pi chi = {2.0 * np.pi * chi!r}")
     mesh = _mesh_arrays(t, w, m0)
 
     samples: list[FlowSample] = []
@@ -218,11 +226,6 @@ def integrate(
     status, steps, u, t_final, evaluations = _kernels.advance(
         m0.u.copy(), mesh, target, kind.uses_laplacian, opts, record
     )
-    if status == "collapsed":
-        raise StepCollapseError(
-            f"step collapsed at t={t_final!r} (step {steps}): {_kernels.MAX_HALVINGS}"
-            " halvings of evaluated trials failed, or the step reached 0"
-        )
     return FlowTrace(
         kind_name=kind.name,
         target=target,

@@ -5,7 +5,7 @@ and a list of triangular faces.  Construction validates that the face list
 describes a closed surface (every edge in exactly two faces, every vertex
 link a single cycle) and derives the edge table, vertex degrees and the
 Euler characteristic.  Instances are immutable after construction (the
-``connected`` flag is computed on first access and kept) and safe to share
+component labels are computed on first access and kept) and safe to share
 across threads.
 
 Orientability is not required anywhere downstream, so face orientation is
@@ -99,8 +99,9 @@ class Triangulation:
         Vertex degrees (number of incident edges).
     chi : int
         Euler characteristic ``N - E + F``.
-    connected : bool
-        Whether the edge graph is connected; computed on first access.
+    components : (N,) int64 array
+        The smallest vertex in each vertex's component of the edge graph,
+        computed on first access; ``connected`` is whether there is one.
 
     Raises
     ------
@@ -261,11 +262,13 @@ class Triangulation:
             raise MeshValidationError(f"link of vertex {v} is not a single cycle")
 
     @functools.cached_property
+    def components(self) -> np.ndarray:
+        return _component_labels(self.n_vertices, self.edges[:, 0], self.edges[:, 1])
+
+    @functools.cached_property
     def connected(self) -> bool:
         """True iff the edge graph is connected."""
-        return not _component_labels(
-            self.n_vertices, self.edges[:, 0], self.edges[:, 1]
-        ).any()
+        return not self.components.any()
 
     def __repr__(self):
         return (

@@ -232,19 +232,19 @@ def constant_curvature_log_metric(
     seed's ``sum u``.
     Only connected surfaces are accepted (``DomainError`` otherwise).
     Raises :class:`NoConstantCurvatureMetric` when the solve ends first,
-    as it does when the constant curvature is not admissible.
+    as it does when the constant curvature is not admissible, and
+    ``InternalConsistencyError`` when the seed's geometry does not evaluate.
     """
     _check_fit(t, w, seed_metric)
     if not t.connected:
         raise DomainError("the surface is not connected")
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
     tgt = resolve_target(t, None)
-    s = None
     for u, s in _newton(t, w, tgt, seed.u):
         if _at_floor(s, tgt):
             u = u - (u.sum() - seed.u.sum()) / t.n_vertices
             return PackingMetric.from_log_radii(u)
-    dev = math.inf if s is None else float(np.max(np.abs(s.K - tgt)))
+    dev = float(np.max(np.abs(s.K - tgt)))
     raise NoConstantCurvatureMetric(
         f"the Newton solve of K = K_av stopped at max|K - K_av| = {dev:.3g}"
     )

@@ -209,20 +209,15 @@ def _newton(t: Triangulation, w: Weight, target, u):
     ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`) and halves
     ``delta`` until the trial's state evaluates and ``||K - target||_2``
     falls.  The iteration ends after ``NEWTON_STEPS`` steps, when
-    ``NEWTON_HALVINGS`` halvings of a step do not lower the norm, after the
-    first iterate at its roundoff floor (:func:`_at_floor`), or with no
-    iterate when the state at ``u`` does not evaluate.  Only valid on a
-    connected surface.
+    ``NEWTON_HALVINGS`` halvings of a step do not lower the norm, or after
+    the first iterate at its roundoff floor (:func:`_at_floor`); a start
+    that does not evaluate raises.  Only valid on a connected surface.
     """
     n = t.n_vertices
     mesh = _mesh_arrays(t, w)
     # radii that overflow raise in the state kernel
     with np.errstate(all="ignore"):
-        r = np.exp(u)
-    try:
-        s = _kernels.state(r, mesh)
-    except InternalConsistencyError:
-        return
+        s = _kernels.state(np.exp(u), mesh)
     for _ in range(NEWTON_STEPS):
         yield u, s
         if _at_floor(s, target):

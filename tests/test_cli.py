@@ -6,12 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow import cli, thurston
+from calabiflow import _kernels, cli, thurston
 from calabiflow import potential as potential_mod
 from calabiflow.cli import main
 from calabiflow.meshes import mesh_text, subdivide
@@ -183,6 +184,51 @@ def test_flow_multi_start_and_ricci_twin(capsys, tmp_path):
         "result_1.json", "result_1_ricci.json", "trace_1.csv",
     ):
         assert (out_dir / name).exists()
+
+
+@pytest.mark.parametrize("kind", ["ricci_normalized", "ricci_prescribed"])
+def test_compare_ricci_refuses_a_ricci_kind(capsys, kind):
+    # the twin of a Ricci kind is the same flow: it would print its run twice
+    code, out, err = run(
+        capsys, "flow", "--mesh", "icosahedron", "--kind", kind, "--compare-ricci",
+        *(["--target", repr(TWO_PI / 5)] if kind == "ricci_prescribed" else []),
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --compare-ricci needs a Calabi kind, not {kind!r}\n"
+
+
+def test_compare_ricci_twin_of_a_prescribed_calabi_kind(capsys):
+    code, out, _ = run(
+        capsys, "flow", "--mesh", "tetrahedron", "--kind", "calabi_prescribed",
+        "--target", repr(math.pi), "--compare-ricci",
+    )
+    assert code == 0
+    assert [json.loads(line)["kind"] for line in out.splitlines()] == [
+        "calabi_prescribed", "ricci_prescribed"
+    ]
+
+
+@pytest.mark.parametrize("kind", ["calabi", "ricci_normalized", "calabi_prescribed",
+                                  "ricci_prescribed"])
+def test_flow_refuses_targets_off_gauss_bonnet(capsys, tmp_path, kind):
+    # runs no metric can end: the tetrahedron toward a target of sum 12.8,
+    # and the average curvature 0.8 pi on a tetrahedron plus an octahedron
+    # (given to the prescribed kinds); each once ran for over an hour
+    path = tmp_path / "tetra+octa.mesh"
+    path.write_text(disjoint_text(mesh("tetrahedron"), mesh("octahedron")))
+    cases = [("--mesh", "tetrahedron", "--target", "3.2,3.2,3.2,3.2"),
+             ("--mesh", str(path), "--target", repr(0.8 * math.pi))]
+    for argv in cases:
+        if not kind.endswith("_prescribed"):
+            if argv[1] == "tetrahedron":
+                continue
+            argv = argv[:2]
+        start = time.perf_counter()
+        code, out, err = run(capsys, "flow", "--kind", kind, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("error: the target curvature sums to ")
+        assert err.count("\n") == 1 and "np.float64" not in err
 
 
 def test_check_exit_codes_and_dump(capsys, tmp_path, bad_target_file):
@@ -425,7 +471,7 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
         ("flow", "--mesh", "tetrahedron", "--starts", "0"),
         ("flow", "--mesh", "tetrahedron", "--max-steps", "abc"),
         ("potential-probe", "--mesh", "tetrahedron", "--rays", "a"),
-        ("flow", "--mesh", "tetrahedron", "--initial-step", "inf"),
+        ("flow", "--mesh", "tetrahedron", "--max-step", "nan"),
         ("flow", "--mesh", "tetrahedron", "--tol", "inf"),
         ("potential-probe", "--mesh", "tetrahedron", "--probe-radii", "8,4"),
         ("curvature", "--mesh", "tetrahedron", "--seed", "-1"),
@@ -546,10 +592,16 @@ def test_command_rejects_foreign_flags(capsys, tmp_path, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-def _fresh_process(*argv):
+def _fresh_process(*argv, initial_step=None):
+    """The CLI in a new process; ``initial_step`` replaces the first step."""
     src = os.path.dirname(os.path.dirname(cf.__file__))
+    entry = ["-m", "calabiflow"]
+    if initial_step is not None:
+        entry = ["-c", "import sys; from calabiflow import _kernels, cli; "
+                 f"_kernels.INITIAL_STEP = {initial_step!r}; "
+                 "sys.exit(cli.main(sys.argv[1:]))"]
     return subprocess.run(
-        [sys.executable, "-m", "calabiflow", *argv],
+        [sys.executable, *entry, *argv],
         capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src},
     )
@@ -557,21 +609,17 @@ def _fresh_process(*argv):
 
 def test_overflowing_trials_print_no_warning():
     # trial radii past the float range are rejected without a numpy warning
-    proc = _fresh_process(
-        "flow", "--mesh", "tetrahedron", "--u-max", "inf", "--initial-step", "1e6"
-    )
+    proc = _fresh_process("flow", "--mesh", "tetrahedron", "--u-max", "inf", initial_step=1e6)
     assert proc.returncode == 0 and proc.stderr == ""
     assert json.loads(proc.stdout)["status"] == "converged"
 
 
 @pytest.mark.parametrize("kind", ["calabi", "ricci_normalized"])
-def test_flow_from_a_too_large_first_step_exits_0(capsys, kind):
+def test_flow_from_a_too_large_first_step_exits_0(capsys, monkeypatch, kind):
     # the step shrinks past the trials refused unevaluated, as many as it
     # takes, instead of collapsing after 60 halvings
-    code, out, err = run(
-        capsys, "flow", "--mesh", "icosahedron", "--kind", kind,
-        "--initial-step", "1e18",
-    )
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", 1e18)
+    code, out, err = run(capsys, "flow", "--mesh", "icosahedron", "--kind", kind)
     assert code == 0 and err == ""
     assert json.loads(out)["status"] == "converged"
 
@@ -700,8 +748,7 @@ def test_negative_target_list_as_separate_argument(capsys, argv):
 NEGATIVE_VALUES = [
     ("potential-probe", "--probe-radii", "-1,2",
      "give at least one probe radius, each positive and finite"),
-    ("flow", "--initial-step", "-1e-3",
-     "initial_step must be finite and > 0, got -0.001"),
+    ("flow", "--max-step", "-1e-3", "max_step must be positive, got -0.001"),
     ("curvature", "--radii", "-1e-3",
      "all radii must be positive; radius 0 is -0.001"),
     ("curvature", "--phi", "-1e-3",
@@ -722,9 +769,9 @@ def test_negative_value_as_separate_argument(capsys, command, flag, value, messa
 
 @pytest.mark.parametrize("value", ["-1e-3", "1e-3"])
 def test_abbreviated_flags_are_refused(capsys, value):
-    # every flag is spelled in full, so "--initial" is no "--initial-step",
-    # whether or not its value starts with a minus sign
-    for argv in (["--initial", value], [f"--initial={value}"]):
+    # every flag is spelled in full, so "--u-m" is no "--u-max", whether or
+    # not its value starts with a minus sign
+    for argv in (["--u-m", value], [f"--u-m={value}"]):
         code, out, err = run(capsys, "flow", "--mesh", "tetrahedron", *argv)
         assert (code, out) == (1, "")
         assert err == f"error: unrecognized arguments: {' '.join(argv)}\n"
@@ -752,7 +799,6 @@ def test_bare_flow_uses_integrator_defaults(capsys, monkeypatch):
 
 # each flow flag and the IntegratorOptions field it sets
 FLOW_FLAGS = [
-    ("--initial-step", "initial_step", 0.005),
     ("--max-steps", "max_steps", 7),
     ("--tol", "curvature_tol", 1e-6),
     ("--u-max", "u_max", 30.0),

@@ -13,7 +13,7 @@ from calabiflow.geometry import _mesh_arrays
 from calabiflow.mesh import resolve_target
 from calabiflow.meshes import subdivide
 from _geometry_oracle import curvature_derivative_check, velocity
-from _util import mesh, random_metric, random_weight, zero_weight
+from _util import disjoint_text, mesh, random_metric, random_weight, zero_weight
 
 TWO_PI = 2 * math.pi
 BAD_TETRA_TARGET = np.array([-TWO_PI, TWO_PI, TWO_PI, TWO_PI])
@@ -107,24 +107,23 @@ def test_curvature_derivative_identity(kind_name):
         assert curvature_derivative_check(kind, t, w, m) < 1e-5
 
 
-def _one_step(kind, t, w, m, h):
+def _one_step(monkeypatch, kind, t, w, m, h):
     """One guarded step of size at most ``h``."""
-    return cf.integrate(
-        kind, t, w, m, cf.IntegratorOptions(initial_step=h, max_steps=1)
-    )
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", h)
+    return cf.integrate(kind, t, w, m, cf.IntegratorOptions(max_steps=1))
 
 
-def test_step_decreases_energy():
+def test_step_decreases_energy(monkeypatch):
     t = mesh("tetrahedron")
     w = zero_weight(t)
     m = cf.PackingMetric.from_radii([2.0, 1.0, 1.0, 1.0])
     e0 = cf.calabi_energy(t, w, m)
-    res = _one_step(cf.FlowKind.calabi(), t, w, m, 1e-2)
+    res = _one_step(monkeypatch, cf.FlowKind.calabi(), t, w, m, 1e-2)
     assert res.accepted_steps == 1
     assert res.samples[-1].energy < e0
     assert res.t_final == 1e-2  # accepted at full size, not halved
     # a step that Chebyshev stages keep stable is accepted at full size
-    res_staged = _one_step(cf.FlowKind.calabi(), t, w, m, 64.0)
+    res_staged = _one_step(monkeypatch, cf.FlowKind.calabi(), t, w, m, 64.0)
     assert res_staged.accepted_steps == 1
     assert res_staged.t_final == 64.0
     assert res_staged.samples[-1].energy < e0
@@ -134,21 +133,19 @@ def test_step_decreases_energy():
     ea, eb = t.edges[:, 0], t.edges[:, 1]
     d = np.bincount(ea, B, t.n_vertices) + np.bincount(eb, B, t.n_vertices)
     h_big = 2.0 * _kernels._rkc(_kernels.MAX_STAGES)[0] / float((d[ea] + d[eb]).max()) ** 2
-    res_big = _one_step(cf.FlowKind.calabi(), t, w, m, h_big)
+    res_big = _one_step(monkeypatch, cf.FlowKind.calabi(), t, w, m, h_big)
     assert res_big.accepted_steps == 1
     assert res_big.t_final < h_big
     assert res_big.samples[-1].energy < e0
-    with pytest.raises(cf.DomainError):
-        _one_step(cf.FlowKind.calabi(), t, w, m, 0.0)
 
 
-def test_step_conserves_log_sum():
+def test_step_conserves_log_sum(monkeypatch):
     t = mesh("octahedron")
     rng = np.random.default_rng(22)
     w = random_weight(rng, t)
     m = random_metric(rng, t)
     for kind in (cf.FlowKind.calabi(), cf.FlowKind.ricci_normalized()):
-        res = _one_step(kind, t, w, m, 1e-2)
+        res = _one_step(monkeypatch, kind, t, w, m, 1e-2)
         assert res.accepted_steps == 1
         assert res.final_metric.u.sum() == pytest.approx(m.u.sum(), abs=1e-12)
 
@@ -317,6 +314,39 @@ def test_divergence_ricci_prescribed_default_guard():
     assert math.isnan(tr.samples[-1].lambda1)
 
 
+# (case, kind, start radii, max_steps, SAMPLE_TARGET,
+# status, samples); step_limit ends on a stride boundary (the last step is
+# a stride record) and off one (the end adds a record)
+ENDS = [
+    ("start", "calabi", "ones", 10**6, 1000, "converged", 1),
+    ("converged", "calabi", "random", 10**6, 1000, "converged", None),
+    ("diverged", "ricci_prescribed", "ones", 10**6, 1000, "diverged", None),
+    ("on_stride", "calabi", "random", 6, 2, "step_limit", 6),
+    ("off_stride", "calabi", "random", 7, 2, "step_limit", 7),
+]
+
+
+@pytest.mark.parametrize("case", ENDS, ids=[e[0] for e in ENDS])
+def test_every_end_records_the_final_state_once(monkeypatch, case):
+    # every run leaves advance at its one exit, which records the final
+    # state unless the last step was just recorded
+    _, name, radii, max_steps, sample_target, status, n_samples = case
+    monkeypatch.setattr(_kernels, "SAMPLE_TARGET", sample_target)
+    t = mesh("tetrahedron")
+    ones = cf.PackingMetric.from_radii(np.ones(4))
+    m0 = ones if radii == "ones" else random_metric(np.random.default_rng(5), t)
+    kind = cf.FlowKind(name, BAD_TETRA_TARGET if name.endswith("_prescribed") else None)
+    opts = cf.IntegratorOptions(max_steps=max_steps)
+    tr = cf.integrate(kind, t, zero_weight(t), m0, opts)
+    assert tr.status == status
+    if n_samples is not None:
+        assert len(tr.samples) == n_samples
+    assert np.array_equal(tr.samples[-1].u, tr.final_metric.u)
+    assert tr.samples[-1].t == tr.t_final
+    ts = [s.t for s in tr.samples]
+    assert len(set(ts)) == len(ts)
+
+
 def test_step_limit_status():
     t = mesh("tetrahedron")
     w = zero_weight(t)
@@ -327,12 +357,13 @@ def test_step_limit_status():
     assert tr.accepted_steps == 5
 
 
-def test_overflowing_trials_are_rejected_quietly():
-    # trial radii past the float range are rejected by their error code;
+def test_overflowing_trials_are_rejected_quietly(monkeypatch):
+    # trial radii past the float range are rejected by the kernels' raise;
     # numpy's overflow warning would fail the test
     t = mesh("tetrahedron")
     rng = np.random.default_rng(0)
-    opts = cf.IntegratorOptions(u_max=np.inf, initial_step=1e6)
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", 1e6)
+    opts = cf.IntegratorOptions(u_max=np.inf)
     tr = cf.integrate(cf.FlowKind.calabi(), t, zero_weight(t), random_metric(rng, t), opts)
     assert tr.status == "converged"
 
@@ -356,44 +387,52 @@ def test_underflowing_trials_are_rejected():
 
 
 @pytest.mark.parametrize("kind", ["calabi", "ricci_normalized"])
-def test_too_large_first_step_shrinks_until_evaluated(kind):
+def test_too_large_first_step_shrinks_until_evaluated(monkeypatch, kind):
     # 60 halvings bring a first step of 1e18 down only to about 0.87, and
     # every trial until well below that lands past the divergence guard's
     # margin; trials refused before any evaluation are halved without
     # counting toward MAX_HALVINGS, so the run converges
     t = mesh("icosahedron")
     m0 = random_metric(np.random.default_rng(0), t)
-    opts = cf.IntegratorOptions(initial_step=1e18)
-    tr = cf.integrate(getattr(cf.FlowKind, kind)(), t, zero_weight(t), m0, opts)
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", 1e18)
+    tr = cf.integrate(getattr(cf.FlowKind, kind)(), t, zero_weight(t), m0)
     assert tr.status == "converged"
-    assert tr.max_curvature_deviation() < opts.curvature_tol
+    assert tr.max_curvature_deviation() < cf.IntegratorOptions().curvature_tol
 
 
-def _failing_curvatures(r, mesh):
-    """A curvature kernel that raises at every call, as on overflowing radii."""
-    raise cf.InternalConsistencyError("non-finite value in geometry evaluation")
+_CORNERS = _kernels._corners
+
+
+def _fail_trials(monkeypatch):
+    """Make every trial's geometry raise, as on overflowing radii: the
+    patched ``_corners`` lets its first call, the start's ``state``, through
+    and raises at every later one.  Returns the list of its calls."""
+    calls = []
+
+    def corners(r, mesh):
+        calls.append(1)
+        if len(calls) > 1:
+            raise cf.InternalConsistencyError("non-finite value in geometry evaluation")
+        return _CORNERS(r, mesh)
+
+    monkeypatch.setattr(_kernels, "_corners", corners)
+    return calls
 
 
 def test_collapse_counts_evaluated_trials(monkeypatch):
     # a step collapses once its first evaluated trial and MAX_HALVINGS
     # halvings of it all fail, whether or not unevaluated refusals came
-    # first
+    # first; it raises from the run loop, naming t and the step
     t = mesh("icosahedron")
     m0 = random_metric(np.random.default_rng(0), t)
-    calls = []
-    monkeypatch.setattr(
-        _kernels,
-        "_curvatures",
-        lambda r, mesh: calls.append(1) or _failing_curvatures(r, mesh),
-    )
     for h in (1e-2, 1e18):
-        calls.clear()
-        with pytest.raises(cf.StepCollapseError):
-            cf.integrate(
-                cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0,
-                cf.IntegratorOptions(initial_step=h),
-            )
-        assert len(calls) == _kernels.MAX_HALVINGS + 1
+        monkeypatch.setattr(_kernels, "INITIAL_STEP", h)
+        calls = _fail_trials(monkeypatch)
+        with pytest.raises(cf.StepCollapseError) as info:
+            cf.integrate(cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0)
+        assert len(calls) == 1 + _kernels.MAX_HALVINGS + 1
+        assert str(info.value).startswith("step collapsed at t=0.0 (step 0): 60 halvings")
+        assert info.traceback[-1].frame.code.name == "advance"
 
 
 def test_start_below_the_normal_range_collapses():
@@ -434,9 +473,49 @@ def test_sample_schedule(monkeypatch, name, n_samples):
     assert len(tr.samples) == n_samples
 
 
+OFF_GAUSS_BONNET = [
+    ("tetrahedron", "calabi_prescribed", np.full(4, 3.2)),
+    ("tetrahedron", "ricci_prescribed", np.full(4, 3.2)),
+    ("tetra+octa", "calabi", None),
+    ("tetra+octa", "ricci_normalized", None),
+]
+
+
+def _disjoint():
+    return cf.parse_mesh(disjoint_text(mesh("tetrahedron"), mesh("octahedron")))
+
+
+@pytest.mark.parametrize("surface, name, target", OFF_GAUSS_BONNET)
+def test_targets_off_gauss_bonnet_are_refused(surface, name, target):
+    # no metric has them: a target summing to 12.8 on the tetrahedron, and
+    # K_av = 0.8 pi on a tetrahedron (4 pi) plus an octahedron (4 pi), whose
+    # sum is 2 pi chi on the whole but not on either component
+    t = mesh("tetrahedron") if surface == "tetrahedron" else _disjoint()
+    m0 = random_metric(np.random.default_rng(0), t)
+    with pytest.raises(cf.DomainError) as info:
+        cf.integrate(cf.FlowKind(name, target), t, zero_weight(t), m0)
+    where = "" if t.connected else " on the component of vertex 0"
+    total = 12.8 if t.connected else 4 * 0.8 * math.pi
+    assert str(info.value) == (
+        f"the target curvature sums to {total!r}{where}; Gauss-Bonnet requires "
+        f"2 pi chi = {2 * TWO_PI!r}"
+    )
+
+
+@pytest.mark.parametrize("name", ["calabi_prescribed", "ricci_prescribed"])
+def test_realizable_targets_converge_on_a_disconnected_surface(name):
+    # a target with 2 pi chi on each component passes the check and is
+    # reached
+    t = _disjoint()
+    w = zero_weight(t)
+    rng = np.random.default_rng(0)
+    m0 = random_metric(rng, t)
+    target = cf.compute_geometry(t, w, random_metric(rng, t)).curvatures
+    tr = cf.integrate(cf.FlowKind(name, target), t, w, m0)
+    assert tr.status == "converged" and tr.max_curvature_deviation() < 1e-10
+
+
 def test_options_validation():
-    with pytest.raises(cf.DomainError):
-        cf.IntegratorOptions(initial_step=0.0)
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(max_step=-1.0)
     with pytest.raises(cf.DomainError):
@@ -450,13 +529,10 @@ def test_options_validation():
     # a bool is an int to isinstance, but not a step count
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(max_steps=True)
-    for name in ("initial_step", "max_step", "curvature_tol"):
+    for name in ("max_step", "curvature_tol"):
         with pytest.raises(cf.DomainError):
             cf.IntegratorOptions(**{name: math.nan})
-    # an infinite first step collapses, and an infinite tolerance reports
-    # any start as converged
-    with pytest.raises(cf.DomainError):
-        cf.IntegratorOptions(initial_step=math.inf)
+    # an infinite tolerance reports any start as converged
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(curvature_tol=math.inf)
     # no divergence guard and no step cap
@@ -466,7 +542,6 @@ def test_options_validation():
 @pytest.mark.parametrize(
     "field,value,message",
     [
-        ("initial_step", -1e-3, "initial_step must be finite and > 0, got -0.001"),
         ("curvature_tol", math.inf, "curvature_tol must be finite and > 0, got inf"),
         ("max_step", 0.0, "max_step must be positive, got 0.0"),
         ("u_max", math.nan, "u_max must be positive, got nan"),
@@ -596,12 +671,13 @@ def test_integrate_restores_the_floating_point_state(monkeypatch):
     # caller's state is back after a run and after a collapse
     t = mesh("tetrahedron")
     m0 = random_metric(np.random.default_rng(0), t)
-    opts = cf.IntegratorOptions(u_max=np.inf, initial_step=1e6)
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", 1e6)
+    opts = cf.IntegratorOptions(u_max=np.inf)
     with np.errstate(all="raise", under="warn"):
         caller = np.geterr()
         tr = cf.integrate(cf.FlowKind.calabi(), t, zero_weight(t), m0, opts)
         assert tr.status == "converged" and np.geterr() == caller
-        monkeypatch.setattr(_kernels, "_curvatures", _failing_curvatures)
+        _fail_trials(monkeypatch)
         with pytest.raises(cf.StepCollapseError):
             cf.integrate(cf.FlowKind.ricci_normalized(), t, zero_weight(t), m0)
         assert np.geterr() == caller

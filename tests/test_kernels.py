@@ -357,8 +357,8 @@ def test_batched_segment_potential_matches_node_loop(monkeypatch, name, rows):
 @pytest.mark.parametrize("rows", [None, 3])
 def test_ricci_trial_geometry_calls(monkeypatch, rows):
     # one accepted Ricci step, no halving: the convexity guard reads the
-    # curvatures at the trial point, one curvature call whatever the block
-    # (the start is evaluated by state, which makes none)
+    # curvatures at the trial point, one corner evaluation whatever the
+    # block, after the one of the start's state; no curvature call
     t = _mesh("octahedron")
     rng = np.random.default_rng(56)
     args = _mesh_arrays(t, random_weight(rng, t))
@@ -367,16 +367,17 @@ def test_ricci_trial_geometry_calls(monkeypatch, rows):
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     u0 = np.log(random_metric(rng, t).r)
     calls = []
-    curvatures = _kernels._curvatures
-    monkeypatch.setattr(
-        _kernels, "_curvatures", lambda *a: calls.append(1) or curvatures(*a)
-    )
+    for name in ("_corners", "_curvatures"):
+        kernel = getattr(_kernels, name)
+        monkeypatch.setattr(
+            _kernels, name, lambda *a, k=kernel, n=name: calls.append(n) or k(*a)
+        )
     res = _kernels.advance(
         u0, args, target, False, cf.IntegratorOptions(max_steps=1),
         lambda *a: None,
     )
     assert res[1] == 1 and res[3] == 1e-2  # accepted at full size
-    assert len(calls) == 1
+    assert calls == ["_corners", "_corners"]
 
 
 def test_potential_probe_curvature_calls(monkeypatch, capsys):
@@ -576,8 +577,12 @@ def test_rkc_coefficients():
     assert 1.9 * _kernels.MAX_STAGES**2 < betas[-1] < 2.0 * _kernels.MAX_STAGES**2
 
 
-def test_one_stage_calabi_step_is_the_euler_step():
-    # below beta(1) / rho a Calabi trial is u + h v, bit for bit
+def test_one_stage_calabi_step_is_the_euler_step(monkeypatch):
+    # below beta(1) / rho a Calabi trial is u + h v, bit for bit: one stage
+    # starts its increment at 1.0 h v and has no rows
+    beta, mu1, rows = _kernels._rkc(1)
+    assert mu1 == 1.0 and rows == []
+    monkeypatch.setattr(_kernels, "INITIAL_STEP", 1e-3)
     t, r, args = _arrays("octahedron", 58)
     target = np.full(t.n_vertices, 2 * math.pi / 3)
     s = _kernels.state(r, args)
@@ -585,7 +590,7 @@ def test_one_stage_calabi_step_is_the_euler_step():
     v = _kernels.lap_apply(s.B, args.ea, args.eb, s.K - target)
     res = _kernels.advance(
         u0, args, target, True,
-        cf.IntegratorOptions(initial_step=1e-3, max_steps=1), lambda *a: None,
+        cf.IntegratorOptions(max_steps=1), lambda *a: None,
     )
     assert res[1] == 1 and res[3] == 1e-3 and res[4] == 1
     assert np.array_equal(res[2], u0 + 1e-3 * v)

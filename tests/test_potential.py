@@ -214,6 +214,17 @@ def test_constant_curvature_failure_raises():
         cf.constant_curvature_log_metric(t, w)
 
 
+def test_constant_curvature_from_a_seed_that_does_not_evaluate_raises():
+    # the Newton start raises as the flows' start does, instead of ending
+    # with no iterate at "max|K - K_av| = inf"
+    t = mesh("octahedron")
+    r = np.ones(t.n_vertices)
+    r[0] = 1e200
+    seed = cf.PackingMetric.from_radii(r)
+    with pytest.raises(cf.InternalConsistencyError):
+        cf.constant_curvature_log_metric(t, cf.Weight.uniform(t, 0.3), seed)
+
+
 def test_constant_curvature_refuses_disconnected_surface():
     t = cf.parse_mesh(disjoint_text(mesh("tetrahedron"), mesh("octahedron")))
     with pytest.raises(cf.DomainError):
