@@ -38,7 +38,7 @@ from .errors import (
 from .flows import KIND_NAMES, FlowKind, FlowTrace, IntegratorOptions, integrate
 from .geometry import PackingMetric, Weight, compute_geometry
 from .laplacian import assemble
-from .mesh import Triangulation, parse_mesh, resolve_target
+from .mesh import Triangulation, data_lines, parse_mesh, resolve_target
 from .meshes import mesh_text, names as builtin_names
 from .potential import PATH_TOL, _probe, _probe_guard, constant_curvature_log_metric
 from .potential import ricci_potential
@@ -112,26 +112,18 @@ def _load_mesh(spec: str) -> Triangulation:
     )
 
 
-def _data_lines(path: str) -> list[tuple[int, str, str]]:
-    """``(lineno, raw, line)`` for each line of the file ``path`` that is not
-    blank once its ``#`` comment is cut; ``line`` is the stripped rest."""
-    lines = enumerate(_read_text(path).split("\n"), 1)
-    rows = [(n, raw, raw.split("#", 1)[0].strip()) for n, raw in lines]
-    return [row for row in rows if row[2]]
-
-
 def _load_phi(spec: str | None, t: Triangulation) -> Weight:
     if spec is None:
         return Weight.uniform(t, 0.0)
     if os.path.exists(spec):
         pairs = {}
-        for lineno, raw, line in _data_lines(spec):
+        for lineno, line in data_lines(_read_text(spec)):
             try:
                 a, b, value = line.split()
                 a, b, value = int(a), int(b), float(value)
             except ValueError:
                 raise DomainError(
-                    f"{spec}:{lineno}: expected 'a b phi', got {raw.strip()!r}"
+                    f"{spec}:{lineno}: expected 'a b phi', got {line!r}"
                 ) from None
             key = (min(a, b), max(a, b))
             if key in pairs:
@@ -147,32 +139,39 @@ def _load_phi(spec: str | None, t: Triangulation) -> Weight:
     return Weight.uniform(t, value)
 
 
-def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> PackingMetric:
-    if spec is None or spec == "random":
-        rng = np.random.default_rng(seed)
-        m = PackingMetric.from_radii(rng.uniform(0.5, 2.0, t.n_vertices))
-    elif os.path.exists(spec):
+def _vertex_values(flag: str, spec: str | None, n: int, word: str) -> np.ndarray | None:
+    """The per-vertex vector that ``flag`` gives as ``spec``: a file of one
+    number per data line (see :func:`data_lines`), a comma list, or one
+    number for every vertex.  None when ``spec`` is None or ``word``, which
+    the caller reads as its default."""
+    if spec is None or spec == word:
+        return None
+    if os.path.exists(spec):
         values = []
-        for lineno, raw, line in _data_lines(spec):
+        for lineno, line in data_lines(_read_text(spec)):
             try:
                 values.append(float(line))
             except ValueError:
                 raise DomainError(
-                    f"{spec}:{lineno}: expected one radius, got {raw.strip()!r}"
-                )
-        if len(values) != t.n_vertices:
-            raise DomainError(
-                f"{spec}: {len(values)} radii for {t.n_vertices} vertices"
-            )
-        m = PackingMetric.from_radii(np.array(values))
+                    f"{spec}:{lineno}: {flag} expects one number per line, got {line!r}"
+                ) from None
     else:
         try:
-            value = float(spec)
+            values = [float(x) for x in spec.split(",")] if "," in spec else [float(spec)] * n
         except ValueError:
             raise DomainError(
-                f"radii spec {spec!r} is not a file, a number, or 'random'"
-            )
-        m = PackingMetric.from_radii(np.full(t.n_vertices, value))
+                f"{flag} {spec!r} is not a file, a comma list, a number, or {word!r}"
+            ) from None
+    if len(values) != n:
+        raise DomainError(f"{flag} {spec!r} gives {len(values)} values for {n} vertices")
+    return np.array(values)
+
+
+def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> PackingMetric:
+    r = _vertex_values("--radii", spec, t.n_vertices, "random")
+    if r is None:
+        r = np.random.default_rng(seed).uniform(0.5, 2.0, t.n_vertices)
+    m = PackingMetric.from_radii(r)
     # radii near the ends of the float range overflow or underflow the
     # cosine law (1e300, 1e-320), and every flow trial from a radius below
     # the normal range (1e-310) underflows; such a start is refused, not run
@@ -190,19 +189,8 @@ def _load_radii(spec: str | None, t: Triangulation, w: Weight, seed: int) -> Pac
 
 def _load_target(spec: str | None, t: Triangulation) -> np.ndarray | None:
     """None means 'use the average curvature'."""
-    if spec is None or spec == "kav":
-        return None
-    if os.path.exists(spec):
-        tokens = [line for _, _, line in _data_lines(spec)]
-    else:
-        tokens = spec.split(",") if "," in spec else [spec] * t.n_vertices
-    try:
-        values = [float(x) for x in tokens]
-    except ValueError:
-        raise DomainError(
-            f"target {spec!r} is neither a file, a comma list, nor a number"
-        ) from None
-    return resolve_target(t, values)
+    target = _vertex_values("--target", spec, t.n_vertices, "kav")
+    return None if target is None else resolve_target(t, target)
 
 
 def _write(out_dir: str | None, name: str, text: str) -> None:
@@ -334,7 +322,7 @@ def cmd_flow(args) -> int:
 def cmd_check(args) -> int:
     t = _load_mesh(args.mesh)
     w = _load_phi(args.phi, t)
-    target = resolve_target(t, _load_target(args.target, t))
+    target = _load_target(args.target, t)
     # the rows first: a mesh too large to dump is refused before any output
     rows = enumerate_rows(t, w, target) if args.dump_subsets else None
     report = check_admissible(t, w, target, force=args.force)
@@ -429,7 +417,7 @@ _FLAGS = {
     "--mesh": dict(help="mesh file, or a bundled name"),
     "--phi": dict(help="edge weight: scalar, or file of 'a b phi' lines"),
     "--radii": dict(
-        help="initial radii: scalar, file of N lines, or 'random' (default)"
+        help="initial radii: scalar, comma list, file of N lines, or 'random' (default)"
     ),
     "--seed": dict(type=int, default=0, help="RNG seed"),
     "--out": dict(help="directory for CSV/JSON outputs"),
@@ -538,10 +526,10 @@ def _apply_config(args: argparse.Namespace) -> None:
     """
     flags = {n[2:].replace("-", "_"): n for n in COMMANDS[args.command][2].split()}
     if args.config:
-        for lineno, raw, line in _data_lines(args.config):
+        for lineno, line in data_lines(_read_text(args.config)):
             if "=" not in line:
                 raise DomainError(
-                    f"{args.config}:{lineno}: expected key=value, got {raw.strip()!r}"
+                    f"{args.config}:{lineno}: expected key=value, got {line!r}"
                 )
             key, _, value = line.partition("=")
             key = key.strip().replace("-", "_")

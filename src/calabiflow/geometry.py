@@ -40,6 +40,8 @@ PHI_MAX = math.pi / 2.0
 
 
 def _check_phi(phi: np.ndarray):
+    if phi.ndim != 1:
+        raise DomainError(f"weights must be a vector, got an array of shape {phi.shape}")
     if not np.all(np.isfinite(phi)):
         raise DomainError("weights must be finite")
     if phi.size and (phi.min() < 0.0 or phi.max() > PHI_MAX):
@@ -165,7 +167,8 @@ class PackingMetric:
     @classmethod
     def from_log_radii(cls, u: Iterable[float]) -> "PackingMetric":
         arr = np.asarray(list(u) if not isinstance(u, np.ndarray) else u, dtype=np.float64)
-        return cls(np.exp(arr), arr)
+        with np.errstate(over="ignore"):  # the constructor refuses an infinite radius
+            return cls(np.exp(arr), arr)
 
     @property
     def n(self) -> int:

@@ -50,27 +50,27 @@ class DualLaplacian:
 
     def __init__(self, n: int, edges: np.ndarray, weights: np.ndarray):
         self.n = int(n)
-        self.edges = edges
-        self.weights = np.asarray(weights, dtype=np.float64)
-        if self.weights.shape[0] != edges.shape[0]:
-            raise DomainError("one weight per edge required")
-        if self.weights.size and not np.all(np.isfinite(self.weights)):
-            raise DomainError("edge weights must be finite")
-        if self.weights.size and (
-            float(self.weights.min()) <= 0.0
-            or float(self.weights.max()) >= 2.0 * math.sqrt(3.0)
-        ):
-            raise DomainError(
-                "edge weights must lie in the open interval (0, 2*sqrt(3))"
-            )
+        self.edges = edges = np.asarray(edges)
+        self.weights = w = np.asarray(weights, dtype=np.float64)
+        # checked by shape and dtype alone: no pass over the edges
+        dtype = edges.dtype
+        if edges.shape[1:] != (2,) or dtype == bool or not np.can_cast(dtype, np.intp):
+            raise DomainError(f"edges must be (E, 2) integers, got {dtype} {edges.shape}")
+        if w.shape != edges.shape[:1]:
+            raise DomainError(f"one weight per edge required, got {w.shape} for {edges.shape}")
+        # a NaN fails both comparisons
+        if w.size and not (w.min() > 0.0 and w.max() < 2.0 * math.sqrt(3.0)):
+            raise DomainError("edge weights must lie in the open interval (0, 2*sqrt(3))")
         a = edges[:, 0]
         b = edges[:, 1]
         # bincount adds in input order from zero, as add.at into zeros does
-        self.diag = np.bincount(
-            np.concatenate([a, b]),
-            np.concatenate([self.weights, self.weights]),
-            minlength=self.n,
-        )
+        ends = np.concatenate([a, b])
+        try:
+            self.diag = np.bincount(ends, np.concatenate([w, w]), minlength=self.n)
+        except ValueError:  # a negative endpoint
+            self.diag = np.empty(0)
+        if self.diag.size != self.n:  # an endpoint of n or more lengthens it
+            raise DomainError(f"edge endpoints must lie in [0, {self.n})")
         if self.is_dense:
             # an instance attribute shadows the lazy CSR ``matrix`` below
             mat = np.zeros((self.n, self.n))

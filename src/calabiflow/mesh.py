@@ -26,6 +26,7 @@ from .errors import DomainError, MeshSyntaxError, MeshValidationError
 __all__ = [
     "Triangulation",
     "VertexSubset",
+    "data_lines",
     "parse_mesh",
     "subcomplex_euler",
     "link_pairs",
@@ -297,12 +298,21 @@ class VertexSubset:
         return iter(self.members)
 
 
+def data_lines(text: str) -> list[tuple[int, str]]:
+    """``(lineno, line)`` for each line of ``text`` that is not blank once
+    its ``#`` comment is cut, ``line`` stripped.  Lines end at ``\\n`` and
+    count from 1, as ``grep -n`` counts them; any other whitespace, a
+    ``\\r`` or a form feed included, only separates tokens."""
+    lines = enumerate(text.split("\n"), 1)
+    return [(n, line) for n, raw in lines if (line := raw.split("#", 1)[0].strip())]
+
+
 def parse_mesh(text: str) -> Triangulation:
     """Parse the plain text mesh format into a validated triangulation.
 
-    Format: ``#`` starts a comment (rest of line ignored), blank lines are
-    skipped, the first data line is ``N F``, followed by exactly ``F``
-    lines of three 0-based vertex indices each.
+    Format: the data lines of :func:`data_lines` (``#`` starts a comment,
+    blank lines are skipped, lines end at ``\\n``); the first is ``N F``,
+    followed by exactly ``F`` lines of three 0-based vertex indices each.
 
     Raises
     ------
@@ -312,15 +322,12 @@ def parse_mesh(text: str) -> Triangulation:
     MeshValidationError
         If the parsed face list fails surface validation.
     """
-    rows: list[tuple[int, list[str]]] = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((ln, body.split()))
+    rows = data_lines(text)
     if not rows:
         raise MeshSyntaxError("empty mesh file")
 
-    def ints(ln: int, toks: list[str], want: int) -> list[int]:
+    def ints(ln: int, line: str, want: int) -> list[int]:
+        toks = line.split()
         if len(toks) != want:
             raise MeshSyntaxError(
                 f"line {ln}: expected {want} integers, got {len(toks)} token(s)"
@@ -347,7 +354,7 @@ def parse_mesh(text: str) -> Triangulation:
         raise MeshSyntaxError(
             f"header promises {f} faces but file has {len(rows) - 1} face line(s)"
         )
-    faces = [ints(ln, toks, 3) for ln, toks in rows[1:]]
+    faces = [ints(ln, line, 3) for ln, line in rows[1:]]
     return Triangulation(n, faces)
 
 
@@ -405,7 +412,8 @@ def resolve_target(t: Triangulation, target) -> np.ndarray:
     ``None`` means the average curvature ``K_av = 2 pi chi / N`` at every
     vertex.  Anything else must be ``N`` finite numbers whose sum of
     squares is finite too: the flows' energy and the admissibility check
-    sum such squares.
+    sum such squares.  Every entry point that takes a target (the flows,
+    the potential, the energy, the admissibility check) reads it here.
     """
     if target is None:
         return np.full(t.n_vertices, 2.0 * math.pi * t.chi / t.n_vertices)

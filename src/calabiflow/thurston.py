@@ -45,12 +45,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, EnumerationSizeError, InternalConsistencyError
+from .errors import EnumerationSizeError, InternalConsistencyError
 from .geometry import Weight, _check_fit, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import (
@@ -139,15 +140,6 @@ def subset_inequality(
         link += math.pi - float(w.phi[t.edge_index[(a, b)]])
     rhs = -link + 2.0 * math.pi * subcomplex_euler(t, subset)
     return lhs, rhs
-
-
-def _explicit_target(t: Triangulation, target) -> np.ndarray:
-    """:func:`resolve_target`, except that ``None`` is refused: a check
-    needs the target spelled out, ``resolve_target(t, None)`` for the
-    average curvature ``K_av``."""
-    if target is None:
-        raise DomainError("an admissibility check needs an explicit target curvature")
-    return resolve_target(t, target)
 
 
 def _slack_bound(ang, pmp_f, dev) -> float:
@@ -303,9 +295,10 @@ def check_admissible(
 ) -> AdmissibilityReport:
     """Decide whether ``target`` is realizable, with a certificate.
 
-    A target off the Gauss-Bonnet hyperplane is reported as such.  Then,
-    on a connected surface, a Newton solve tries to certify the verdict
-    (see the module docstring); a certified verdict reports
+    ``target`` is read by :func:`resolve_target`: ``None`` is ``K_av`` at
+    every vertex.  A target off the Gauss-Bonnet hyperplane is reported as
+    such.  Then, on a connected surface, a Newton solve tries to certify the
+    verdict (see the module docstring); a certified verdict reports
     ``subsets_checked = 0``.  A target the solve leaves undecided, and
     every inadmissible target within ``SIZE_GUARD`` vertices, goes to the
     exhaustive subset scan, whose violator is minimal in (size,
@@ -313,7 +306,7 @@ def check_admissible(
     1.6e7 subsets) an undecided target raises ``EnumerationSizeError``
     unless ``force`` is true.
     """
-    tgt = _explicit_target(t, target)
+    tgt = resolve_target(t, target)
     _check_fit(t, w)
     start = time.perf_counter()
     verdict, certificate, checked = _verdict(t, w, tgt, force)
@@ -335,16 +328,13 @@ def enumerate_rows(
     """All per-subset (members, LHS, RHS) rows, for small-mesh dumps.
 
     Unlike the scan this does not stop early; it exists for the
-    ``--dump-subsets`` CLI flag and for cross-checking the kernels.
+    ``--dump-subsets`` CLI flag and for cross-checking the kernels.  It
+    reads ``target`` as :func:`check_admissible` does (``None`` is ``K_av``).
     """
-    tgt = _explicit_target(t, target)
+    tgt = resolve_target(t, target)
     _check_fit(t, w)
     if t.n_vertices > 16:
-        raise EnumerationSizeError(
-            "per-subset dumps are limited to 16 vertices"
-        )
-    from itertools import combinations
-
+        raise EnumerationSizeError("per-subset dumps are limited to 16 vertices")
     rows = []
     for size in range(1, t.n_vertices):
         for members in combinations(range(t.n_vertices), size):

@@ -15,6 +15,7 @@ import calabiflow as cf
 from calabiflow import _kernels, cli, thurston
 from calabiflow import potential as potential_mod
 from calabiflow.cli import main
+from calabiflow.mesh import data_lines
 from calabiflow.meshes import mesh_text, subdivide
 from _util import MESH_NAMES, disjoint_text, mesh, stellar_text, zero_weight
 
@@ -558,6 +559,96 @@ def test_start_below_the_normal_range_exits_1(capsys, tmp_path, command):
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--radii" in err and "normal float range" in err
+
+
+def test_radii_comma_list_matches_a_radii_file(capsys, tmp_path):
+    path = tmp_path / "radii.txt"
+    path.write_text("1\n2\n1\n2\n")
+    listed = run(capsys, "curvature", "--mesh", "tetrahedron", "--radii", "1,2,1,2")
+    assert listed[0] == 0
+    assert listed == run(capsys, "curvature", "--mesh", "tetrahedron", "--radii", str(path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("curvature", "--radii"), ("check", "--target"),
+     ("flow", "--kind", "calabi_prescribed", "--target")],
+    ids=["radii", "check-target", "flow-target"],
+)
+def test_bad_value_file_line_is_named_by_file_and_line(capsys, tmp_path, argv):
+    path = tmp_path / "values.txt"
+    path.write_text("1\nx\n1\n1\n")
+    code, out, err = run(capsys, argv[0], "--mesh", "tetrahedron", *argv[1:], str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: {path}:2: {argv[-1]} expects one number per line, got 'x'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, spec",
+    [
+        (("curvature", "--radii"), "1,2,1"),
+        (("curvature", "--radii"), "FILE"),
+        (("check", "--target"), "1,2"),
+        (("flow", "--kind", "ricci_prescribed", "--target"), "FILE"),
+    ],
+)
+def test_wrong_value_count_names_its_flag(capsys, tmp_path, argv, spec):
+    count = len(spec.split(","))
+    if spec == "FILE":
+        path = tmp_path / "five.txt"
+        path.write_text("# five values\n" + "1.5\n" * 5)
+        spec, count = str(path), 5
+    code, out, err = run(capsys, argv[0], "--mesh", "tetrahedron", *argv[1:], spec)
+    assert code == 1 and out == ""
+    assert err == f"error: {argv[-1]} {spec!r} gives {count} values for 4 vertices\n"
+
+
+@pytest.mark.parametrize("name", MESH_NAMES)
+def test_check_without_a_target_checks_the_average_curvature(capsys, name):
+    t = mesh(name)
+    k_av = ",".join([repr(TWO_PI * t.chi / t.n_vertices)] * t.n_vertices)
+    default = run(capsys, "check", "--mesh", name)
+    assert default[0] == 0
+    assert default == run(capsys, "check", "--mesh", name, "--target", "kav")
+    assert default == run(capsys, "check", "--mesh", name, f"--target={k_av}")
+
+
+def _decorated(lines, bad=None):
+    """``lines`` behind a comment line and a blank line, each with a trailing
+    comment and followed by a blank line, all with CRLF endings.  Data line
+    ``bad`` (from 0) becomes ``x``; data line k sits on line 2 k + 3."""
+    rows = ["x" if k == bad else row for k, row in enumerate(lines)]
+    return "# values\r\n\r\n" + "".join(f" {row}\t# {k}\r\n \r\n" for k, row in enumerate(rows))
+
+
+def _bytes_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_bytes(text.encode())  # keeps the CRLF endings
+    return str(path)
+
+
+def test_mesh_and_value_files_read_lines_alike(capsys, tmp_path):
+    # one line reader: comments, blank lines and CRLF endings change no
+    # output, and a bad line gets the same number as a mesh line and as a
+    # value line
+    t = mesh("tetrahedron")
+    faces = [" ".join(map(str, f)) for f in t.faces.tolist()]
+    mesh_lines, radii_lines = [f"{t.n_vertices} {t.n_faces}", *faces], ["1", "2", "1", "2"]
+    text = _decorated(mesh_lines)
+    assert data_lines(text) == [(2 * k + 3, row) for k, row in enumerate(mesh_lines)]
+    assert np.array_equal(cf.parse_mesh(text).faces, t.faces)
+    for argv, lines in ((["--mesh"], mesh_lines),
+                        (["--mesh", "tetrahedron", "--radii"], radii_lines)):
+        plain = _bytes_file(tmp_path, "plain.txt", "\n".join(lines) + "\n")
+        decorated = _bytes_file(tmp_path, "decorated.txt", _decorated(lines))
+        expected = run(capsys, "curvature", *argv, plain)
+        assert expected[0] == 0
+        assert run(capsys, "curvature", *argv, decorated) == expected
+    with pytest.raises(cf.MeshSyntaxError, match="^line 7: "):
+        cf.parse_mesh(_decorated(mesh_lines, bad=2))
+    bad = _bytes_file(tmp_path, "bad.txt", _decorated(radii_lines, bad=2))
+    code, _, err = run(capsys, "curvature", "--mesh", "tetrahedron", "--radii", bad)
+    assert code == 1 and err.startswith(f"error: {bad}:7: ")
 
 
 # (command, flags another command reads); "CONFIG" puts them in a config file

@@ -1,6 +1,7 @@
 """Metric geometry: lengths, angles, curvatures, and their invariants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ def test_edge_map_nan_is_a_value_not_a_gap():
         cf.Weight.from_edge_map(t, {(0, 1): np.nan, **rest})
     with pytest.raises(cf.DomainError, match=r"edge \(0, 1\) assigned a weight twice"):
         cf.Weight.from_edge_map(t, {(0, 1): np.nan, (1, 0): 0.3, **rest})
+
+
+@pytest.mark.parametrize("shape", [(6, 1), (6, 2), (6, 4), ()])
+def test_weight_must_be_a_vector(shape):
+    # a first axis of length E used to pass the size check, and every
+    # kernel then failed to broadcast
+    with pytest.raises(cf.DomainError, match=re.escape(f"an array of shape {shape}")):
+        cf.Weight(np.zeros(shape))
+
+
+def test_log_radii_past_the_float_range_are_refused_without_a_warning():
+    # exp overflows above about 709.78; the suite turns the warning into an error
+    with pytest.raises(cf.DomainError, match="radii must be finite"):
+        cf.PackingMetric.from_log_radii([710.0, 0.0, 0.0, 0.0])
 
 
 def test_metric_validation():

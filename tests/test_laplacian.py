@@ -228,6 +228,38 @@ def test_dual_laplacian_weight_validation():
         cf.DualLaplacian(4, t.edges, np.full(6, 2 * SQRT3 + 1.0))
 
 
+TETRA_EDGES = mesh("tetrahedron").edges
+
+
+@pytest.mark.parametrize(
+    "n, edges, weights, message",
+    [
+        (3, TETRA_EDGES, np.ones(6), r"edge endpoints must lie in \[0, 3\)"),
+        (4, np.vstack([TETRA_EDGES[:5], [[-1, 2]]]), np.ones(6), "edge endpoints"),
+        (4, TETRA_EDGES.astype(float), np.ones(6), "edges must be .E, 2. integers"),
+        (4, TETRA_EDGES.astype(bool), np.ones(6), "edges must be"),
+        (4, TETRA_EDGES.astype(np.uint64), np.ones(6), "edges must be"),
+        (4, TETRA_EDGES[:, :1], np.ones(6), r"got int64 \(6, 1\)"),
+        (4, TETRA_EDGES, np.ones((6, 1)), "one weight per edge"),
+        (4, TETRA_EDGES, np.ones(5), "one weight per edge"),
+        (4, TETRA_EDGES, np.full(6, np.nan), "open interval"),
+    ],
+    ids=["endpoint-n", "negative", "float", "bool", "uint64", "E-by-1-edges",
+         "E-by-1-weights", "short-weights", "nan-weights"],
+)
+def test_dual_laplacian_refuses_malformed_input(n, edges, weights, message):
+    with pytest.raises(cf.DomainError, match=message):
+        cf.DualLaplacian(n, edges, weights)
+
+
+def test_dual_laplacian_takes_any_index_dtype_that_fits():
+    ref = cf.DualLaplacian(4, TETRA_EDGES, np.ones(6))
+    for edges in (TETRA_EDGES.astype(np.int32), TETRA_EDGES.astype(np.uint32),
+                  TETRA_EDGES.tolist()):
+        lap = cf.DualLaplacian(4, edges, np.ones(6))
+        assert np.array_equal(lap.matrix, ref.matrix)
+
+
 def _eigh_oracle(lap):
     """lambda1 by scipy's subset ``eigh`` of ``L + (c/N) 11^T``, with ``c``
     twice the Gershgorin bound ``2 max diag``."""

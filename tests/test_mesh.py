@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import calabiflow as cf
-from calabiflow.mesh import _component_labels
+from calabiflow.mesh import _component_labels, data_lines
 from calabiflow.meshes import subdivide
 from _mesh_oracle import build, component_labels, subdivide_faces
 from _util import MESH_NAMES, mesh
@@ -69,6 +69,17 @@ def test_parse_comments_and_blank_lines():
     """
     t = cf.parse_mesh(text)
     assert (t.n_vertices, t.n_faces) == (4, 4)
+
+
+def test_lines_end_at_newline_only():
+    # a CRLF ending is stripped; a form feed or a lone CR inside a line
+    # separates tokens, and line numbers count newlines as grep -n does
+    text = "4 3\r\n0 1\f2\r\n0 1 3\r0 2 3 # two faces\n\n1 2 3\n"
+    assert data_lines(text) == [
+        (1, "4 3"), (2, "0 1\f2"), (3, "0 1 3\r0 2 3"), (5, "1 2 3")
+    ]
+    with pytest.raises(cf.MeshSyntaxError, match="^line 3: expected 3 integers, got 6"):
+        cf.parse_mesh(text)
 
 
 @pytest.mark.parametrize(

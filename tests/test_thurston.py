@@ -234,8 +234,20 @@ def test_input_validation():
         cf.check_admissible(t, w, np.array([np.nan, 0, 0, 0]))
     with pytest.raises(cf.DomainError):
         cf.check_admissible(t, cf.Weight(np.zeros(7)), np.full(4, math.pi))
-    with pytest.raises(cf.DomainError):
-        enumerate_rows(subdivide(subdivide(mesh("octahedron"))), None, None)
+    big = subdivide(subdivide(mesh("octahedron")))
+    with pytest.raises(cf.EnumerationSizeError):
+        enumerate_rows(big, zero_weight(big), None)
+
+
+@pytest.mark.parametrize("name", ["tetrahedron", "octahedron", "icosahedron", "torus"])
+def test_none_target_is_the_average_curvature(name):
+    # None means K_av in the check and the rows, as in every other entry
+    t = mesh(name)
+    w = random_weight(np.random.default_rng(3), t)
+    k_av = np.full(t.n_vertices, TWO_PI * t.chi / t.n_vertices)
+    report = cf.check_admissible(t, w, k_av).as_dict()
+    assert cf.check_admissible(t, w, None).as_dict() == report
+    assert enumerate_rows(t, w, None) == enumerate_rows(t, w, k_av)
 
 
 def test_report_determinism_and_dict():
