@@ -2,12 +2,12 @@
 
 The geometry kernels are array-in / array-out.  They take the mesh as one
 :class:`Mesh` tuple of static index arrays and weight cosines, built by
-``geometry._mesh_arrays``.  The run loop :func:`advance` takes the start
-log radii, that mesh, the settings callers vary as one options object
-(``flows.IntegratorOptions``) and a callback that records samples; its
-fixed settings are the module constants below.  The public names are
-``state``, which returns a :class:`State`, ``curvatures``, ``lap_apply``,
-``segment_potential``, ``advance`` and ``scan_subsets``.
+``geometry._mesh_arrays``.  The run loop :func:`advance` of the flows and
+the Newton solve takes the start log radii, that mesh, the settings callers
+vary (``flows.IntegratorOptions``), a sample callback that may end the run
+and a Newton direction; the module constants below fix the rest.  The public
+names are ``state``, which returns a :class:`State`, ``curvatures``,
+``lap_apply``, ``segment_potential``, ``advance`` and ``scan_subsets``.
 
 Stacked corners: every per-corner quantity is one elementwise expression on
 contiguous (F, 3) arrays, whose entry ``[f, m]`` belongs to corner ``m`` of
@@ -381,8 +381,8 @@ def segment_potential(u0, du, target, order, mesh):
     return total
 
 
-def advance(u, mesh, target, lap_kind, opts, record):
-    """Run a flow from the log radii ``u`` until it stops.
+def advance(u, mesh, target, lap_kind, opts, record, solve=None):
+    """Run a flow, or a Newton solve, from the log radii ``u`` until it stops.
 
     ``mesh`` is the :class:`Mesh` of the run, and ``opts`` an
     ``IntegratorOptions``; the fixed settings are the module constants.
@@ -411,16 +411,20 @@ def advance(u, mesh, target, lap_kind, opts, record):
     corner cosines (:func:`_corners`); the energy; the allowance only if
     ``e_new > energy`` (with clean cosines it is never negative or NaN);
     the dual weights and their bounds (:func:`_dual_weights`) only for a
-    trial that passed.  The current state's ``noise`` is computed, from
-    the arrays its trial kept, when a trial first needs it.  A Ricci trial
-    makes one evaluation (:func:`_corners`) at the Euler point and
-    passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in [0,
+    trial that passed.  The current state's ``noise`` is computed, from the
+    start's ``kn`` or the arrays its trial kept, when a trial first needs
+    it.  A Ricci trial makes one evaluation (:func:`_corners`) at the Euler
+    point and passes when ``<K(u + h v) - target, h v> <= 0``.  For weights in [0,
     pi/2] the Ricci potential is convex (Colin de Verdiere, Invent. Math.
     1991; Chow-Luo, J. Diff. Geom. 2003), so g(s) = <K(u + s h v) - target,
     h v> is nondecreasing in s; g(1) <= 0 then gives g <= 0 on [0, 1], and
     the step does not raise the potential.  The accepted trial's
     deviation ``K - target``, dual weights and distance from the start serve
-    the next step and the stopping tests unchanged.
+    the next step and the stopping tests unchanged.  Given ``solve`` (and
+    ``lap_kind`` true) the run is a damped Newton solve: each step starts at
+    h = 1 with the velocity ``solve(B, -(K - target))``, takes no stages and
+    passes the Calabi guard, and ``record`` is handed a :class:`State` in
+    place of ``K``, built from the trial's arrays and its curvature noise.
 
     The run converges when ``max |K - target| < opts.curvature_tol`` (the
     start included), diverges when some ``|u_i - u_i(0)|`` exceeds
@@ -429,9 +433,10 @@ def advance(u, mesh, target, lap_kind, opts, record):
     to zero, so ``sum u`` holds to rounding.  ``record(t, h, u, K, energy)``
     is called at the start, then whenever ``stride`` steps have passed since
     the last record, and at the end.  ``stride`` is ``max(1, k //
-    SAMPLE_TARGET)`` (``k`` the step count) as of the last record.
-    Returns ``(status, steps, u, t, evaluations)``, the status one of
-    ``"converged"``, ``"diverged"`` and ``"step_limit"``, and
+    SAMPLE_TARGET)`` (``k`` the step count) as of the last record.  A call
+    before the end that returns a status string ends the run with it.
+    Returns ``(status, steps, u, t, evaluations)``, the status
+    ``"converged"``, ``"diverged"``, ``"step_limit"`` or ``record``'s, and
     ``evaluations`` the geometry evaluations of trials and stages.
     """
     ea, eb, n = mesh.ea, mesh.eb, u.shape[0]
@@ -440,23 +445,27 @@ def advance(u, mesh, target, lap_kind, opts, record):
     exp_safe = EXP_SAFE - float(np.abs(u_ref).max())
     with np.errstate(all="ignore"):
         start = state(np.exp(u), mesh)
-        K, B, dev = start.K, start.B, start.K - target
+        B, dev = start.B, start.K - target
+        K = start.K if solve is None else start  # what record is handed
         energy = float((dev**2).sum())
-        noise = _energy_noise(dev, start.kn, energy)
+        noise = kept = None
         h, t, stride, h_s = INITIAL_STEP, 0.0, 1, None
         streak = steps = last = evals = 0
-        record(t, h, u, K, energy)
-        if float(np.abs(dev).max()) < opts.curvature_tol:
-            return "converged", steps, u, t, evals
-        while steps < opts.max_steps:
-            v = lap_apply(B, ea, eb, dev) if lap_kind else -dev
+        status = record(t, h, u, K, energy)
+        if status is None and float(np.abs(dev).max()) < opts.curvature_tol:
+            status = "converged"
+        while status is None and steps < opts.max_steps:
+            if solve is None:
+                v = lap_apply(B, ea, eb, dev) if lap_kind else -dev
+            else:
+                v, h = solve(B, -dev), 1.0
             trials = evaluated = 0
             while evaluated <= MAX_HALVINGS and h > 0.0:
                 if trials:
                     h *= 0.5
                 trials += 1
                 du = h * v
-                if lap_kind:
+                if lap_kind and solve is None:
                     if h != h_s:  # s, the stage count, is that of h_s
                         d = np.bincount(ea, B, n) + np.bincount(eb, B, n)
                         x, h_s, s = h * float((d[ea] + d[eb]).max()) ** 2, h, 1
@@ -491,13 +500,13 @@ def advance(u, mesh, target, lap_kind, opts, record):
                     continue  # radii that underflow are rejected like overflow
                 evaluated += 1
                 try:
-                    _, G, cc, _, K_new = _corners(r_new, mesh)
+                    lens, G, cc, ang, K_new = _corners(r_new, mesh)
                 except InternalConsistencyError:
                     continue
                 dev_new = K_new - target
                 e_new = float((dev_new**2).sum())
                 if not lap_kind:
-                    del G, cc, _  # unread here; held into the next trial, they cost time
+                    del lens, G, cc, ang  # unread here; held into the next trial, they cost time
                     ok = float(np.dot(dev_new, du)) <= 0.0
                 else:
                     sin = np.sqrt(1.0 - cc * cc)
@@ -505,7 +514,7 @@ def advance(u, mesh, target, lap_kind, opts, record):
                     ok = e_new <= energy
                     if not ok:
                         if noise is None:
-                            kn = _curvature_noise(*kept, mesh, n)
+                            kn = start.kn if kept is None else _curvature_noise(*kept, mesh, n)
                             noise = _energy_noise(dev, kn, energy)
                         kn = _curvature_noise(G, sin, mesh, n)
                         noise_new = _energy_noise(dev_new, kn, e_new)
@@ -525,6 +534,8 @@ def advance(u, mesh, target, lap_kind, opts, record):
             t, u, K, dev, energy = t + h, u_new, K_new, dev_new, e_new
             if lap_kind:
                 B, noise, kept = B_new, noise_new, (G, sin)
+                if solve is not None:
+                    K = State(lens, ang, K, B, _curvature_noise(G, sin, mesh, n))
             steps += 1
             streak = 1 if trials > 1 else streak + 1
             if streak >= GROWTH_INTERVAL:
@@ -534,15 +545,12 @@ def advance(u, mesh, target, lap_kind, opts, record):
             converged = float(np.abs(dev).max()) < opts.curvature_tol
             if converged or drift > opts.u_max:
                 status = "converged" if converged else "diverged"
-                break
-            if steps - last >= stride:
-                record(t, h, u, K, energy)
+            elif steps - last >= stride:
+                status = record(t, h, u, K, energy)
                 last, stride = steps, max(1, steps // SAMPLE_TARGET)
-        else:
-            status = "step_limit"
         if last != steps:
             record(t, h, u, K, energy)
-    return status, steps, u, t, evals
+    return status or "step_limit", steps, u, t, evals
 
 
 def _subset_row(c, n, target, ea, eb, fv, fe, pmp):

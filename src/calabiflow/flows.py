@@ -34,7 +34,7 @@ from .errors import DomainError, InternalConsistencyError
 from .geometry import PackingMetric, Weight, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import Triangulation, resolve_target, subcomplex_euler
-from .thurston import check_gauss_bonnet
+from .thurston import CURVATURE_TOL, check_gauss_bonnet
 
 __all__ = [
     "FlowKind",
@@ -98,9 +98,12 @@ class IntegratorOptions:
     removes the cap, which divergent runs need to reach the ``u_max``
     guard quickly.  Pass a small cap (e.g. ``0.02``) when the measured
     decay rate of a converging run should track continuous time.  ``u_max``
-    and ``max_step`` may be infinite.  The other settings are constants of
-    ``_kernels``: ``INITIAL_STEP``, ``MAX_HALVINGS``, ``GROWTH_FACTOR``,
-    ``GROWTH_INTERVAL``, ``SAMPLE_TARGET``, ``RKC_DAMPING``, ``MAX_STAGES``.
+    and ``max_step`` may be infinite.  ``curvature_tol`` is at least
+    ``thurston.CURVATURE_TOL``, the rounding floor of ``max |K - target|``;
+    a smaller one would spend the whole step budget.  The other settings
+    are constants of ``_kernels``: ``INITIAL_STEP``, ``MAX_HALVINGS``,
+    ``GROWTH_FACTOR``, ``GROWTH_INTERVAL``, ``SAMPLE_TARGET``,
+    ``RKC_DAMPING``, ``MAX_STAGES``.
     """
 
     max_steps: int = 10**6
@@ -115,6 +118,9 @@ class IntegratorOptions:
             value = getattr(self, name)
             if not (value > 0 and (value < np.inf or must == "positive")):
                 raise DomainError(f"{name} must be {must}, got {value}")
+        if self.curvature_tol < CURVATURE_TOL:
+            raise DomainError(f"curvature_tol must be at least {CURVATURE_TOL}, the "
+                              f"rounding floor of the curvatures, got {self.curvature_tol}")
         # a bool is an int to isinstance, but not a step count
         integral = isinstance(self.max_steps, (int, np.integer))
         if not integral or isinstance(self.max_steps, bool) or self.max_steps < 1:

@@ -102,8 +102,8 @@ class DualLaplacian:
         Gauss-Bonnet rounding in ``rhs`` is spread over all vertices.  They
         stop at a residual of ``1e-3 min(1, max|b|) |b|_2``, ``b = rhs -
         mean(rhs)``, an inexact Newton step that keeps the local convergence
-        superlinear (the factor stays >= 1e-10, which roundoff can meet), or
-        after N iterations.
+        superlinear (the factor stays >= 1e-10, which roundoff can meet), after
+        N iterations, or where ``p^T L p`` underflows (deep escapes).
         """
         if self.is_dense:
             return np.linalg.solve(self.matrix + 1.0 / self.n, rhs)
@@ -124,7 +124,10 @@ class DualLaplacian:
             p = z + (rz / rz_prev) * p
             # lap_apply gives -L p
             lp = -_kernels.lap_apply(self.weights, ea, eb, p)
-            alpha = rz / float(p @ lp)
+            curv = float(p @ lp)
+            if not curv > 0.0:  # weights so small that p^T L p underflows
+                break
+            alpha = rz / curv
             x += alpha * p
             res -= alpha * lp
         return x

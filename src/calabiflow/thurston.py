@@ -8,13 +8,13 @@ subset ``I``, satisfies the strict inequality
 
 where ``F_I`` is the subcomplex spanned by ``I`` and ``Lk(I)`` its link.
 
-A check first runs a damped Newton solve of ``K(u) = target``
-(:func:`_newton`, which also finds the constant-curvature metric in
-``potential``): the Ricci potential is convex with Hessian ``L``
+A check refuses a disconnected surface, whose components meet their
+inequalities with equality.  It then runs a damped Newton solve of ``K(u) =
+target`` (:func:`_newton`, which also finds the constant-curvature metric
+in ``potential``): the Ricci potential is convex with Hessian ``L``
 (Chow-Luo, J. Diff. Geom. 2003), so the solve runs toward a realizing
-metric when one exists and off to infinity when none does.  The line
-search only steers the solve; the verdict comes from one of two
-certificates, checked at every iterate:
+metric when one exists and off to infinity when none does.  The line search
+only steers the solve; a certificate, tested at every iterate, decides:
 
 - *admissible*: on a connected surface the face angle sums give, for every
   proper subset, ``slack(I; K(u)) = sum over faces with two vertices in I
@@ -42,16 +42,18 @@ flagged, since the admissible set is open.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import time
 from dataclasses import dataclass
 from itertools import combinations
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
 from . import _kernels
-from .errors import EnumerationSizeError, InternalConsistencyError
+from .errors import DomainError, EnumerationSizeError, StepCollapseError
 from .geometry import Weight, _check_fit, _mesh_arrays
 from .laplacian import DualLaplacian
 from .mesh import (
@@ -75,11 +77,9 @@ SIZE_GUARD = 24
 VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
-# The Newton solve stops after NEWTON_STEPS steps, when NEWTON_HALVINGS
-# halvings of a step do not lower |K - target|, or at its roundoff floor
-# (_at_floor), which CURVATURE_TOL bounds from below.
+# The Newton solve stops after NEWTON_STEPS steps, at a collapsed step, or
+# at its roundoff floor (_at_floor), which CURVATURE_TOL bounds from below.
 NEWTON_STEPS = 50
-NEWTON_HALVINGS = 30
 CURVATURE_TOL = 1e-12
 # rounding allowance of the admissible certificate, on top of the measured
 # per-face angle-sum error: it covers the rounding of the curvature and
@@ -193,60 +193,49 @@ def _at_floor(s, target) -> bool:
     return float(np.abs(s.K - target).max()) < max(CURVATURE_TOL, float(s.kn.max()))
 
 
-def _newton(t: Triangulation, w: Weight, target, u):
-    """Damped Newton iterates of ``K(u) = target``, starting from ``u``.
-
-    Yields ``(u, state)`` at the start and after each step: the log radii
-    and their ``_kernels.State``.  Each step solves
-    ``L delta = -(K - target)`` (:meth:`DualLaplacian.solve`) and halves
-    ``delta`` until the trial's state evaluates and ``||K - target||_2``
-    falls.  The iteration ends after ``NEWTON_STEPS`` steps, when
-    ``NEWTON_HALVINGS`` halvings of a step do not lower the norm, or after
-    the first iterate at its roundoff floor (:func:`_at_floor`); a start
-    that does not evaluate raises.  Only valid on a connected surface.
+def _newton(t: Triangulation, w: Weight, target, u, stop):
+    """The damped Newton solve of ``K(u) = target`` from ``u``, stepped by
+    :func:`_kernels.advance`: it solves ``L delta = -(K - target)``
+    (:meth:`DualLaplacian.solve`) and halves ``delta`` until the trial
+    passes the Calabi energy guard.  Returns the first value other than None
+    of ``stop(u, state)`` at the start or an iterate (``_kernels.State``),
+    or None if the solve ends first: at its roundoff floor (:func:`_at_floor`),
+    after ``NEWTON_STEPS`` steps or at a collapsed step.  A start that does
+    not evaluate raises.  Only valid on a connected surface.
     """
     n = t.n_vertices
-    mesh = _mesh_arrays(t, w)
-    # radii that overflow raise in the state kernel
-    with np.errstate(all="ignore"):
-        s = _kernels.state(np.exp(u), mesh)
-    for _ in range(NEWTON_STEPS):
-        yield u, s
-        if _at_floor(s, target):
-            return
-        dev = s.K - target
-        delta = DualLaplacian(n, t.edges, s.B).solve(-dev)
-        norm = float(np.linalg.norm(dev))
-        for _ in range(NEWTON_HALVINGS):
-            with np.errstate(all="ignore"):
-                r = np.exp(u + delta)
-            try:
-                trial = _kernels.state(r, mesh)
-            except InternalConsistencyError:
-                trial = None
-            if trial is not None and float(np.linalg.norm(trial.K - target)) < norm:
-                u, s = u + delta, trial
-                break
-            delta = 0.5 * delta
-        else:
-            return
-    yield u, s
+    found = None
+
+    def record(_t, _h, u, s, _energy):
+        nonlocal found
+        found = stop(u, s)
+        if found is not None or _at_floor(s, target):
+            return "stopped"
+
+    # no divergence guard, and a tolerance that never fires: the floor ends it
+    opts = SimpleNamespace(max_steps=NEWTON_STEPS, curvature_tol=0.0,
+                           u_max=math.inf, max_step=math.inf)
+    with contextlib.suppress(StepCollapseError):
+        _kernels.advance(u, _mesh_arrays(t, w), target, True, opts, record,
+                         lambda B, rhs: DualLaplacian(n, t.edges, B).solve(rhs))
+    return found
 
 
 def _newton_verdict(t: Triangulation, w: Weight, target):
     """Decide admissibility by the Newton solve :func:`_newton` from ``u = 0``.
 
     Returns ``("admissible", None)`` or ``("inadmissible", (members, lhs,
-    rhs))`` once a certificate (see the module docstring) holds at an
-    iterate, and None when the solve ends undecided.  Within
-    ``SIZE_GUARD`` a violated prefix ends the solve undecided, since the
-    scan reports the canonical violator there.  Only valid on a connected
-    surface.
+    rhs))`` once a certificate (see the module docstring), tested by the
+    solve's ``stop`` at each iterate, holds, and None when the solve ends
+    undecided.  Within ``SIZE_GUARD`` a violated prefix ends the solve
+    undecided, since the scan reports the canonical violator there.  Only
+    valid on a connected surface.
     """
     n = t.n_vertices
     pmp = math.pi - w.phi
     pmp_f = pmp[t.face_edges]
-    for u, s in _newton(t, w, target, np.zeros(n)):
+
+    def certify(u, s):
         dev = s.K - target
         # the bound holds for corner values whose face sums are exactly pi;
         # moving each face's computed angles by a third of its sum's error
@@ -256,8 +245,10 @@ def _newton_verdict(t: Triangulation, w: Weight, target):
             return "admissible", None
         found = _prefix_violation(t, pmp, target, u)
         if found is not None:
-            return ("inadmissible", found) if n > SIZE_GUARD else None
-    return None
+            # an empty verdict ends the solve undecided
+            return ("inadmissible", found) if n > SIZE_GUARD else ()
+
+    return _newton(t, w, target, np.zeros(n), certify) or None
 
 
 def _verdict(t: Triangulation, w: Weight, tgt: np.ndarray, force: bool):
@@ -268,7 +259,7 @@ def _verdict(t: Triangulation, w: Weight, tgt: np.ndarray, force: bool):
     if not check_gauss_bonnet(tgt, t.chi):
         total = float(np.sum(tgt))
         return "gauss_bonnet_violation", (None, total, 2.0 * math.pi * t.chi), 0
-    solved = _newton_verdict(t, w, tgt) if t.connected else None
+    solved = _newton_verdict(t, w, tgt)
     if solved is not None:
         return (*solved, 0)
     if t.n_vertices > SIZE_GUARD and not force:
@@ -296,18 +287,20 @@ def check_admissible(
     """Decide whether ``target`` is realizable, with a certificate.
 
     ``target`` is read by :func:`resolve_target`: ``None`` is ``K_av`` at
-    every vertex.  A target off the Gauss-Bonnet hyperplane is reported as
-    such.  Then, on a connected surface, a Newton solve tries to certify the
-    verdict (see the module docstring); a certified verdict reports
-    ``subsets_checked = 0``.  A target the solve leaves undecided, and
-    every inadmissible target within ``SIZE_GUARD`` vertices, goes to the
-    exhaustive subset scan, whose violator is minimal in (size,
-    lexicographic) order.  Above 24 vertices (an enumeration of over
-    1.6e7 subsets) an undecided target raises ``EnumerationSizeError``
+    every vertex.  A disconnected surface raises ``DomainError``, and a
+    target off the Gauss-Bonnet hyperplane is reported as such.  Then a
+    Newton solve tries to certify the verdict (see the module docstring); a
+    certified verdict reports ``subsets_checked = 0``.  A target the solve
+    leaves undecided, and every inadmissible target within ``SIZE_GUARD``
+    vertices, goes to the exhaustive subset scan, whose violator is minimal
+    in (size, lexicographic) order.  Above 24 vertices (an enumeration of
+    over 1.6e7 subsets) an undecided target raises ``EnumerationSizeError``
     unless ``force`` is true.
     """
     tgt = resolve_target(t, target)
     _check_fit(t, w)
+    if not t.connected:
+        raise DomainError("the surface is not connected")
     start = time.perf_counter()
     verdict, certificate, checked = _verdict(t, w, tgt, force)
     members, lhs, rhs = certificate or (None, None, None)

@@ -482,10 +482,17 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
         ("flow", "--mesh", "tetrahedron", "--config", "NEGATIVE_SEED_CONFIG"),
         ("validate", "--mesh", "HUGE_INDEX_MESH"),
         ("curvature", "--mesh", "SPARSE_MESH"),
+        # a tolerance below the curvatures' rounding floor, which no run
+        # reaches
+        ("flow", "--mesh", "tetrahedron", "--tol", "1e-17"),
+        # two disjoint tetrahedra: each component meets its inequality with
+        # equality, though both prescribed flows reach this target
+        ("check", "--mesh", "DISJOINT_MESH", "--target", "3.141592653589793"),
     ],
 )
 def test_input_errors_exit_1(capsys, tmp_path, argv):
     files = {
+        "DISJOINT_MESH": disjoint_text(mesh("tetrahedron"), mesh("tetrahedron")),
         "BAD_SEED_CONFIG": "seed = abc\n",
         "NEGATIVE_SEED_CONFIG": "seed = -1\n",
         # a face index past int64, and N > 3 F (a vertex in no face) with N

@@ -535,6 +535,12 @@ def test_options_validation():
     # an infinite tolerance reports any start as converged
     with pytest.raises(cf.DomainError):
         cf.IntegratorOptions(curvature_tol=math.inf)
+    # max|K - target| stops at a few ulps of the curvatures: a tolerance
+    # below CURVATURE_TOL, where the Newton solve stops, would spend the
+    # whole step budget
+    with pytest.raises(cf.DomainError):
+        cf.IntegratorOptions(curvature_tol=1e-17)
+    cf.IntegratorOptions(curvature_tol=thurston.CURVATURE_TOL)
     # no divergence guard and no step cap
     cf.IntegratorOptions(u_max=math.inf, max_step=math.inf)
 
@@ -546,6 +552,8 @@ def test_options_validation():
         ("max_step", 0.0, "max_step must be positive, got 0.0"),
         ("u_max", math.nan, "u_max must be positive, got nan"),
         ("max_steps", 2.5, "max_steps must be an integer >= 1, got 2.5"),
+        ("curvature_tol", 1e-17, "curvature_tol must be at least 1e-12, the rounding "
+         "floor of the curvatures, got 1e-17"),
     ],
 )
 def test_options_refusals_name_the_setting_and_value(field, value, message):
@@ -702,9 +710,9 @@ def test_stiff_calabi_flow_reaches_the_newton_limit(kind_name):
     if kind_name == "calabi":
         w, kind = zero_weight(t), cf.FlowKind.calabi()
         target = resolve_target(t, None)
-        for u_star, s in thurston._newton(t, w, target, m0.u):
-            if thurston._at_floor(s, target):
-                break
+        u_star = thurston._newton(
+            t, w, target, m0.u, lambda u, s: u if thurston._at_floor(s, target) else None
+        )
     else:
         w = random_weight(rng, t)
         u_star = rng.normal(0.0, 0.7, t.n_vertices)

@@ -10,6 +10,7 @@ import calabiflow as cf
 from calabiflow import _kernels, thurston
 from calabiflow.geometry import _mesh_arrays
 from calabiflow.laplacian import DENSE_LIMIT
+from calabiflow.mesh import resolve_target
 from calabiflow.thurston import (
     CURVATURE_TOL,
     SIZE_GUARD,
@@ -18,8 +19,16 @@ from calabiflow.thurston import (
     subset_inequality,
 )
 from calabiflow.meshes import subdivide
+from _newton_oracle import newton as newton_oracle
 from _scan_oracle import scan_subsets as loop_scan
-from _util import gb_target, mesh, random_metric, random_weight, zero_weight
+from _util import (
+    MESH_NAMES,
+    gb_target,
+    mesh,
+    random_metric,
+    random_weight,
+    zero_weight,
+)
 
 TWO_PI = 2 * math.pi
 TOL = 1e-12
@@ -366,11 +375,13 @@ def test_prefix_violation_is_the_first_violated_prefix():
     assert hits == 6
 
 
-def test_disconnected_mesh_keeps_scan_verdict():
+def test_disconnected_mesh_is_refused():
     # on two disjoint tetrahedra the slack bound does not hold: no face
     # has one or two vertices in one tetrahedron's vertex set, so its slack
     # has no corner terms, and K = pi everywhere meets its inequality with
-    # equality
+    # equality.  The strict inequality would call that target inadmissible,
+    # though both prescribed flows reach it, so the check refuses the
+    # surface as constant_curvature_log_metric does
     faces = [tuple(f) for f in cf.meshes.TETRAHEDRON]
     t = cf.Triangulation(8, faces + [tuple(v + 4 for v in f) for f in faces])
     assert not t.connected
@@ -379,10 +390,12 @@ def test_disconnected_mesh_keeps_scan_verdict():
     w = zero_weight(t)
     target = np.full(8, math.pi)
     assert thurston._newton_verdict(t, w, target) == ("admissible", None)
-    rep = cf.check_admissible(t, w, target)
-    assert rep.verdict == "inadmissible"
-    assert rep.subset == (0, 1, 2, 3)
-    assert rep.subsets_checked == _scan(t, w, target)[4]
+    with pytest.raises(cf.DomainError) as info:
+        cf.check_admissible(t, w, target)
+    assert str(info.value) == "the surface is not connected"
+    for kind in (cf.FlowKind.calabi_prescribed, cf.FlowKind.ricci_prescribed):
+        m0 = random_metric(np.random.default_rng(0), t)
+        assert cf.integrate(kind(target), t, w, m0).status == "converged"
 
 
 def test_solve_decides_n66_without_force():
@@ -403,6 +416,12 @@ def test_solve_decides_n66_without_force():
         assert (rep.lhs, rep.rhs) == pytest.approx((lhs, rhs), abs=1e-12)
 
 
+def _logger(iterates):
+    """A ``stop`` for ``thurston._newton`` that keeps every ``(u, state)``
+    it is handed and never stops the solve."""
+    return lambda u, s: iterates.append((u, s))
+
+
 def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
     # above DENSE_LIMIT each Newton step is conjugate gradients on the
     # complement of the constants, and no vertex is pinned: sum(K - K_av),
@@ -413,7 +432,9 @@ def test_sparse_newton_spreads_the_gauss_bonnet_rounding():
         t = subdivide(t)
     assert t.n_vertices == 1026
     target = np.full(t.n_vertices, TWO_PI * t.chi / t.n_vertices)
-    *_, (_, s) = thurston._newton(t, zero_weight(t), target, np.zeros(t.n_vertices))
+    states = []
+    thurston._newton(t, zero_weight(t), target, np.zeros(t.n_vertices), _logger(states))
+    s = states[-1][1]
     dev = s.K - target
     assert abs(dev[0]) <= 10.0 * np.abs(dev[1:]).max()
     assert np.abs(dev).max() < max(1e-12, s.kn.max())
@@ -433,8 +454,11 @@ def test_newton_stops_at_its_roundoff_floor(monkeypatch, n):
         "solve",
         lambda lap, rhs: solves.append(len(iterates)) or solve(lap, rhs),
     )
-    for _, s in thurston._newton(t, zero_weight(t), target, np.zeros(n)):
+
+    def floor(_, s):
         iterates.append(np.abs(s.K - target).max() < max(CURVATURE_TOL, s.kn.max()))
+
+    assert thurston._newton(t, zero_weight(t), target, np.zeros(n), floor) is None
     assert iterates.index(True) == len(iterates) - 1
     assert solves == list(range(1, len(iterates)))
 
@@ -462,11 +486,14 @@ def _newton_limit(t, w, target, u):
     """The first ``_newton`` iterate at its roundoff floor, with every
     iterate's drift of ``sum u``."""
     drift = []
-    for u_k, s in thurston._newton(t, w, target, u):
+
+    def floor(u_k, s):
         drift.append(abs(u_k.sum() - u.sum()))
-        if thurston._at_floor(s, target):
-            return u_k, max(drift)
-    raise AssertionError("the Newton solve stopped short")
+        return u_k if thurston._at_floor(s, target) else None
+
+    u_k = thurston._newton(t, w, target, u, floor)
+    assert u_k is not None, "the Newton solve stopped short"
+    return u_k, max(drift)
 
 
 @pytest.mark.parametrize("n", [1026, 4098])
@@ -484,6 +511,103 @@ def test_sparse_newton_matches_the_direct_solve(monkeypatch, n):
     monkeypatch.setattr(cf.DualLaplacian, "solve", _spsolve_step)
     u_ref, _ = _newton_limit(t, w, target, u0)
     assert np.abs((u - u.mean()) - (u_ref - u_ref.mean())).max() < 1e-10
+
+
+@pytest.mark.parametrize("name", [*MESH_NAMES, 18, 66, 258, 1026])
+def test_newton_hands_stop_the_oracle_iterates(name):
+    # the run loop takes the steps of the halving loop in _newton_oracle:
+    # every iterate (u, K, kn, ang), bit for bit, toward K_av, a realizable
+    # and an inadmissible target, with Phi ~ U(0, pi/2), dense solves and
+    # (N = 1026) sparse ones.  Each solve ends as check_admissible's does on
+    # an inadmissible target, at the first violated prefix: past it an
+    # escaping solve takes steps that the oracle's strict guard refuses,
+    # where the energy guard accepts a trial within its roundoff allowance
+    t = mesh(name) if isinstance(name, str) else _octahedron_above(name)
+    n = t.n_vertices
+    rng = np.random.default_rng(96 + n)
+    for make in (None, _realizable_target, _violating_target):
+        w = random_weight(rng, t)
+        if make is None:
+            target, u0 = resolve_target(t, None), random_metric(rng, t).u
+        else:
+            target, u0 = make(rng, t, w), np.zeros(n)
+        pmp = math.pi - w.phi
+        got, want = [], []
+
+        def violated(u, s):
+            got.append((u, s))
+            return thurston._prefix_violation(t, pmp, target, u)
+
+        found = thurston._newton(t, w, target, u0, violated)
+        assert (found is None) == (make is not _violating_target)
+        for u, s in newton_oracle(t, w, target, u0):
+            want.append((u, s))
+            if thurston._prefix_violation(t, pmp, target, u) is not None:
+                break
+        assert len(got) == len(want)
+        for (u, s), (u_ref, s_ref) in zip(got, want):
+            assert np.array_equal(u, u_ref)
+            for key in ("K", "kn", "ang"):
+                assert np.array_equal(getattr(s, key), getattr(s_ref, key))
+
+
+@pytest.mark.parametrize("end", ["step_limit", "collapse"])
+def test_newton_ends_undecided_at_either_end(monkeypatch, end):
+    # the solve ends undecided after NEWTON_STEPS steps, or when every trial
+    # of a step fails (here a solve whose direction no trial can evaluate)
+    # and advance raises StepCollapseError; within SIZE_GUARD the scan then
+    # decides, and no constant-curvature metric is found
+    if end == "step_limit":
+        monkeypatch.setattr(thurston, "NEWTON_STEPS", 1)
+    else:
+        monkeypatch.setattr(cf.DualLaplacian, "solve", lambda lap, rhs: np.full_like(rhs, np.nan))
+    ends = []
+    advance = _kernels.advance
+
+    def watched(*args):
+        try:
+            result = advance(*args)
+        except cf.StepCollapseError:
+            ends.append("collapse")
+            raise
+        ends.append(result[0])
+        return result
+
+    monkeypatch.setattr(_kernels, "advance", watched)
+    t = mesh("icosahedron")
+    rng = np.random.default_rng(97)
+    w = random_weight(rng, t)
+    u_star = rng.normal(0.0, 1.0, t.n_vertices)
+    target = cf.compute_geometry(t, w, cf.PackingMetric.from_log_radii(u_star)).curvatures
+    assert thurston._newton_verdict(t, w, target) is None
+    rep = cf.check_admissible(t, w, target)
+    assert (rep.verdict, rep.subset, rep.subsets_checked) == ("admissible", None, 2**12 - 2)
+    bad = _violating_target(rng, t, w)
+    rep = cf.check_admissible(t, w, bad)
+    found, members, lhs, rhs, checked = _scan(t, w, bad)
+    assert found and rep.verdict == "inadmissible"
+    assert (rep.subset, rep.lhs, rep.rhs, rep.subsets_checked) == (tuple(members), lhs, rhs, checked)
+    with pytest.raises(cf.NoConstantCurvatureMetric):
+        cf.constant_curvature_log_metric(t, w)
+    assert ends[:2] == [end, end] and ends[-1] == end
+
+
+def test_escaping_sparse_newton_ends_undecided():
+    # with a stop that never fires, a solve toward an inadmissible target
+    # escapes until its edge weights reach 1e-252 and p^T L p underflows in
+    # conjugate gradients, which then end the step instead of dividing by 0
+    t = _octahedron_above(1026)
+    # the inadmissible case of test_newton_hands_stop_the_oracle_iterates[1026]
+    rng = np.random.default_rng(96 + t.n_vertices)
+    for _ in range(2):
+        random_weight(rng, t)
+        random_metric(rng, t)
+    w = random_weight(rng, t)
+    target = _violating_target(rng, t, w)
+    got = []
+    assert thurston._newton(t, w, target, np.zeros(t.n_vertices), _logger(got)) is None
+    u, s = got[-1]
+    assert np.abs(u).max() > 500.0 and s.B.min() < 1e-250
 
 
 def test_sparse_newton_verdicts_match_the_direct_solve(monkeypatch):
