@@ -166,7 +166,7 @@ class FlowTrace:
     Calabi kinds every accepted step passed the energy guard, which allows
     a rise within roundoff: on a 2e4-step escape toward the inadmissible
     tetrahedron target about a third of the samples rise, by up to 5e-7,
-    while converging runs at N = 18 and 66 (200 to 14 471 steps) showed
+    while converging runs at N = 18 and 66 (192 to 319 steps) showed
     none.  Each sample's ``lambda1`` is computed when it is first read, not
     during the run.  ``evaluations`` counts the geometry evaluations of
     trials and Calabi stages.

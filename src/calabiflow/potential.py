@@ -227,28 +227,22 @@ def constant_curvature_log_metric(
     """The constant-curvature metric in the conformal class of the seed.
 
     Found by the damped Newton solve of ``K(u) = K_av`` from the seed that
-    also decides admissibility (``thurston._newton``), stopped at the first
-    iterate at its roundoff floor (``thurston._at_floor``).  The result
-    keeps the seed's ``sum u``.  Only connected surfaces are accepted
-    (``DomainError`` otherwise).  Raises :class:`NoConstantCurvatureMetric`
-    when the solve ends first, at its step limit or a collapsed step, as it
-    does when the constant curvature is not admissible, and
-    ``InternalConsistencyError`` when the seed's geometry does not evaluate.
+    also decides admissibility (``thurston._newton``, which refuses a
+    disconnected surface): its last iterate, kept at the seed's ``sum u``.
+    Raises :class:`NoConstantCurvatureMetric` when that iterate is short of
+    the roundoff floor (``thurston._at_floor``), since the solve stalled,
+    met its step limit or collapsed, as it does when the constant curvature
+    is not admissible, and ``InternalConsistencyError`` when the seed's
+    geometry does not evaluate.
     """
     _check_fit(t, w, seed_metric)
-    if not t.connected:
-        raise DomainError("the surface is not connected")
     seed = seed_metric or PackingMetric.from_radii(np.ones(t.n_vertices))
     tgt = resolve_target(t, None)
-    states = []
-
-    def settled(u, s):
-        states.append(s)
-        return u if _at_floor(s, tgt) else None
-
-    u = _newton(t, w, tgt, seed.u, settled)
-    if u is None:
-        dev = float(np.max(np.abs(states[-1].K - tgt)))
+    iterates = []
+    _newton(t, w, tgt, seed.u, lambda u, s: iterates.append((u, s)))
+    u, s = iterates[-1]
+    if not _at_floor(s, tgt):
+        dev = float(np.max(np.abs(s.K - tgt)))
         raise NoConstantCurvatureMetric(
             f"the Newton solve of K = K_av stopped at max|K - K_av| = {dev:.3g}")
     return PackingMetric.from_log_radii(u - (u.sum() - seed.u.sum()) / t.n_vertices)

@@ -8,13 +8,13 @@ subset ``I``, satisfies the strict inequality
 
 where ``F_I`` is the subcomplex spanned by ``I`` and ``Lk(I)`` its link.
 
-A check refuses a disconnected surface, whose components meet their
-inequalities with equality.  It then runs a damped Newton solve of ``K(u) =
+A check past the Gauss-Bonnet gate runs a damped Newton solve of ``K(u) =
 target`` (:func:`_newton`, which also finds the constant-curvature metric
-in ``potential``): the Ricci potential is convex with Hessian ``L``
-(Chow-Luo, J. Diff. Geom. 2003), so the solve runs toward a realizing
-metric when one exists and off to infinity when none does.  The line search
-only steers the solve; a certificate, tested at every iterate, decides:
+in ``potential`` and refuses a disconnected surface, whose components meet
+their inequalities with equality): the Ricci potential is convex with
+Hessian ``L`` (Chow-Luo, J. Diff. Geom. 2003), so the solve runs toward a
+realizing metric when one exists and off to infinity when none does.  The
+line search only steers the solve; a certificate at an iterate decides:
 
 - *admissible*: on a connected surface the face angle sums give, for every
   proper subset, ``slack(I; K(u)) = sum over faces with two vertices in I
@@ -77,8 +77,8 @@ SIZE_GUARD = 24
 VIOLATION_TOL = 1e-12
 GAUSS_BONNET_TOL = 1e-9
 
-# The Newton solve stops after NEWTON_STEPS steps, at a collapsed step, or
-# at its roundoff floor (_at_floor), which CURVATURE_TOL bounds from below.
+# The Newton solve stops after NEWTON_STEPS steps, at a stalled or collapsed
+# step, or at its roundoff floor (_at_floor), which CURVATURE_TOL bounds below.
 NEWTON_STEPS = 50
 CURVATURE_TOL = 1e-12
 # rounding allowance of the admissible certificate, on top of the measured
@@ -200,17 +200,23 @@ def _newton(t: Triangulation, w: Weight, target, u, stop):
     passes the Calabi energy guard.  Returns the first value other than None
     of ``stop(u, state)`` at the start or an iterate (``_kernels.State``),
     or None if the solve ends first: at its roundoff floor (:func:`_at_floor`),
-    after ``NEWTON_STEPS`` steps or at a collapsed step.  A start that does
-    not evaluate raises.  Only valid on a connected surface.
+    at a stalled step (one the guard had to halve that lowered the energy by
+    no more than its rounding), after ``NEWTON_STEPS`` steps or at a
+    collapsed step.  A disconnected surface raises ``DomainError``, and a
+    start that does not evaluate raises.
     """
+    if not t.connected:
+        raise DomainError("the surface is not connected")
     n = t.n_vertices
-    found = None
+    found = last = None
 
-    def record(_t, _h, u, s, _energy):
-        nonlocal found
+    def record(elapsed, h, u, s, energy):
+        nonlocal found, last
         found = stop(u, s)
-        if found is not None or _at_floor(s, target):
+        if found is not None or _at_floor(s, target) or (elapsed > 0.0 and h < 1.0 and
+                last - energy <= _kernels._energy_noise(s.K - target, s.kn, energy)):
             return "stopped"
+        last = energy
 
     # no divergence guard, and a tolerance that never fires: the floor ends it
     opts = SimpleNamespace(max_steps=NEWTON_STEPS, curvature_tol=0.0,
@@ -221,56 +227,44 @@ def _newton(t: Triangulation, w: Weight, target, u, stop):
     return found
 
 
-def _newton_verdict(t: Triangulation, w: Weight, target):
-    """Decide admissibility by the Newton solve :func:`_newton` from ``u = 0``.
-
-    Returns ``("admissible", None)`` or ``("inadmissible", (members, lhs,
-    rhs))`` once a certificate (see the module docstring), tested by the
-    solve's ``stop`` at each iterate, holds, and None when the solve ends
-    undecided.  Within ``SIZE_GUARD`` a violated prefix ends the solve
-    undecided, since the scan reports the canonical violator there.  Only
-    valid on a connected surface.
-    """
+def _verdict(t: Triangulation, w: Weight, tgt: np.ndarray, force: bool):
+    """``(verdict, certificate, subsets_checked)`` of :func:`check_admissible`,
+    from the Gauss-Bonnet gate, the Newton solve :func:`_newton` from ``u =
+    0``, whose ``stop`` tests the module docstring's certificates, or the
+    scan, in that order.  The certificate is ``(members, lhs, rhs)`` or
+    None; a Gauss-Bonnet violation has no members, the target's sum and
+    ``2 pi chi``."""
+    if not check_gauss_bonnet(tgt, t.chi):
+        total = float(np.sum(tgt))
+        return "gauss_bonnet_violation", (None, total, 2.0 * math.pi * t.chi), 0
     n = t.n_vertices
     pmp = math.pi - w.phi
     pmp_f = pmp[t.face_edges]
 
     def certify(u, s):
-        dev = s.K - target
+        dev = s.K - tgt
         # the bound holds for corner values whose face sums are exactly pi;
         # moving each face's computed angles by a third of its sum's error
         # changes g and |K - target|_1 by at most the summed error
         allowance = float(np.abs(s.ang.sum(axis=1) - math.pi).sum()) + CERTIFICATE_SLACK
         if _slack_bound(s.ang, pmp_f, dev) > VIOLATION_TOL + allowance:
             return "admissible", None
-        found = _prefix_violation(t, pmp, target, u)
+        found = _prefix_violation(t, pmp, tgt, u)
         if found is not None:
             # an empty verdict ends the solve undecided
             return ("inadmissible", found) if n > SIZE_GUARD else ()
 
-    return _newton(t, w, target, np.zeros(n), certify) or None
-
-
-def _verdict(t: Triangulation, w: Weight, tgt: np.ndarray, force: bool):
-    """``(verdict, certificate, subsets_checked)`` of :func:`check_admissible`,
-    from the Gauss-Bonnet gate, the Newton solve or the scan, in that order.
-    The certificate is ``(members, lhs, rhs)`` or None; a Gauss-Bonnet
-    violation has no members, the target's sum and ``2 pi chi``."""
-    if not check_gauss_bonnet(tgt, t.chi):
-        total = float(np.sum(tgt))
-        return "gauss_bonnet_violation", (None, total, 2.0 * math.pi * t.chi), 0
-    solved = _newton_verdict(t, w, tgt)
-    if solved is not None:
+    solved = _newton(t, w, tgt, np.zeros(n), certify)
+    if solved:
         return (*solved, 0)
-    if t.n_vertices > SIZE_GUARD and not force:
+    if n > SIZE_GUARD and not force:
         raise EnumerationSizeError(
-            f"the Newton solve left admissibility over {t.n_vertices} vertices "
-            f"undecided, and the fallback scan checks 2^{t.n_vertices} - 2 "
+            f"the Newton solve left admissibility over {n} vertices "
+            f"undecided, and the fallback scan checks 2^{n} - 2 "
             "subsets (exponential enumeration); pass force=True to run it anyway"
         )
     found, members, lhs, rhs, checked = _kernels.scan_subsets(
-        t.n_vertices, tgt, t.edges[:, 0], t.edges[:, 1], t.faces, t.face_edges,
-        math.pi - w.phi, VIOLATION_TOL,
+        n, tgt, t.edges[:, 0], t.edges[:, 1], t.faces, t.face_edges, pmp, VIOLATION_TOL,
     )
     if not found:
         return "admissible", None, int(checked)
@@ -287,9 +281,9 @@ def check_admissible(
     """Decide whether ``target`` is realizable, with a certificate.
 
     ``target`` is read by :func:`resolve_target`: ``None`` is ``K_av`` at
-    every vertex.  A disconnected surface raises ``DomainError``, and a
-    target off the Gauss-Bonnet hyperplane is reported as such.  Then a
-    Newton solve tries to certify the verdict (see the module docstring); a
+    every vertex.  A target off the Gauss-Bonnet hyperplane is reported as
+    such, and then a disconnected surface raises ``DomainError``.  A Newton
+    solve tries to certify the verdict (see the module docstring); a
     certified verdict reports ``subsets_checked = 0``.  A target the solve
     leaves undecided, and every inadmissible target within ``SIZE_GUARD``
     vertices, goes to the exhaustive subset scan, whose violator is minimal
@@ -299,8 +293,6 @@ def check_admissible(
     """
     tgt = resolve_target(t, target)
     _check_fit(t, w)
-    if not t.connected:
-        raise DomainError("the surface is not connected")
     start = time.perf_counter()
     verdict, certificate, checked = _verdict(t, w, tgt, force)
     members, lhs, rhs = certificate or (None, None, None)

@@ -7,7 +7,9 @@ evaluates and ``||K - target||_2`` strictly falls, at most
 ``NEWTON_HALVINGS`` times.  The library takes the same steps in
 ``_kernels.advance`` under the Calabi energy guard, so the iterates it hands
 its ``stop`` callback must equal the ones this generator yields, bit for
-bit.
+bit.  The library may end earlier, at a stalled step: one its guard had to
+halve that lowered the energy by no more than its rounding, which this loop
+has no test for.
 """
 
 import numpy as np

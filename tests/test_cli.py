@@ -428,6 +428,29 @@ def test_potential_probe_fails_a_path_off_by_more_than_path_tol(capsys, monkeypa
     assert doc["path_independence_residual"] > potential_mod.PATH_TOL
 
 
+def test_potential_probe_fails_a_ray_that_decreases(capsys, monkeypatch):
+    # a ray whose potential falls between radii fails the probe, though
+    # every value stays positive and the path test passes: ray 1's second
+    # piece undoes half of its first
+    ricci = cli.ricci_potential
+
+    def falling(*args, **kwargs):
+        values = ricci(*args, **kwargs).copy()
+        values[3] = -0.5 * values[2]
+        return values
+
+    monkeypatch.setattr(cli, "ricci_potential", falling)
+    code, out, _ = run(
+        capsys, "potential-probe", "--mesh", "octahedron", "--rays", "2", "--probe-radii", "1,2"
+    )
+    doc = json.loads(out)
+    assert code == 3 and doc["ok"] is False
+    assert doc["path_independence_residual"] <= potential_mod.PATH_TOL
+    assert doc["lambda1_at_base"] > 0.0
+    ray = [row["f"] for row in doc["rows"] if row["direction"] == 1]
+    assert 0.0 < ray[1] < ray[0]
+
+
 @pytest.mark.parametrize("radii", ["0,1", "nan", "inf", "-1,2"])
 def test_potential_probe_bad_radius_exits_1_before_the_solve(capsys, monkeypatch, radii):
     def solve(*args):
@@ -769,7 +792,7 @@ def test_size_guard_exit_1(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "check", "--mesh", str(path))
     assert code == 0
     assert json.loads(out)["subsets_checked"] == 0
-    monkeypatch.setattr(thurston, "_newton_verdict", lambda t, w, target: None)
+    monkeypatch.setattr(thurston, "_newton", lambda t, w, target, u, stop: None)
     code2, out2, err2 = run(capsys, "check", "--mesh", str(path))
     assert code2 == 1 and out2 == ""
     assert "error:" in err2
@@ -800,8 +823,10 @@ def test_phi_file_matches_scalar_weight(capsys, tmp_path):
     [
         ["0 1 0.5", "1 0 0.5", "0 2 0.5", "0 3 0.5", "1 2 0.5", "1 3 0.5", "2 3 0.5"],
         ["0 1 0.5", "0 2 0.5", "0 3 abc", "1 2 0.5", "1 3 0.5", "2 3 0.5"],
+        ["0 1 0.5", "0 2 0.5", "0 3 0.5", "1 2 0.5", "1 3 0.5", "2 3 0.5", "0 7 0.5"],
+        ["0 1 0.5", "0 2 0.5", "0 3 0.5", "1 2 0.5", "1 3 0.5"],
     ],
-    ids=["duplicate-edge", "bad-token"],
+    ids=["duplicate-edge", "bad-token", "non-edge", "missing-edge"],
 )
 def test_phi_file_errors_exit_1(capsys, tmp_path, rows):
     path = _phi_file(tmp_path, rows)

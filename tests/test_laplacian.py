@@ -205,6 +205,26 @@ def test_sparse_lambda1_never_factors_a_singular_matrix():
             assert lam == pytest.approx(evals[1], rel=1e-8)
 
 
+def test_rayleigh_validation_refuses_a_wrong_eigenpair(monkeypatch):
+    # the sparse path checks eigsh's lambda1 against the Rayleigh quotient
+    # of its eigenvector
+    import scipy.sparse.linalg as sparse_linalg
+
+    t = subdivide(subdivide(subdivide(subdivide(mesh("octahedron")))))
+    rng = np.random.default_rng(19)
+    lap = cf.assemble(t, random_weight(rng, t), random_metric(rng, t))
+    assert not lap.is_dense
+    eigsh = sparse_linalg.eigsh
+
+    def off(*args, **kwargs):
+        vals, vecs = eigsh(*args, **kwargs)
+        return vals * (1.0 + 1e-6), vecs
+
+    monkeypatch.setattr(sparse_linalg, "eigsh", off)
+    with pytest.raises(cf.InternalConsistencyError, match="Rayleigh validation"):
+        lap.lambda1()
+
+
 def test_coordinate_lines_roundtrip():
     t = mesh("tetrahedron")
     lap = cf.assemble(t, zero_weight(t), cf.PackingMetric.from_radii(np.ones(4)))

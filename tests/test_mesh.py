@@ -121,6 +121,8 @@ def test_syntax_errors(text, fragment):
             np.array([(0, 1, 2), (0, 1, 2**64 - 1)], dtype=np.uint64),
             "index 18446744073709551615 outside range [0, 4)",
         ),
+        (4, np.array([(0, 1, 2, 3), (0, 1, 2, 3)]), "faces must be triples"),
+        (4, [(0, 1, 2)], "at least 2 faces"),
     ],
 )
 def test_validation_errors(n, faces, fragment):

@@ -204,14 +204,23 @@ def test_constant_curvature_log_metric_is_the_calabi_limit(name):
     assert np.max(np.abs(m.u - u)) < 1e-10
 
 
-def test_constant_curvature_failure_raises():
+def test_constant_curvature_failure_raises(monkeypatch):
     # the constant curvature is not admissible here, so the solve cannot
-    # reach it
+    # reach it: it ends at a stalled step after a few iterates, not at its
+    # step limit
     t = cf.parse_mesh(stellar_text(mesh("icosahedron")))
     w = cf.Weight.uniform(t, math.pi / 2)
     assert not cf.check_admissible(t, w, resolve_target(t, None)).admissible
-    with pytest.raises(cf.NoConstantCurvatureMetric):
+    handed = []
+    newton = potential_mod._newton
+
+    def counted(t, w, target, u, stop):
+        return newton(t, w, target, u, lambda u, s: handed.append(s) or stop(u, s))
+
+    monkeypatch.setattr(potential_mod, "_newton", counted)
+    with pytest.raises(cf.NoConstantCurvatureMetric, match=r"max\|K - K_av\| = 0\.604$"):
         cf.constant_curvature_log_metric(t, w)
+    assert 1 < len(handed) <= 6
 
 
 def test_constant_curvature_from_a_seed_that_does_not_evaluate_raises():

@@ -13,6 +13,7 @@ from calabiflow.laplacian import DENSE_LIMIT
 from calabiflow.mesh import resolve_target
 from calabiflow.thurston import (
     CURVATURE_TOL,
+    NEWTON_STEPS,
     SIZE_GUARD,
     VIOLATION_TOL,
     enumerate_rows,
@@ -223,7 +224,7 @@ def test_size_guard_and_force(monkeypatch):
     assert lhs <= rhs + VIOLATION_TOL
     # an undecided solve meets the guard; force runs the scan, which an
     # early violator cuts short
-    monkeypatch.setattr(thurston, "_newton_verdict", lambda t, w, target: None)
+    monkeypatch.setattr(thurston, "_newton", lambda t, w, target, u, stop: None)
     with pytest.raises(cf.EnumerationSizeError):
         cf.check_admissible(big, w, k_av)
     with pytest.raises(cf.EnumerationSizeError):
@@ -380,8 +381,10 @@ def test_disconnected_mesh_is_refused():
     # has one or two vertices in one tetrahedron's vertex set, so its slack
     # has no corner terms, and K = pi everywhere meets its inequality with
     # equality.  The strict inequality would call that target inadmissible,
-    # though both prescribed flows reach it, so the check refuses the
-    # surface as constant_curvature_log_metric does
+    # though both prescribed flows reach it, and the bound at u = 0 would
+    # call it admissible; so the Newton solve refuses the surface, for
+    # check_admissible and constant_curvature_log_metric alike, after the
+    # Gauss-Bonnet gate, whose verdict holds on any surface
     faces = [tuple(f) for f in cf.meshes.TETRAHEDRON]
     t = cf.Triangulation(8, faces + [tuple(v + 4 for v in f) for f in faces])
     assert not t.connected
@@ -389,10 +392,15 @@ def test_disconnected_mesh_is_refused():
     assert mesh("torus").connected
     w = zero_weight(t)
     target = np.full(8, math.pi)
-    assert thurston._newton_verdict(t, w, target) == ("admissible", None)
+    s = _kernels.state(np.ones(8), _mesh_arrays(t, w))
+    assert thurston._slack_bound(s.ang, (math.pi - w.phi)[t.face_edges], s.K - target) > 0.0
+    with pytest.raises(cf.DomainError) as info:
+        thurston._newton(t, w, target, np.zeros(8), _logger([]))
+    assert str(info.value) == "the surface is not connected"
     with pytest.raises(cf.DomainError) as info:
         cf.check_admissible(t, w, target)
     assert str(info.value) == "the surface is not connected"
+    assert cf.check_admissible(t, w, np.full(8, 3.2)).verdict == "gauss_bonnet_violation"
     for kind in (cf.FlowKind.calabi_prescribed, cf.FlowKind.ricci_prescribed):
         m0 = random_metric(np.random.default_rng(0), t)
         assert cf.integrate(kind(target), t, w, m0).status == "converged"
@@ -579,7 +587,9 @@ def test_newton_ends_undecided_at_either_end(monkeypatch, end):
     w = random_weight(rng, t)
     u_star = rng.normal(0.0, 1.0, t.n_vertices)
     target = cf.compute_geometry(t, w, cf.PackingMetric.from_log_radii(u_star)).curvatures
-    assert thurston._newton_verdict(t, w, target) is None
+    got = []
+    assert thurston._newton(t, w, target, np.zeros(t.n_vertices), _logger(got)) is None
+    assert len(got) == (2 if end == "step_limit" else 1)
     rep = cf.check_admissible(t, w, target)
     assert (rep.verdict, rep.subset, rep.subsets_checked) == ("admissible", None, 2**12 - 2)
     bad = _violating_target(rng, t, w)
@@ -594,8 +604,10 @@ def test_newton_ends_undecided_at_either_end(monkeypatch, end):
 
 def test_escaping_sparse_newton_ends_undecided():
     # with a stop that never fires, a solve toward an inadmissible target
-    # escapes until its edge weights reach 1e-252 and p^T L p underflows in
-    # conjugate gradients, which then end the step instead of dividing by 0
+    # escapes until a step the energy guard had to halve lowers the energy
+    # by no more than its rounding.  It ends undecided at that stall, well
+    # inside its step budget and long before its edge weights underflow
+    # p^T L p in conjugate gradients
     t = _octahedron_above(1026)
     # the inadmissible case of test_newton_hands_stop_the_oracle_iterates[1026]
     rng = np.random.default_rng(96 + t.n_vertices)
@@ -606,8 +618,21 @@ def test_escaping_sparse_newton_ends_undecided():
     target = _violating_target(rng, t, w)
     got = []
     assert thurston._newton(t, w, target, np.zeros(t.n_vertices), _logger(got)) is None
+    assert len(got) <= NEWTON_STEPS // 5
     u, s = got[-1]
-    assert np.abs(u).max() > 500.0 and s.B.min() < 1e-250
+    assert not thurston._at_floor(s, target)
+    assert np.abs(u).max() > 100.0 and s.B.min() > 1e-100
+
+
+def test_sparse_solve_stops_where_the_curvature_of_p_underflows(monkeypatch):
+    # conjugate gradients end a step whose p^T L p is not positive (edge
+    # weights so small that it underflows) instead of dividing by it
+    t = _octahedron_above(1026)
+    assert t.n_vertices > DENSE_LIMIT
+    lap = cf.DualLaplacian(t.n_vertices, t.edges, np.ones(t.n_edges))
+    monkeypatch.setattr(_kernels, "lap_apply", lambda weights, ea, eb, x: np.zeros_like(x))
+    rhs = np.random.default_rng(93).normal(size=t.n_vertices)
+    assert np.array_equal(lap.solve(rhs), np.zeros(t.n_vertices))
 
 
 def test_sparse_newton_verdicts_match_the_direct_solve(monkeypatch):
